@@ -57,6 +57,7 @@ from .runner import (
     run_scan,
 )
 from .solver import (
+    ComparisonRecords,
     DiscretizationConfig,
     HamiltonianMatrix,
     ResonanceRecord,
@@ -111,8 +112,8 @@ __all__ = [
     "quantization_residual", "solve_quantization",
     # solver
     "DiscretizationConfig", "HamiltonianMatrix", "ResonanceRecord",
-    "build_hamiltonian", "compute_resonances", "theta_stability",
-    "match_resonances", "compare_with_direct",
+    "ComparisonRecords", "build_hamiltonian", "compute_resonances",
+    "theta_stability", "match_resonances", "compare_with_direct",
     # runner
     "RunConfig", "ScanRow", "ScanResult", "parse_config", "pin_level_h",
     "fit_width_slope", "run_scan", "run_command",

@@ -61,7 +61,7 @@ class InsufficientData(PredissocError):
 
 
 class EigensolveFailure(PredissocError):
-    """The dense eigensolver did not converge; no silent fallback."""
+    """The eigensolver failed or could not deliver its whole target disc; no silent fallback."""
 
 
 class ContourEvaluationError(PredissocError):

@@ -539,7 +539,8 @@ def _cmd_compare(cfg: RunConfig, out: Path) -> int:
                      rec.accepted))
     _write_csv(out / "compare.csv", _COMPARE_HEADER, rows)
     n_acc = sum(1 for r in records if r.accepted)
-    print(f"compare: {n_acc}/{len(records)} level(s) accepted at h={h:g}")
+    print(f"compare: {n_acc}/{len(records)} level(s) accepted, "
+          f"{len(records.skipped)} skipped at h={h:g}")
     return 0
 
 

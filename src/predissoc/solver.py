@@ -17,8 +17,10 @@ exploits when pairing eigenvalues with semiclassical estimates.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +38,7 @@ __all__ = [
     "DiscretizationConfig",
     "HamiltonianMatrix",
     "ResonanceRecord",
+    "ComparisonRecords",
     "build_hamiltonian",
     "compute_resonances",
     "theta_stability",
@@ -52,6 +55,18 @@ IM_ROUNDOFF_GUARD = 1e-9
 #: A drifted eigenvalue farther than this many local spacings from its
 #: parent is considered lost rather than drifted.
 LOST_TRACK_FACTOR = 10.0
+
+#: Eigenvalues asked of the first shift-invert solve about a target; the
+#: solve doubles this until it reaches past the target disc.  The reference
+#: box disc holds about 17 eigenvalues, the scan boxes 3 to 9.
+K_START = 24
+
+#: A repeat solve of the same disc (theta -> 1.2 theta) asks for the first
+#: solve's disc count plus this many; ARPACK converges fewer values in
+#: fewer operator solves.
+K_PAD = 8
+
+logger = logging.getLogger("predissoc.solver")
 
 
 @dataclass(frozen=True)
@@ -146,27 +161,31 @@ def _derivative_matrices(cfg: DiscretizationConfig):
         d1 = d_full[1:-1, 1:-1] * scale
         d2 = d2_full[1:-1, 1:-1] * scale * scale
         return d1, d2, nodes
-    # fourth-order central differences on a uniform interior grid; rows near
-    # the Dirichlet ends are plain truncations of the infinite stencil, which
-    # keeps D1 exactly skew-symmetric and D2 exactly symmetric
+    # fourth-order central differences on a uniform interior grid, stored as
+    # sparse diagonals; rows near the Dirichlet ends are plain truncations of
+    # the infinite stencil, which keeps D1 exactly skew-symmetric and D2
+    # exactly symmetric
+    import scipy.sparse  # on first use, as in _disc_eigenvalues
+
     dx = (cfg.x_max - cfg.x_min) / (cfg.n + 1)
     nodes = cfg.x_min + dx * np.arange(1, cfg.n + 1)
-    d1 = np.zeros((cfg.n, cfg.n))
-    d2 = np.zeros((cfg.n, cfg.n))
-    for offset, w1, w2 in ((1, 2.0 / 3.0, 4.0 / 3.0), (2, -1.0 / 12.0, -1.0 / 12.0)):
-        upper = np.eye(cfg.n, k=offset)
-        lower = np.eye(cfg.n, k=-offset)
-        d1 += w1 * (upper - lower)
-        d2 += w2 * (upper + lower)
-    d2 += -2.5 * np.eye(cfg.n)
-    return d1 / dx, d2 / (dx * dx), nodes
+    shape = (cfg.n, cfg.n)
+    d1 = scipy.sparse.diags_array([1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0],
+                                  offsets=(-2, -1, 1, 2), shape=shape)
+    d2 = scipy.sparse.diags_array([-1.0 / 12.0, 4.0 / 3.0, -2.5, 4.0 / 3.0, -1.0 / 12.0],
+                                  offsets=(-2, -1, 0, 1, 2), shape=shape)
+    return (d1 / dx).tocsr(), (d2 / (dx * dx)).tocsr(), nodes
 
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Discretized, contour-deformed two-channel operator."""
+    """Discretized, contour-deformed two-channel operator.
 
-    matrix: np.ndarray
+    ``matrix`` is a dense array for Chebyshev collocation and a sparse CSC
+    array for the banded finite-difference scheme.
+    """
+
+    matrix: np.ndarray | scipy.sparse.csc_array
     x_nodes: np.ndarray
     z_nodes: np.ndarray
     contour_scale: np.ndarray
@@ -212,6 +231,8 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     fsecond = 1j * cfg.theta * fpp
     z = nodes + 1j * cfg.theta * f
 
+    # every diagonal factor is applied as a broadcast row or column scaling,
+    # which serves dense and sparse derivative matrices alike
     d1c = (1.0 / fprime)[:, None] * d1
     d2c = (1.0 / fprime ** 2)[:, None] * d2 - (fsecond / fprime ** 3)[:, None] * d1
 
@@ -229,27 +250,104 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
             )
         blocks[name] = vals
 
-    r0d = np.diag(blocks["r0"])
-    r1d = np.diag(blocks["r1"])
-    h11 = -h * h * d2c + np.diag(blocks["v1"])
-    h22 = -h * h * d2c + np.diag(blocks["v2"])
-    h12 = h * (r0d + h * r1d @ d1c)
-    h21 = h * (r0d - h * d1c @ r1d)
-    matrix = np.block([[h11, h12], [h21, h22]])
+    if isinstance(d1, np.ndarray):
+        diag, matrix_of = np.diag, np.block
+    else:  # the sparse FD4 stencils; _derivative_matrices imported scipy.sparse
+        diag = scipy.sparse.diags_array
+        matrix_of = partial(scipy.sparse.block_array, format="csc")
+    r0d = diag(blocks["r0"])
+    r1 = blocks["r1"]
+    h11 = -h * h * d2c + diag(blocks["v1"])
+    h22 = -h * h * d2c + diag(blocks["v2"])
+    h12 = h * (r0d + (h * r1)[:, None] * d1c)
+    h21 = h * (r0d - h * d1c * r1[None, :])
+    matrix = matrix_of([[h11, h12], [h21, h22]])
     return HamiltonianMatrix(matrix=matrix, x_nodes=nodes, z_nodes=z,
                              contour_scale=fprime, x_start_scaling=x_inf,
                              config=cfg, h=h)
 
 
-def _all_eigenvalues(sys, cfg, h, window) -> np.ndarray:
+def _shift_invert(matrix, sigma: complex):
+    """Factor ``matrix - sigma`` once; returns x -> (matrix - sigma)^-1 x.
+
+    A dense matrix is shifted and factored in place and is unusable
+    afterwards; a sparse one is left as it is.
+    """
+    dim = matrix.shape[0]
+    if not isinstance(matrix, np.ndarray):
+        shifted = (matrix - sigma * scipy.sparse.eye_array(dim)).tocsc()
+        try:
+            return scipy.sparse.linalg.splu(shifted).solve
+        except RuntimeError as exc:  # exactly singular factor
+            raise EigensolveFailure(f"shift-invert factorisation failed: {exc}") from exc
+    matrix[np.diag_indices(dim)] -= sigma
+    # the transpose is the Fortran-ordered view LAPACK factors without a
+    # copy; trans=1 then solves with the matrix itself
+    lu_piv = scipy.linalg.lu_factor(matrix.T, overwrite_a=True, check_finite=False)
+    return partial(scipy.linalg.lu_solve, lu_piv, trans=1, check_finite=False)
+
+
+def _disc_eigenvalues(sys, cfg, h, window, sigma: complex, radius: float,
+                      k_start: int = K_START) -> np.ndarray:
+    """Every eigenvalue of the scaled matrix within ``radius`` of ``sigma``.
+
+    Shift-invert Arnoldi (ARPACK) about sigma returns the k eigenvalues
+    nearest it; k doubles from ``k_start`` until the farthest of them lies
+    outside the disc, so the disc is complete.  Returns those k eigenvalues:
+    the disc's and the few just beyond it.  A disc too full for ARPACK,
+    whose k must stay below dim - 2, raises EigensolveFailure rather than
+    return part of it.
+    """
+    # imported on first use: the commands with no eigensolve (levels,
+    # widths, validate) start faster without it
+    import scipy.sparse.linalg
+
     ham = build_hamiltonian(sys, cfg, h, window)
-    try:
-        vals = scipy.linalg.eigvals(ham.matrix)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolveFailure(f"dense eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise EigensolveFailure("eigensolve returned non-finite eigenvalues")
+    dim = ham.matrix.shape[0]
+    solve = _shift_invert(ham.matrix, sigma)
+    solves = 0
+
+    def counted_solve(x):
+        nonlocal solves
+        solves += 1
+        return solve(x)
+
+    inverse = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=counted_solve,
+                                                 dtype=complex)
+    # a fixed random start vector: deterministic, and with no symmetry that
+    # could hide an eigenvector from the Krylov space
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    k_cap = dim - 3  # ARPACK needs k < dim - 1; k = dim - 2 and up is refused
+    k = min(k_start, k_cap)
+    while True:
+        try:
+            # in shift-invert mode ARPACK applies only OPinv; the operator
+            # passed as A supplies shape and dtype
+            vals = scipy.sparse.linalg.eigs(inverse, k=k, sigma=sigma, OPinv=inverse,
+                                            v0=v0, return_eigenvectors=False)
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise EigensolveFailure(f"shift-invert eigensolve failed: {exc}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise EigensolveFailure("eigensolve returned non-finite eigenvalues")
+        if np.max(np.abs(vals - sigma)) > radius:
+            break
+        if k == k_cap:
+            raise EigensolveFailure(
+                f"the disc |E - ({sigma:.6g})| <= {radius:.6g} holds more than "
+                f"{k_cap} eigenvalues, the most ARPACK returns for a {dim} x {dim} matrix")
+        k = min(2 * k, k_cap)
+    dist = np.abs(vals - sigma)
+    logger.debug("eigensolve: dim=%d sigma=%.6g%+.6gj radius=%.3g k=%d in disc=%d "
+                 "margin=%.3g operator solves=%d", dim, sigma.real, sigma.imag, radius,
+                 k, int(np.sum(dist <= radius)), dist.max() - radius, solves)
     return vals
+
+
+def _box_disc(window: EnergyWindow, h: float) -> tuple[complex, float]:
+    """Centre and radius of the disc circumscribing the resonance box."""
+    half_depth = 0.5 * window.im_depth_coeff * h
+    sigma = complex(window.e_ref, -half_depth)
+    return sigma, math.hypot(window.half_width, half_depth + IM_ROUNDOFF_GUARD)
 
 
 def _filter_window(vals: np.ndarray, window: EnergyWindow, h: float) -> np.ndarray:
@@ -267,23 +365,37 @@ def compute_resonances(sys: PotentialSystem, cfg: DiscretizationConfig, h: float
     The box is Re in [lo, hi], -C0 h < Im <= (roundoff guard); results come
     back sorted by real part.  No stability screening happens here — the
     list may contain rotated-continuum points alongside true resonances.
+    Only the eigenvalues in the disc circumscribing the box are computed.
     """
-    return _filter_window(_all_eigenvalues(sys, cfg, h, window), window, h)
+    vals = _disc_eigenvalues(sys, cfg, h, window, *_box_disc(window, h))
+    return _filter_window(vals, window, h)
 
 
-def _drifts(sys, cfg, h, window, anchors, base_vals=None):
+def _drifts(sys, cfg, h, window, anchors, disc, base=None):
     """Drift of each anchor's nearest eigenvalue under theta -> 1.2 theta.
 
-    Returns an array of drifts, inf marking anchors whose eigenvalue could
-    not be followed (nearest partner farther than LOST_TRACK_FACTOR local
-    spacings).
+    Both spectra are the disc ``disc = (sigma, radius)`` of
+    :func:`_disc_eigenvalues`; ``base`` is the theta solve when the caller
+    already has it.  Returns an array of drifts, inf marking anchors whose
+    eigenvalue could not be followed (nearest partner farther than
+    LOST_TRACK_FACTOR local spacings).
+
+    Each spectrum holds every eigenvalue out to its farthest value, which
+    lies beyond the radius by a margin (0.09 or more on the reference and
+    scan boxes).  An anchor inside the disc therefore sees every eigenvalue
+    nearer to it than that margin: a missing neighbour can only overstate a
+    spacing, and a missing partner only a drift.  Whether an anchor is
+    stable (drift <= stab_tol, 1e-6 by default) depends only on eigenvalues
+    within stab_tol of it, so stable anchors are tracked exactly.
     """
     if cfg.theta <= 0.0:
         raise InvalidAngle("stability testing requires a positive scaling angle")
-    vals0 = _all_eigenvalues(sys, cfg, h, window) if base_vals is None else base_vals
+    vals0 = base if base is not None else _disc_eigenvalues(sys, cfg, h, window, *disc)
+    sigma, radius = disc
+    in_disc = int(np.sum(np.abs(vals0 - sigma) <= radius))
     cfg_up = replace(cfg, theta=1.2 * cfg.theta,
                      x_start_scaling=_resolve_x_inf(sys, cfg, window))
-    vals1 = _all_eigenvalues(sys, cfg_up, h, window)
+    vals1 = _disc_eigenvalues(sys, cfg_up, h, window, *disc, k_start=in_disc + K_PAD)
     drifts = np.empty(len(anchors))
     for i, e in enumerate(anchors):
         dist0 = np.abs(vals0 - e)
@@ -301,9 +413,12 @@ def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     """How far the eigenvalue nearest E moves when theta grows by 20 %.
 
     Small values (<< local spacing) certify E as a genuine resonance of the
-    unscaled problem; inf means the eigenvalue could not be tracked.
+    unscaled problem; inf means the eigenvalue could not be tracked.  Both
+    solves take the few eigenvalues nearest E (a disc of radius 0 about E),
+    which hold its eigenvalue, that eigenvalue's neighbours and its partner.
     """
-    return float(_drifts(sys, cfg, h, window, [complex(E)])[0])
+    E = complex(E)
+    return float(_drifts(sys, cfg, h, window, [E], (E, 0.0))[0])
 
 
 @dataclass
@@ -316,6 +431,18 @@ class ResonanceRecord:
     rel_dev_im: float = math.nan
     theta_stability: float = math.nan
     accepted: bool = False
+
+
+class ComparisonRecords(list):
+    """The records of :func:`compare_with_direct`, one per estimated level.
+
+    ``skipped`` lists the window levels whose estimate failed, as
+    ``(k, e_k, reason)``; they have no record.
+    """
+
+    def __init__(self, records, skipped):
+        super().__init__(records)
+        self.skipped = list(skipped)
 
 
 def match_resonances(estimates: list[ResonanceEstimate],
@@ -357,7 +484,7 @@ def match_resonances(estimates: list[ResonanceEstimate],
 
 def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
                         cfg: DiscretizationConfig, h: float,
-                        stab_tol: float = 1e-6) -> list[ResonanceRecord]:
+                        stab_tol: float = 1e-6) -> ComparisonRecords:
     """Full pipeline: estimates, direct eigenvalues, stability, matching.
 
     Eigenvalues in the window are screened for theta-stability first, so
@@ -365,22 +492,27 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     true resonance) never enter the pairing.  A record is accepted when it
     matched a stable eigenvalue whose magnitude of imaginary part clears
     the eigensolver noise floor, taken as 100 x the largest matched drift.
+    Levels whose estimate failed are logged and kept in ``skipped``.
     """
-    estimates, _skipped = resonance_estimates(sys, h, window)
-    records = [ResonanceRecord(estimate=est) for est in estimates]
+    estimates, skipped = resonance_estimates(sys, h, window)
+    for k, e_k, reason in skipped:
+        logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
+    records = ComparisonRecords((ResonanceRecord(estimate=est) for est in estimates),
+                                skipped)
     if not estimates:
         return records
 
-    vals0 = _all_eigenvalues(sys, cfg, h, window)
+    disc = _box_disc(window, h)
+    vals0 = _disc_eigenvalues(sys, cfg, h, window, *disc)
     candidates = _filter_window(vals0, window, h)
     if len(candidates) == 0:
         return records
-    drifts = _drifts(sys, cfg, h, window, candidates, base_vals=vals0)
+    drifts = _drifts(sys, cfg, h, window, candidates, disc, base=vals0)
     stable = np.isfinite(drifts) & (drifts <= stab_tol)
     stable_vals = candidates[stable]
     stable_drifts = drifts[stable]
 
-    records = match_resonances(estimates, stable_vals)
+    records = ComparisonRecords(match_resonances(estimates, stable_vals), skipped)
     matched_drifts = []
     for rec in records:
         if rec.computed is None:

@@ -252,11 +252,11 @@ class QuantizationResidual:
 
 
 def _f_leading(sys, e0, h, x_range):
-    """Energy-independent pieces of F at the real anchor e0.
+    """Energy-independent part of F at the real anchor e0, the scalar efac * X.
 
-    Returns (s, efac, X) with s = (-1)^k the sine sign at the nearest
-    level, efac = exp(-2 A1 - 2 A2), and X the crossing prefactor; the full
-    leading term is F = (i pi / 4) * s * cos(delta) * efac * X.
+    efac = exp(-2 A1 - 2 A2) and X is the crossing prefactor; the full
+    leading term is F = (i pi / 4) * s * cos(delta) * efac * X, where the
+    caller supplies s = (-1)^k, the sine sign at the nearest level.
     """
     cd, v1me = _crossing_factors(sys, e0)
     ph = phase_integrals(sys, e0, h, x_range)

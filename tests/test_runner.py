@@ -1,6 +1,7 @@
 """Config parsing, the h-scan helpers, and the file-producing commands."""
 
 import json
+import logging
 import math
 import re
 
@@ -17,7 +18,8 @@ from predissoc import (
     pin_level_h,
     run_command,
 )
-from predissoc.errors import ConfigError, InsufficientData
+from predissoc import spectrum
+from predissoc.errors import BarrierViolation, ConfigError, InsufficientData
 from predissoc.runner import main
 
 BASE = '''
@@ -226,6 +228,29 @@ def test_direct_and_compare_smoke(tmp_path):
                         "abs_dev_re,rel_dev_im,theta_stability,accepted")
     assert len(lines) == 3  # levels k=2 and k=3
     assert {line.split(",")[-1] for line in lines[1:]} <= {"true", "false"}
+
+
+def test_compare_logs_and_counts_skipped_levels(tmp_path, monkeypatch, caplog, capsys):
+    """A level whose width fails is logged with its reason and counted in
+    the summary line; compare.csv keeps its one row per estimated level."""
+    width_leading = spectrum.width_leading
+
+    def fail_below_09(sys, h, e_k, *args):
+        if e_k < 0.9:  # level k=2, e_k ~ 0.894
+            raise BarrierViolation("injected failure")
+        return width_leading(sys, h, e_k, *args)
+
+    monkeypatch.setattr(spectrum, "width_leading", fail_below_09)
+    with caplog.at_level(logging.WARNING, logger="predissoc.solver"):
+        code, out = _run(BASE, tmp_path, "compare")
+    assert code == 0
+    [record] = [r for r in caplog.records if r.name == "predissoc.solver"]
+    assert record.levelno == logging.WARNING
+    assert re.fullmatch(r"skipped level k=2 e_k=0\.894\d+: BarrierViolation: injected failure",
+                        record.getMessage())
+    assert "compare: 1/1 level(s) accepted, 1 skipped at h=0.14" in capsys.readouterr().out
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("3,")
 
 
 def test_refine_smoke(tmp_path):

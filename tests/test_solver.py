@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from predissoc import (
     DiscretizationConfig,
@@ -16,8 +18,8 @@ from predissoc import (
     match_resonances,
     theta_stability,
 )
-from predissoc.errors import ContourEvaluationError, InvalidAngle
-from predissoc.solver import _contour_parts
+from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
+from predissoc.solver import _contour_parts, _filter_window
 
 from conftest import V1_WELL, V2_TAIL
 
@@ -97,9 +99,9 @@ def test_fd4_hermitian_at_theta_zero(window):
     """Real coupling and theta = 0 give a genuinely self-adjoint matrix."""
     sys = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1", r1="1")
     cfg = DiscretizationConfig(n=128, scheme="finite_difference_4", theta=0.0)
-    ham = build_hamiltonian(sys, cfg, 0.1, window)
-    defect = np.linalg.norm(ham.matrix - ham.matrix.conj().T)
-    assert defect <= 1e-10 * np.linalg.norm(ham.matrix)
+    matrix = build_hamiltonian(sys, cfg, 0.1, window).matrix.toarray()
+    defect = np.linalg.norm(matrix - matrix.conj().T)
+    assert defect <= 1e-10 * np.linalg.norm(matrix)
 
 
 def test_coupling_blocks_discretize_formal_adjoint(window):
@@ -131,6 +133,57 @@ def test_resonance_box_filter(coupled, window):
     assert np.all(vals.imag > -5.0 * 0.14)
     assert np.all(vals.imag <= 1e-9)
     assert np.all(np.diff(vals.real) >= 0)
+
+
+SCHEMES = ("chebyshev_collocation", "finite_difference_4")
+
+
+def _dense_box(sys, cfg, h, window):
+    """The resonance box by brute force: every eigenvalue, then the filter."""
+    matrix = build_hamiltonian(sys, cfg, h, window).matrix
+    if scipy.sparse.issparse(matrix):
+        matrix = matrix.toarray()
+    return _filter_window(scipy.linalg.eigvals(matrix), window, h)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize(
+    "case", ["reference", "wide_window", "decoupled_theta_zero", "empty_window"])
+def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window):
+    """The shift-invert disc solve finds exactly the box a dense solve finds.
+
+    The wide window's box holds 29 eigenvalues, more than the solve asks
+    for at first, so k must grow.  The theta-drift tracker relies on the
+    same completeness: it sees only the disc about the box.
+    """
+    if case == "reference":
+        sys, cfg = coupled, DiscretizationConfig(n=400, scheme=scheme)
+    elif case == "wide_window":
+        sys, cfg = coupled, DiscretizationConfig(n=200, scheme=scheme)
+        window = EnergyWindow(1.2, 0.5, 5.0)
+    elif case == "decoupled_theta_zero":
+        sys, cfg = decoupled, DiscretizationConfig(n=200, scheme=scheme, theta=0.0)
+    else:
+        sys, cfg = coupled, DiscretizationConfig(n=200, scheme=scheme, x_start_scaling=3.0)
+        window = EnergyWindow(-1.0, 0.2, 5.0)
+    h = 0.14
+    expected = _dense_box(sys, cfg, h, window)
+    found = compute_resonances(sys, cfg, h, window)
+    assert found.size == expected.size
+    assert (found.size == 0) == (case == "empty_window")
+    if found.size:
+        dist = np.abs(found[:, None] - expected[None, :])
+        assert dist.min(axis=0).max() <= 1e-10
+        assert dist.min(axis=1).max() <= 1e-10
+
+
+def test_box_too_full_for_arpack_raises(coupled):
+    """A disc holding all of a small matrix's spectrum (128 eigenvalues,
+    ARPACK returns at most 125) is refused, never returned in part."""
+    cfg = DiscretizationConfig(n=64, scheme="finite_difference_4", x_start_scaling=3.0)
+    everything = EnergyWindow(2.5, 5.0, 20.0)
+    with pytest.raises(EigensolveFailure):
+        compute_resonances(coupled, cfg, 0.14, everything)
 
 
 def test_evaluation_failure_on_contour():

@@ -9,7 +9,7 @@ put several on one line, ``#`` comments), dispatches one of the commands
 
 and writes CSV/JSON results.  Exit codes: 0 success, 1 input error,
 2 numerical failure.  There is deliberately no console entry point; the
-module runs as ``python -m predissoc.runner config.cfg [command]`` and
+package runs as ``python -m predissoc config.cfg [command]`` and
 every command is equally reachable as a library call.
 
 The scan command tracks one level across h by pinning: h_k is chosen so
@@ -25,13 +25,13 @@ import csv
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .actions import action, agmon_distance
-from .errors import ConfigError, InsufficientData, PredissocError
+from .errors import ConfigError, InsufficientData, InvalidAngle, PredissocError
 from .potentials import (
     DEFAULT_X_RANGE,
     EnergyWindow,
@@ -55,8 +55,6 @@ __all__ = [
 
 COMMANDS = ("validate", "levels", "widths", "refine", "direct", "compare", "scan")
 
-_SECTIONS = ("potential", "window", "numerics", "scan", "output")
-
 _SCHEME_ALIASES = {
     "chebyshev": "chebyshev_collocation",
     "chebyshev_collocation": "chebyshev_collocation",
@@ -75,14 +73,14 @@ class RunConfig:
     r1: str = "0"
     e_ref: float = math.nan
     half_width: float = math.nan
-    c0_im: float = 5.0
+    c0_im: float = EnergyWindow.im_depth_coeff
     h: float | None = None
-    scheme: str = "chebyshev_collocation"
-    n: int = 400
-    theta: float = 0.15
-    domain: tuple[float, float] = (-8.0, 12.0)
+    scheme: str = DiscretizationConfig.scheme
+    n: int = DiscretizationConfig.n
+    theta: float = DiscretizationConfig.theta
+    domain: tuple[float, float] = (DiscretizationConfig.x_min, DiscretizationConfig.x_max)
     x_start_scaling: float | None = None
-    smoothing_width: float = 3.0
+    smoothing_width: float = DiscretizationConfig.smoothing_width
     stab_tol: float = 1e-6
     e_star: float | None = None
     k_min: int | None = None
@@ -97,11 +95,11 @@ class RunConfig:
     def window(self) -> EnergyWindow:
         return EnergyWindow(self.e_ref, self.half_width, self.c0_im)
 
-    def discretization(self, n: int | None = None) -> DiscretizationConfig:
+    def discretization(self) -> DiscretizationConfig:
         return DiscretizationConfig(
-            x_min=self.domain[0], x_max=self.domain[1],
-            n=self.n if n is None else n, scheme=self.scheme,
-            theta=self.theta, x_start_scaling=self.x_start_scaling,
+            x_min=self.domain[0], x_max=self.domain[1], n=self.n,
+            scheme=self.scheme, theta=self.theta,
+            x_start_scaling=self.x_start_scaling,
             smoothing_width=self.smoothing_width,
         )
 
@@ -123,140 +121,126 @@ def _split_outside_quotes(line: str, sep: str) -> list[str]:
     return parts
 
 
-def _strip_comment(line: str) -> str:
-    return _split_outside_quotes(line, "#")[0]
+# Value converters: (token, key, lineno) -> value; the token is stripped.
 
 
-def _as_float(token: str, lineno: int) -> float:
+def _as_float(token: str, key: str, lineno: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"malformed number {token!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token!r}", lineno)
+    return value
 
 
-def _as_int(token: str, lineno: int) -> int:
+def _as_int(token: str, key: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
         raise ConfigError(f"malformed integer {token!r}", lineno) from None
 
 
-def _as_expr(token: str, lineno: int, key: str) -> str:
-    token = token.strip()
-    if len(token) >= 2 and token[0] == '"' and token[-1] == '"':
-        return token[1:-1]
-    raise ConfigError(f'{key} must be a quoted expression string', lineno)
-
-
-def _as_list(token: str, lineno: int) -> list[float]:
-    token = token.strip()
-    if not (token.startswith("[") and token.endswith("]")):
-        raise ConfigError(f"expected a [..] list, got {token!r}", lineno)
-    inner = token[1:-1].strip()
-    if not inner:
-        return []
-    return [_as_float(part.strip(), lineno) for part in inner.split(",")]
-
-
-def _as_word(token: str, lineno: int) -> str:
-    token = token.strip()
+def _as_word(token: str, key: str, lineno: int) -> str:
     if len(token) >= 2 and token[0] == '"' and token[-1] == '"':
         return token[1:-1]
     return token
 
 
+def _as_expr(token: str, key: str, lineno: int) -> str:
+    text = _as_word(token, key, lineno)
+    if text == token:  # unquoted
+        raise ConfigError(f'{key} must be a quoted expression string', lineno)
+    return text
+
+
+def _one_of(choices: dict[str, str], what: str):
+    """Converter for a word from ``choices``, mapped to its canonical value."""
+    def convert(token: str, key: str, lineno: int) -> str:
+        word = _as_word(token, key, lineno)
+        if word not in choices:
+            raise ConfigError(f"unknown {what} {word!r}", lineno)
+        return choices[word]
+    return convert
+
+
+def _as_list(token: str, key: str, lineno: int) -> list[float]:
+    if not (token.startswith("[") and token.endswith("]")):
+        raise ConfigError(f"expected a [..] list, got {token!r}", lineno)
+    inner = token[1:-1].strip()
+    if not inner:
+        return []
+    return [_as_float(part.strip(), key, lineno) for part in inner.split(",")]
+
+
+def _as_domain(token: str, key: str, lineno: int) -> tuple[float, float]:
+    dom = _as_list(token, key, lineno)
+    if len(dom) != 2 or not dom[0] < dom[1]:
+        raise ConfigError("domain must be [x_min, x_max] with x_min < x_max", lineno)
+    return dom[0], dom[1]
+
+
+def _positive(convert):
+    """``convert`` with every resulting number required to be > 0."""
+    def check(token: str, key: str, lineno: int):
+        value = convert(token, key, lineno)
+        if any(v <= 0.0 for v in np.atleast_1d(value)):
+            raise ConfigError(f"{key} must be positive", lineno)
+        return value
+    return check
+
+
+#: (section, key) -> converter; section None is the top level.  Each key
+#: sets the RunConfig field of the same name.
+_KEYS = {
+    ("potential", "v1"): _as_expr,
+    ("potential", "v2"): _as_expr,
+    ("potential", "r0"): _as_expr,
+    ("potential", "r1"): _as_expr,
+    ("window", "e_ref"): _as_float,
+    ("window", "half_width"): _as_float,
+    ("window", "c0_im"): _as_float,
+    ("numerics", "scheme"): _one_of(_SCHEME_ALIASES, "scheme"),
+    ("numerics", "n"): _as_int,
+    ("numerics", "theta"): _as_float,
+    ("numerics", "domain"): _as_domain,
+    ("numerics", "h"): _positive(_as_float),
+    ("numerics", "x_start_scaling"): _as_float,
+    ("numerics", "smoothing_width"): _as_float,
+    ("numerics", "stab_tol"): _as_float,
+    ("scan", "e_star"): _as_float,
+    ("scan", "k_min"): _as_int,
+    ("scan", "k_max"): _as_int,
+    ("scan", "h_grid"): _positive(_as_list),
+    ("output", "out_dir"): _as_word,
+    (None, "command"): _one_of({c: c for c in COMMANDS}, "command"),
+}
+
+_SECTIONS = {section for section, _ in _KEYS if section is not None}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the line-oriented config format into a RunConfig.
 
-    Unknown sections and keys, missing mandatory keys and malformed values
-    all raise :class:`ConfigError` carrying the offending line number.
+    Unknown sections and keys, missing mandatory keys and malformed or
+    non-finite values raise :class:`ConfigError` carrying the offending
+    line number; out-of-range window and discretization values (the rules
+    of :class:`EnergyWindow` and :class:`DiscretizationConfig`) raise it
+    without one.
     """
     cfg = RunConfig()
-    seen: set[tuple[str | None, str]] = set()
-    lines: dict[str, int] = {}
+    lines: dict[tuple[str | None, str], int] = {}
     section: str | None = None
-
-    def assign(key, raw, lineno):
-        tok = raw.strip()
-        place = (section, key)
-        if place in seen:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
-        seen.add(place)
-        lines[key] = lineno
-        if section == "potential":
-            if key not in ("v1", "v2", "r0", "r1"):
-                raise ConfigError(f"unknown key {key!r} in [potential]", lineno)
-            setattr(cfg, key, _as_expr(tok, lineno, key))
-        elif section == "window":
-            if key == "e_ref":
-                cfg.e_ref = _as_float(tok, lineno)
-            elif key == "half_width":
-                cfg.half_width = _as_float(tok, lineno)
-            elif key == "c0_im":
-                cfg.c0_im = _as_float(tok, lineno)
-            else:
-                raise ConfigError(f"unknown key {key!r} in [window]", lineno)
-        elif section == "numerics":
-            if key == "scheme":
-                word = _as_word(tok, lineno)
-                if word not in _SCHEME_ALIASES:
-                    raise ConfigError(f"unknown scheme {word!r}", lineno)
-                cfg.scheme = _SCHEME_ALIASES[word]
-            elif key == "n":
-                cfg.n = _as_int(tok, lineno)
-            elif key == "theta":
-                cfg.theta = _as_float(tok, lineno)
-            elif key == "domain":
-                dom = _as_list(tok, lineno)
-                if len(dom) != 2 or not dom[0] < dom[1]:
-                    raise ConfigError("domain must be [x_min, x_max] with x_min < x_max", lineno)
-                cfg.domain = (dom[0], dom[1])
-            elif key == "h":
-                cfg.h = _as_float(tok, lineno)
-            elif key == "x_start_scaling":
-                cfg.x_start_scaling = _as_float(tok, lineno)
-            elif key == "smoothing_width":
-                cfg.smoothing_width = _as_float(tok, lineno)
-            elif key == "stab_tol":
-                cfg.stab_tol = _as_float(tok, lineno)
-            else:
-                raise ConfigError(f"unknown key {key!r} in [numerics]", lineno)
-        elif section == "scan":
-            if key == "e_star":
-                cfg.e_star = _as_float(tok, lineno)
-            elif key == "k_min":
-                cfg.k_min = _as_int(tok, lineno)
-            elif key == "k_max":
-                cfg.k_max = _as_int(tok, lineno)
-            elif key == "h_grid":
-                cfg.h_grid = _as_list(tok, lineno)
-            else:
-                raise ConfigError(f"unknown key {key!r} in [scan]", lineno)
-        elif section == "output":
-            if key == "out_dir":
-                cfg.out_dir = _as_word(tok, lineno)
-            else:
-                raise ConfigError(f"unknown key {key!r} in [output]", lineno)
-        else:  # top level
-            if key == "command":
-                word = _as_word(tok, lineno)
-                if word not in COMMANDS:
-                    raise ConfigError(f"unknown command {word!r}", lineno)
-                cfg.command = word
-            else:
-                raise ConfigError(f"unknown top-level key {key!r}", lineno)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _split_outside_quotes(raw, "#")[0].strip()
         if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ConfigError(f"malformed section header {line!r}", lineno)
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", lineno)
-            section = name
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         for item in _split_outside_quotes(line, ";"):
             item = item.strip()
@@ -264,16 +248,26 @@ def parse_config(text: str) -> RunConfig:
                 continue
             if "=" not in item:
                 raise ConfigError(f"expected key = value, got {item!r}", lineno)
-            key, _, raw_val = item.partition("=")
-            assign(key.strip(), raw_val, lineno)
+            key, _, token = item.partition("=")
+            key = key.strip()
+            if (section, key) in lines:
+                raise ConfigError(f"duplicate key {key!r}", lineno)
+            lines[section, key] = lineno
+            convert = _KEYS.get((section, key))
+            if convert is None:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}]" if section
+                    else f"unknown top-level key {key!r}", lineno)
+            setattr(cfg, key, convert(token.strip(), key, lineno))
 
-    for key in ("v1", "v2"):
-        if not getattr(cfg, key):
-            raise ConfigError(f'missing mandatory key "{key}"')
-    if math.isnan(cfg.e_ref):
-        raise ConfigError('missing mandatory key "e_ref"')
-    if math.isnan(cfg.half_width):
-        raise ConfigError('missing mandatory key "half_width"')
+    for place in (("potential", "v1"), ("potential", "v2"),
+                  ("window", "e_ref"), ("window", "half_width")):
+        if place not in lines or getattr(cfg, place[1]) == "":
+            raise ConfigError(f'missing mandatory key "{place[1]}"')
+    try:
+        cfg.window(), cfg.discretization()
+    except (ValueError, InvalidAngle) as exc:
+        raise ConfigError(str(exc)) from None
 
     if cfg.command == "scan":
         _check_scan_inputs(cfg, lines)
@@ -281,17 +275,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _check_scan_inputs(cfg: RunConfig, lines=None) -> None:
-    lines = lines or {}
     if cfg.e_star is None:
         raise ConfigError("scan requires e_star")
     if cfg.h_grid is not None:
-        if len(cfg.h_grid) < 3:
-            raise ConfigError("scan requires ≥3 h values", lines.get("h_grid"))
+        count, key = len(cfg.h_grid), "h_grid"
     elif cfg.k_min is not None and cfg.k_max is not None:
-        if cfg.k_max - cfg.k_min + 1 < 3:
-            raise ConfigError("scan requires ≥3 h values", lines.get("k_max"))
+        count, key = cfg.k_max - cfg.k_min + 1, "k_max"
     else:
         raise ConfigError("scan requires either h_grid or k_min/k_max")
+    if count < 3:
+        raise ConfigError("scan requires ≥3 h values", (lines or {}).get(("scan", key)))
 
 
 def pin_level_h(sys: PotentialSystem, e_star: float, k_range,
@@ -364,26 +357,22 @@ def fit_width_slope(scan: ScanResult) -> tuple[float, float, float]:
 def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
              half_width: float, disc: DiscretizationConfig,
              c0_im: float = 5.0, stab_tol: float = 1e-6,
-             ks=None, x_range: tuple = DEFAULT_X_RANGE,
-             fit: bool = True) -> ScanResult:
+             ks=None, x_range: tuple = DEFAULT_X_RANGE) -> ScanResult:
     """Track the level nearest e_star across the given h values.
 
     For each h the full comparison pipeline runs inside the window centered
     at e_star; the row records the formula width, the matched direct
-    eigenvalue and its stability.  With ``fit=True`` the width-law slope is
-    fitted when enough rows were accepted (and left NaN otherwise).
+    eigenvalue and its stability.  The width-law slope is fitted when
+    enough rows were accepted (and left NaN otherwise).
     """
     window = EnergyWindow(e_star, half_width, c0_im)
     rows = []
     for idx, h in enumerate(h_values):
         records = compare_with_direct(sys, window, disc, h, stab_tol=stab_tol)
-        if not records:
-            continue
         if ks is not None:
-            wanted = [r for r in records if r.estimate.k == ks[idx]]
-            rec = wanted[0] if wanted else None
+            rec = next((r for r in records if r.estimate.k == ks[idx]), None)
         else:
-            rec = min(records, key=lambda r: abs(r.estimate.e_k - e_star))
+            rec = min(records, key=lambda r: abs(r.estimate.e_k - e_star), default=None)
         if rec is None:
             continue
         lam = rec.computed
@@ -398,11 +387,10 @@ def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
     rows.sort(key=lambda r: -r.h)
     scan = ScanResult(rows=rows, s_target=agmon_distance(sys, e_star, x_range),
                       e_star=e_star)
-    if fit:
-        try:
-            scan.slope, scan.intercept, scan.r_squared = fit_width_slope(scan)
-        except InsufficientData:
-            pass
+    try:
+        scan.slope, scan.intercept, scan.r_squared = fit_width_slope(scan)
+    except InsufficientData:
+        pass
     return scan
 
 
@@ -449,12 +437,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _require_h(cfg: RunConfig, command: str) -> float:
-    if cfg.h is None:
-        raise ConfigError(f"{command} requires h under [numerics]")
-    return cfg.h
-
-
 def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     report = validate_assumptions(cfg.system(), cfg.window())
     _write_json(out / "validate.json", report.as_dict())
@@ -464,45 +446,35 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_levels(cfg: RunConfig, out: Path) -> int:
-    h = _require_h(cfg, "levels")
-    levels = bohr_sommerfeld_levels(cfg.system(), h, cfg.window())
+    levels = bohr_sommerfeld_levels(cfg.system(), cfg.h, cfg.window())
     _write_csv(out / "levels.csv", ["k", "h", "e_k"],
-               [(k, h, e_k) for k, e_k in levels])
-    print(f"levels: {len(levels)} level(s) in window at h={h:g}")
+               [(k, cfg.h, e_k) for k, e_k in levels])
+    print(f"levels: {len(levels)} level(s) in window at h={cfg.h:g}")
     return 0
 
 
-def _widths_rows(cfg: RunConfig, h: float):
-    estimates, skipped = resonance_estimates(cfg.system(), h, cfg.window())
+def _cmd_widths(cfg: RunConfig, out: Path) -> int:
+    estimates, skipped = resonance_estimates(cfg.system(), cfg.h, cfg.window())
     for k, e_k, reason in skipped:
         print(f"widths: skipped k={k} at e_k={e_k:.6g}: {reason}", file=_sys.stderr)
-    return estimates
-
-
-def _cmd_widths(cfg: RunConfig, out: Path) -> int:
-    h = _require_h(cfg, "widths")
-    estimates = _widths_rows(cfg, h)
     _write_csv(out / "widths.csv", ["k", "h", "e_k", "S", "width_formula"],
                [(e.k, e.h, e.e_k, e.s_at_ek, e.width) for e in estimates])
-    print(f"widths: {len(estimates)} row(s) at h={h:g}")
+    print(f"widths: {len(estimates)} row(s) at h={cfg.h:g}")
     return 0
 
 
 def _cmd_direct(cfg: RunConfig, out: Path) -> int:
-    h = _require_h(cfg, "direct")
-    vals = compute_resonances(cfg.system(), cfg.discretization(), h, cfg.window())
+    vals = compute_resonances(cfg.system(), cfg.discretization(), cfg.h, cfg.window())
     _write_csv(out / "direct.csv", ["re", "im"],
                [(v.real, v.imag) for v in vals])
-    print(f"direct: {len(vals)} eigenvalue(s) in the resonance box at h={h:g}")
+    print(f"direct: {len(vals)} eigenvalue(s) in the resonance box at h={cfg.h:g}")
     return 0
 
 
 def _cmd_refine(cfg: RunConfig, out: Path) -> int:
-    h = _require_h(cfg, "refine")
-    sys_ = cfg.system()
-    window = cfg.window()
-    vals_n = compute_resonances(sys_, cfg.discretization(), h, window)
-    vals_2n = compute_resonances(sys_, cfg.discretization(n=2 * cfg.n), h, window)
+    sys_, window, disc = cfg.system(), cfg.window(), cfg.discretization()
+    vals_n = compute_resonances(sys_, disc, cfg.h, window)
+    vals_2n = compute_resonances(sys_, replace(disc, n=2 * disc.n), cfg.h, window)
     rows = []
     for v in vals_n:
         if len(vals_2n):
@@ -514,19 +486,13 @@ def _cmd_refine(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "refine.csv",
                ["re_n", "im_n", "re_2n", "im_2n", "delta"], rows)
     worst = max((r[4] for r in rows), default=0.0)
-    print(f"refine: n={cfg.n} vs n={2 * cfg.n}, worst drift {worst:.3g}")
+    print(f"refine: n={disc.n} vs n={2 * disc.n}, worst drift {worst:.3g}")
     return 0
 
 
-_COMPARE_HEADER = ["k", "h", "e_k", "S", "width_formula", "re_direct",
-                   "width_direct", "abs_dev_re", "rel_dev_im",
-                   "theta_stability", "accepted"]
-
-
 def _cmd_compare(cfg: RunConfig, out: Path) -> int:
-    h = _require_h(cfg, "compare")
     records = compare_with_direct(cfg.system(), cfg.window(),
-                                  cfg.discretization(), h,
+                                  cfg.discretization(), cfg.h,
                                   stab_tol=cfg.stab_tol)
     rows = []
     for rec in records:
@@ -537,10 +503,12 @@ def _cmd_compare(cfg: RunConfig, out: Path) -> int:
                      lam.imag if lam is not None else math.nan,
                      rec.abs_dev_re, rec.rel_dev_im, rec.theta_stability,
                      rec.accepted))
-    _write_csv(out / "compare.csv", _COMPARE_HEADER, rows)
+    _write_csv(out / "compare.csv",
+               ["k", "h", "e_k", "S", "width_formula", "re_direct", "width_direct",
+                "abs_dev_re", "rel_dev_im", "theta_stability", "accepted"], rows)
     n_acc = sum(1 for r in records if r.accepted)
     print(f"compare: {n_acc}/{len(records)} level(s) accepted, "
-          f"{len(records.skipped)} skipped at h={h:g}")
+          f"{len(records.skipped)} skipped at h={cfg.h:g}")
     return 0
 
 
@@ -550,45 +518,34 @@ def _cmd_scan(cfg: RunConfig, out: Path) -> int:
     if cfg.h_grid is not None:
         h_values, ks = list(cfg.h_grid), None
     else:
-        k_list = list(range(cfg.k_min, cfg.k_max + 1))
-        h_values = pin_level_h(sys_, cfg.e_star, k_list)
-        ks = k_list
+        ks = list(range(cfg.k_min, cfg.k_max + 1))
+        h_values = pin_level_h(sys_, cfg.e_star, ks)
     scan = run_scan(sys_, cfg.e_star, h_values, half_width=cfg.half_width,
                     disc=cfg.discretization(), c0_im=cfg.c0_im,
-                    stab_tol=cfg.stab_tol, ks=ks, fit=False)
-    _write_csv(out / "scan.csv",
-               ["h", "k", "e_k", "width_formula", "width_direct",
-                "re_direct", "theta_stability", "accepted"],
-               [(r.h, r.k, r.e_k, r.width_formula, r.width_direct,
-                 r.re_direct, r.theta_stability, r.accepted)
-                for r in scan.rows])
-    try:
-        scan.slope, scan.intercept, scan.r_squared = fit_width_slope(scan)
-    except InsufficientData:
-        _write_json(out / "scan_fit.json", {
-            "slope": None, "intercept": None, "r_squared": None,
-            "s_target": scan.s_target, "e_star": scan.e_star,
-            "n_accepted": scan.n_accepted,
-        })
-        raise
+                    stab_tol=cfg.stab_tol, ks=ks)
+    _write_csv(out / "scan.csv", [f.name for f in fields(ScanRow)],
+               [astuple(r) for r in scan.rows])
     _write_json(out / "scan_fit.json", {
         "slope": scan.slope, "intercept": scan.intercept,
         "r_squared": scan.r_squared, "s_target": scan.s_target,
         "e_star": scan.e_star, "n_accepted": scan.n_accepted,
     })
+    if math.isnan(scan.slope):
+        fit_width_slope(scan)  # raises the fit's InsufficientData (exit 2)
     print(f"scan: slope {scan.slope:.6g} vs -2 S(E*) = {-2 * scan.s_target:.6g} "
           f"({scan.n_accepted} accepted row(s))")
     return 0
 
 
+#: command -> (handler, whether it needs h)
 _HANDLERS = {
-    "validate": _cmd_validate,
-    "levels": _cmd_levels,
-    "widths": _cmd_widths,
-    "direct": _cmd_direct,
-    "refine": _cmd_refine,
-    "compare": _cmd_compare,
-    "scan": _cmd_scan,
+    "validate": (_cmd_validate, False),
+    "levels": (_cmd_levels, True),
+    "widths": (_cmd_widths, True),
+    "direct": (_cmd_direct, True),
+    "refine": (_cmd_refine, True),
+    "compare": (_cmd_compare, True),
+    "scan": (_cmd_scan, False),
 }
 
 
@@ -600,16 +557,20 @@ def _emit_error(exc: Exception) -> None:
 def run_command(cfg: RunConfig, command: str | None = None) -> int:
     """Execute one command against a parsed config; returns the exit code.
 
-    Errors never propagate: bad input maps to exit 1, numerical failures
-    to exit 2, each with a one-line JSON record on standard error.
+    For a config from :func:`parse_config` errors never propagate: bad
+    input maps to exit 1, numerical failures to exit 2, each with a
+    one-line JSON record on standard error.
     """
     try:
         cmd = command or cfg.command
         if cmd is None:
             raise ConfigError("no command given (config key or argument)")
-        if cmd not in COMMANDS:
+        if cmd not in _HANDLERS:
             raise ConfigError(f"unknown command {cmd!r}")
-        return _HANDLERS[cmd](cfg, Path(cfg.out_dir))
+        handler, needs_h = _HANDLERS[cmd]
+        if needs_h and cfg.h is None:
+            raise ConfigError(f"{cmd} requires h under [numerics]")
+        return handler(cfg, Path(cfg.out_dir))
     except ConfigError as exc:
         _emit_error(exc)
         return 1
@@ -620,7 +581,7 @@ def run_command(cfg: RunConfig, command: str | None = None) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m predissoc.runner",
+        prog="python -m predissoc",
         description="Semiclassical vs direct predissociation widths, "
                     "driven by a config file.",
     )
@@ -629,12 +590,10 @@ def main(argv=None) -> int:
                         help="override the command set in the config")
     args = parser.parse_args(argv)
     try:
-        text = Path(args.config).read_text()
+        cfg = parse_config(Path(args.config).read_text())
     except OSError as exc:
         _emit_error(ConfigError(f"cannot read config: {exc}"))
         return 1
-    try:
-        cfg = parse_config(text)
     except ConfigError as exc:
         _emit_error(exc)
         return 1

@@ -3,11 +3,16 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import predissoc
 from predissoc import (
     RunConfig,
     ScanResult,
@@ -20,7 +25,7 @@ from predissoc import (
 )
 from predissoc import spectrum
 from predissoc.errors import BarrierViolation, ConfigError, InsufficientData
-from predissoc.runner import main
+from predissoc.runner import _KEYS, main
 
 BASE = '''
 [potential]
@@ -85,11 +90,84 @@ def test_parse_errors_carry_line_numbers():
     (("domain = [-8.0, 12.0]", "domain = -8.0"), r"expected a \[..\] list"),
     (("[numerics]", "[numerics"), "malformed section header"),
     (("r0 = \"1\" ; r1 = \"0\"", "just some words"), "expected key = value"),
+    (("[potential]", "frobnicate = 1\n[potential]"),
+     "unknown top-level key 'frobnicate'"),
 ])
 def test_parse_rejections(mutate, pattern):
     old, new = mutate
     with pytest.raises(ConfigError, match=pattern):
         parse_config(BASE.replace(old, new))
+
+
+#: (section, key) -> (config token, parsed RunConfig value), one per key
+#: of the parser's key table, each unlike the field's default.
+KEY_SAMPLES = {
+    ("potential", "v1"): ('"x^2 + 1"', "x^2 + 1"),
+    ("potential", "v2"): ('"2 - x"', "2 - x"),
+    ("potential", "r0"): ('"0.5"', "0.5"),
+    ("potential", "r1"): ('"x"', "x"),
+    ("window", "e_ref"): ("1.3", 1.3),
+    ("window", "half_width"): ("0.3", 0.3),
+    ("window", "c0_im"): ("2.5", 2.5),
+    ("numerics", "scheme"): ("fd4", "finite_difference_4"),
+    ("numerics", "n"): ("128", 128),
+    ("numerics", "theta"): ("0.2", 0.2),
+    ("numerics", "domain"): ("[-9.0, 11.0]", (-9.0, 11.0)),
+    ("numerics", "h"): ("0.1", 0.1),
+    ("numerics", "x_start_scaling"): ("6.0", 6.0),
+    ("numerics", "smoothing_width"): ("2.0", 2.0),
+    ("numerics", "stab_tol"): ("1e-8", 1e-8),
+    ("scan", "e_star"): ("1.3", 1.3),
+    ("scan", "k_min"): ("6", 6),
+    ("scan", "k_max"): ("12", 12),
+    ("scan", "h_grid"): ("[0.1, 0.12, 0.14]", [0.1, 0.12, 0.14]),
+    ("output", "out_dir"): ('"runs/a b"', "runs/a b"),
+    (None, "command"): ("levels", "levels"),
+}
+
+
+@pytest.mark.parametrize("place", list(KEY_SAMPLES), ids=lambda p: f"{p[0]}.{p[1]}")
+def test_every_key_sets_its_field(place):
+    assert set(KEY_SAMPLES) == set(_KEYS)
+    section, key = place
+    token, expected = KEY_SAMPLES[place]
+    body = {"potential": {"v1": '"x^2"', "v2": '"-x"'},
+            "window": {"e_ref": "1.0", "half_width": "0.2"}}
+    if section is not None:
+        body.setdefault(section, {})[key] = token
+    text = (f"{key} = {token}\n" if section is None else "") + "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items())
+        for name, pairs in body.items())
+    assert getattr(parse_config(text), key) == expected
+
+
+@pytest.mark.parametrize("mutate, pattern", [
+    (("n = 200", "n = 10"), "at least 64 interior grid points"),
+    (("half_width = 0.2", "half_width = -0.2"), "half_width must be positive"),
+    (("c0_im = 5.0", "c0_im = 0"), "im_depth_coeff must be positive"),
+    (("domain = [-8.0, 12.0]", "domain = [1.0, 5.0]"), "crossing point"),
+    (("theta = 0.15", "theta = 0.15 ; smoothing_width = 0"),
+     "smoothing_width must be positive"),
+    (("theta = 0.15", "theta = 0.9"), "scaling angle 0.9 outside"),
+    (("h = 0.14", "h = 0"), r"line \d+: h must be positive"),
+    (("h = 0.14", "h = -0.1"), r"line \d+: h must be positive"),
+    (("h = 0.14", "h = nan"), r"line \d+: non-finite number 'nan'"),
+    (("e_ref = 1.0", "e_ref = inf"), r"line \d+: non-finite number 'inf'"),
+    (("e_ref = 1.0", "e_ref = nan"), r"line \d+: non-finite number 'nan'"),
+    (("h = 0.14", "h = 0.14\n[scan]\nh_grid = [0.14, 0.0, 0.12]"),
+     r"line \d+: h_grid must be positive"),
+])
+def test_out_of_range_values_are_config_errors(mutate, pattern, tmp_path, capsys):
+    """Out-of-range and non-finite values exit 1 with one JSON record."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE.replace(*mutate) + f"\n[output]\nout_dir = {tmp_path}\n")
+    assert main([str(cfg), "levels"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert re.search(pattern, record["message"])
 
 
 def test_parse_unknown_command():
@@ -304,6 +382,18 @@ def test_no_command_given(tmp_path, capsys):
     cfg.out_dir = str(tmp_path)
     assert run_command(cfg) == 1
     assert "no command" in capsys.readouterr().err
+
+
+def test_package_cli_runs_without_warnings(tmp_path):
+    """``python -m predissoc`` runs a command and writes nothing to stderr."""
+    (tmp_path / "run.cfg").write_text(BASE)
+    src = str(Path(predissoc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "predissoc", "run.cfg", "levels"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("levels: 2 level(s)")
+    assert (tmp_path / "levels.csv").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

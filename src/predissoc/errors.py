@@ -68,8 +68,12 @@ class ContourEvaluationError(PredissocError):
     """A potential or coupling could not be evaluated on the scaled contour."""
 
 
-class ConfigError(PredissocError):
-    """Bad run configuration; carries the offending line number."""
+class ConfigError(PredissocError, ValueError):
+    """Bad run configuration; carries the offending line number.
+
+    Also a ValueError: the library raises it for a discretization interval
+    that its window makes unusable, where callers may catch ValueError.
+    """
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 CROSSING_RTOL = 1e-9
+#: points of each fixed root-scan grid
+GRID_POINTS = 2000
+#: a root is final once its bracket or its Newton step is this small
+ROOT_XTOL = 1e-12
 #: real interval used by default for grid scans and as the finite proxy for
 #: the x -> +-infinity limit checks
 DEFAULT_X_RANGE = (-20.0, 20.0)
@@ -187,34 +192,68 @@ class ValidationReport:
         }
 
 
-def _bisect(f, lo, hi, flo, xtol=1e-12):
-    """Plain bisection to |hi-lo| <= xtol; f(lo) and f(hi) must differ in sign."""
+def _scan_brackets(vals, xs):
+    """Brackets (lo, hi) of the roots of a sampled function, left to right.
+
+    A sign change between neighbours brackets that pair; an exact zero at
+    ``xs[i]`` (the last sample excepted) brackets ``(xs[i-1], xs[i+1])``,
+    clamped at the left end, and suppresses the pair test at ``i``.
+    """
+    left, right = vals[:-1], vals[1:]
+    zero = left == 0.0
+    idx = np.flatnonzero(zero | (left * right < 0))
+    lo = np.where(zero[idx], xs[np.maximum(idx - 1, 0)], xs[idx])
+    return list(zip(lo.tolist(), xs[idx + 1].tolist()))
+
+
+def _refine_root(f, df, lo, hi, flo):
+    """Root of f in the sign-change bracket [lo, hi], given flo = f(lo).
+
+    Newton from the midpoint with the exact derivative df; each iterate
+    shrinks the bracket, and a step that would leave it (or a zero slope)
+    is replaced by bisection.  Stops once a step or the bracket is within
+    ROOT_XTOL, or at an exact zero.
+    """
+    x = 0.5 * (lo + hi)
     for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (flo > 0):
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        d = df(x)
+        cand = x - fx / d if d != 0.0 else math.nan
+        if not lo <= cand <= hi:
+            cand = 0.5 * (lo + hi)
+        if abs(cand - x) <= ROOT_XTOL or hi - lo <= ROOT_XTOL:
+            return cand
+        x = cand
+    return x
 
 
-def _sign_change_brackets(xs, vals):
-    out = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            out.append((xs[max(i - 1, 0)], xs[i + 1]))
-        elif vals[i] * vals[i + 1] < 0:
-            out.append((xs[i], xs[i + 1]))
-    return out
+@lru_cache(maxsize=32)
+def _scan_grid(expr: AnalyticExpr, x_min: float, x_max: float, n_grid: int,
+               part: str = "full"):
+    """A fixed scan grid and the real values of ``expr`` on it, read-only.
+
+    ``part`` selects the ``n_grid``-point grid: "full" spans [x_min, x_max],
+    "left" is [x_min, 0) and "right" (0, x_max].  Scans at different
+    energies subtract E from the same cached values.
+    """
+    if part == "full":
+        xs = np.linspace(x_min, x_max, n_grid)
+    elif part == "left":
+        xs = np.linspace(x_min, 0.0, n_grid)[:-1]
+    else:
+        xs = np.linspace(0.0, x_max, n_grid)[1:]
+    xs.flags.writeable = False
+    return xs, np.broadcast_to(np.real(expr(xs)), xs.shape)  # a read-only view
 
 
 def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
-                         n_grid: int = 2000,
+                         n_grid: int = GRID_POINTS,
                          x_range: tuple = DEFAULT_X_RANGE) -> ValidationReport:
     """Check the geometric hypotheses at the reference energy E' = e_ref.
 
@@ -225,9 +264,8 @@ def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
     """
     ep = window.e_ref
     x_lo, x_hi = x_range
-    xs = np.linspace(x_lo, x_hi, n_grid)
-    v1g = np.real(sys.v1(xs))
-    v2g = np.real(sys.v2(xs))
+    xs, v1g = _scan_grid(sys.v1, x_lo, x_hi, n_grid)
+    _, v2g = _scan_grid(sys.v2, x_lo, x_hi, n_grid)
 
     clauses: dict = {}
     margins: dict = {}
@@ -251,17 +289,19 @@ def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
 
     # locate a0 < b0 < 0 (roots of v1 = E') and 0 < c0 (root of v2 = E')
     a0 = b0 = c0 = None
-    br1 = _sign_change_brackets(xs, v1g - ep)
+    br1 = _scan_brackets(v1g - ep, xs)
     if len(br1) == 2:
         f1 = lambda t: float(np.real(sys.v1(t))) - ep
-        r0_, r1_ = (_bisect(f1, lo, hi, f1(lo)) for lo, hi in br1)
+        df1 = lambda t: float(np.real(sys.dv1(t)))
+        r0_, r1_ = (_refine_root(f1, df1, lo, hi, f1(lo)) for lo, hi in br1)
         if r0_ < r1_ < 0:
             a0, b0 = r0_, r1_
     pos = xs > 0
-    br2 = _sign_change_brackets(xs[pos], v2g[pos] - ep)
+    br2 = _scan_brackets(v2g[pos] - ep, xs[pos])
     if len(br2) == 1:
         f2 = lambda t: float(np.real(sys.v2(t))) - ep
-        c0 = _bisect(f2, br2[0][0], br2[0][1], f2(br2[0][0]))
+        df2 = lambda t: float(np.real(sys.dv2(t)))
+        c0 = _refine_root(f2, df2, br2[0][0], br2[0][1], f2(br2[0][0]))
     clauses["roots_located"] = a0 is not None and b0 is not None and c0 is not None
 
     def interval_clause(name, lo, hi, conds):

@@ -568,8 +568,11 @@ def run_command(cfg: RunConfig, command: str | None = None) -> int:
         if cmd not in _HANDLERS:
             raise ConfigError(f"unknown command {cmd!r}")
         handler, needs_h = _HANDLERS[cmd]
-        if needs_h and cfg.h is None:
-            raise ConfigError(f"{cmd} requires h under [numerics]")
+        if needs_h:  # checked here too, for configs built or edited in code
+            if cfg.h is None:
+                raise ConfigError(f"{cmd} requires h under [numerics]")
+            if not (math.isfinite(cfg.h) and cfg.h > 0):
+                raise ConfigError(f"h must be finite and > 0, got {cfg.h!r}")
         return handler(cfg, Path(cfg.out_dir))
     except ConfigError as exc:
         _emit_error(exc)

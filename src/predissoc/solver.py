@@ -20,12 +20,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
+    ConfigError,
     ContourEvaluationError,
     EigensolveFailure,
     InvalidAngle,
@@ -145,36 +146,46 @@ def _cheb_matrix(n_total: int):
     return d, x
 
 
-def _derivative_matrices(cfg: DiscretizationConfig):
+@lru_cache(maxsize=4)
+def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
     """Interior-node first/second derivative matrices and the (ascending)
     nodes, with Dirichlet conditions imposed by dropping the endpoint rows
-    and columns."""
-    if cfg.scheme == "chebyshev_collocation":
-        d_full, xi = _cheb_matrix(cfg.n + 1)
+    and columns.
+
+    Cached per grid, as they depend on neither h nor theta: every
+    assembly of a scan shares one set.  Their values are read-only.
+    """
+    if scheme == "chebyshev_collocation":
+        d_full, xi = _cheb_matrix(n + 1)
         d2_full = d_full @ d_full
         order = np.argsort(xi)
         d_full = d_full[np.ix_(order, order)]
         d2_full = d2_full[np.ix_(order, order)]
         xi = xi[order]
-        scale = 2.0 / (cfg.x_max - cfg.x_min)
-        nodes = cfg.x_min + (xi[1:-1] + 1.0) / scale
+        scale = 2.0 / (x_max - x_min)
+        nodes = x_min + (xi[1:-1] + 1.0) / scale
         d1 = d_full[1:-1, 1:-1] * scale
         d2 = d2_full[1:-1, 1:-1] * scale * scale
-        return d1, d2, nodes
-    # fourth-order central differences on a uniform interior grid, stored as
-    # sparse diagonals; rows near the Dirichlet ends are plain truncations of
-    # the infinite stencil, which keeps D1 exactly skew-symmetric and D2
-    # exactly symmetric
-    import scipy.sparse  # on first use, as in _disc_eigenvalues
+        frozen = (d1, d2, nodes)
+    else:
+        # fourth-order central differences on a uniform interior grid, stored
+        # as sparse diagonals; rows near the Dirichlet ends are plain
+        # truncations of the infinite stencil, which keeps D1 exactly
+        # skew-symmetric and D2 exactly symmetric
+        import scipy.sparse  # on first use, as in _disc_eigenvalues
 
-    dx = (cfg.x_max - cfg.x_min) / (cfg.n + 1)
-    nodes = cfg.x_min + dx * np.arange(1, cfg.n + 1)
-    shape = (cfg.n, cfg.n)
-    d1 = scipy.sparse.diags_array([1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0],
-                                  offsets=(-2, -1, 1, 2), shape=shape)
-    d2 = scipy.sparse.diags_array([-1.0 / 12.0, 4.0 / 3.0, -2.5, 4.0 / 3.0, -1.0 / 12.0],
-                                  offsets=(-2, -1, 0, 1, 2), shape=shape)
-    return (d1 / dx).tocsr(), (d2 / (dx * dx)).tocsr(), nodes
+        dx = (x_max - x_min) / (n + 1)
+        nodes = x_min + dx * np.arange(1, n + 1)
+        shape = (n, n)
+        d1 = scipy.sparse.diags_array([1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0],
+                                      offsets=(-2, -1, 1, 2), shape=shape)
+        d2 = scipy.sparse.diags_array([-1.0 / 12.0, 4.0 / 3.0, -2.5, 4.0 / 3.0, -1.0 / 12.0],
+                                      offsets=(-2, -1, 0, 1, 2), shape=shape)
+        d1, d2 = (d1 / dx).tocsr(), (d2 / (dx * dx)).tocsr()
+        frozen = (d1.data, d2.data, nodes)
+    for arr in frozen:
+        arr.flags.writeable = False
+    return d1, d2, nodes
 
 
 @dataclass(frozen=True)
@@ -207,7 +218,9 @@ def _resolve_x_inf(sys: PotentialSystem, cfg: DiscretizationConfig,
     c = float(np.real(find_exit_point(sys, window.e_ref)))
     x_inf = c + 1.0
     if x_inf + cfg.smoothing_width > cfg.x_max:
-        raise ValueError(
+        # valid for DiscretizationConfig, too short for this window: the
+        # interval is a configuration choice, so the error is one too
+        raise ConfigError(
             f"derived scaling start {x_inf!r} leaves no room for the ramp "
             f"before x_max = {cfg.x_max!r}; enlarge the interval"
         )
@@ -225,7 +238,7 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     curvature term -F''/F'^3 (second order).
     """
     x_inf = _resolve_x_inf(sys, cfg, window)
-    d1, d2, nodes = _derivative_matrices(cfg)
+    d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
     f, fp, fpp = _contour_parts(nodes, x_inf, cfg.smoothing_width)
     fprime = 1.0 + 1j * cfg.theta * fp
     fsecond = 1j * cfg.theta * fpp

@@ -33,7 +33,14 @@ import numpy as np
 
 from .actions import action, action_derivative, agmon_distance, phase_integrals
 from .errors import DegenerateEnergy, NewtonDivergence
-from .potentials import DEFAULT_X_RANGE, EnergyWindow, PotentialSystem, crossing_data
+from .potentials import (
+    DEFAULT_X_RANGE,
+    GRID_POINTS,
+    EnergyWindow,
+    PotentialSystem,
+    _scan_grid,
+    crossing_data,
+)
 from .turning_points import ENERGY_MARGIN
 
 __all__ = [
@@ -60,8 +67,7 @@ def _well_energy_range(sys: PotentialSystem, x_range) -> tuple[float, float]:
     when the crossing value sits above the well bottom, v1(0) (the barrier
     top); a guard of twice the degenerate-energy margin is applied.
     """
-    xs = np.linspace(x_range[0], x_range[1], 2000)
-    v1g = np.real(sys.v1(xs))
+    _, v1g = _scan_grid(sys.v1, *x_range, GRID_POINTS)
     vmin = float(np.min(v1g))
     v10 = float(np.real(sys.v1(0.0)))
     hi_candidates = [float(v1g[0]), float(v1g[-1])]

@@ -20,7 +20,14 @@ from .errors import (
     NoExit,
     NoWell,
 )
-from .potentials import DEFAULT_X_RANGE, PotentialSystem
+from .potentials import (
+    DEFAULT_X_RANGE,
+    GRID_POINTS,
+    PotentialSystem,
+    _refine_root,
+    _scan_brackets,
+    _scan_grid,
+)
 
 __all__ = [
     "TurningPoints",
@@ -31,8 +38,6 @@ __all__ = [
     "turning_points",
 ]
 
-GRID_POINTS = 2000
-ROOT_XTOL = 1e-12
 RESIDUAL_TOL = 1e-11
 #: energies closer than this to the well bottom or the crossing value are
 #: rejected; the asymptotics degenerate there
@@ -49,53 +54,18 @@ class TurningPoints:
     energy: complex
 
 
-def _refine_root(f, df, lo, hi, flo):
-    """Bisection to ROOT_XTOL followed by one guarded Newton polish."""
-    for _ in range(200):
-        if hi - lo <= ROOT_XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    fr = f(root)
-    d = df(root)
-    if d != 0.0:
-        candidate = root - fr / d
-        if lo - ROOT_XTOL <= candidate <= hi + ROOT_XTOL and abs(f(candidate)) <= abs(fr):
-            root = candidate
-    return root
-
-
-def _scan_brackets(vals, xs):
-    out = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            out.append((xs[max(i - 1, 0)], xs[i + 1]))
-        elif vals[i] * vals[i + 1] < 0:
-            out.append((xs[i], xs[i + 1]))
-    return out
-
-
 def find_well_endpoints(sys: PotentialSystem, E: float,
                         x_range: tuple = DEFAULT_X_RANGE,
                         n_grid: int = GRID_POINTS) -> tuple[float, float]:
     """Locate the two real solutions a < b of v1(x) = E bounding the well.
 
-    Scans a uniform grid for sign changes, bisects each bracket, and
-    polishes with one Newton step.  Raises NoWell below the sampled
-    minimum of v1, DegenerateEnergy within 1e-6 of the well bottom or of
-    v1(0), and BracketFailure when the sign-change count is not 2.
+    Scans the cached uniform grid of v1 for sign changes and refines each
+    bracket by bracketed Newton.  Raises NoWell below the sampled minimum
+    of v1, DegenerateEnergy within 1e-6 of the well bottom or of v1(0),
+    and BracketFailure when the sign-change count is not 2.
     """
-    xs = np.linspace(x_range[0], x_range[1], n_grid)
-    vals = np.real(sys.v1(xs)) - E
-    vmin = float(np.min(np.real(sys.v1(xs))))
+    xs, v1g = _scan_grid(sys.v1, *x_range, n_grid)
+    vmin = float(np.min(v1g))
     if E < vmin:
         raise NoWell(f"E={E!r} lies below min v1 ~ {vmin!r}")
     v10 = float(np.real(sys.v1(0.0)))
@@ -103,7 +73,7 @@ def find_well_endpoints(sys: PotentialSystem, E: float,
         raise DegenerateEnergy(
             f"E={E!r} within {ENERGY_MARGIN} of the well bottom or the crossing value"
         )
-    brackets = _scan_brackets(vals, xs)
+    brackets = _scan_brackets(v1g - E, xs)
     if len(brackets) != 2:
         raise BracketFailure(
             f"expected 2 sign changes of v1 - E on {x_range}, found {len(brackets)}"
@@ -121,9 +91,8 @@ def find_exit_point(sys: PotentialSystem, E: float,
                     x_range: tuple = DEFAULT_X_RANGE,
                     n_grid: int = GRID_POINTS) -> float:
     """Locate the solution c > 0 of v2(x) = E with v2 decreasing through it."""
-    xs = np.linspace(0.0, x_range[1], n_grid)[1:]
-    vals = np.real(sys.v2(xs)) - E
-    brackets = _scan_brackets(vals, xs)
+    xs, v2g = _scan_grid(sys.v2, *x_range, n_grid, "right")
+    brackets = _scan_brackets(v2g - E, xs)
     if len(brackets) == 0:
         raise NoExit(f"v2 - E has no sign change on (0, {x_range[1]}] at E={E!r}")
     if len(brackets) > 1:
@@ -150,9 +119,8 @@ def barrier_points(sys: PotentialSystem, E: float,
     not require the well itself to lie in the scanned interval, so it also
     serves barrier-only model potentials.
     """
-    xs = np.linspace(x_range[0], 0.0, n_grid)[:-1]
-    vals = np.real(sys.v1(xs)) - E
-    brackets = _scan_brackets(vals, xs)
+    xs, v1g = _scan_grid(sys.v1, *x_range, n_grid, "left")
+    brackets = _scan_brackets(v1g - E, xs)
     if not brackets:
         raise NoWell(f"v1 - E has no sign change on ({x_range[0]}, 0) at E={E!r}")
     f = lambda t: float(np.real(sys.v1(t))) - E

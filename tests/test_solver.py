@@ -19,7 +19,13 @@ from predissoc import (
     theta_stability,
 )
 from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
-from predissoc.solver import _contour_parts, _filter_window
+from predissoc.solver import (
+    SCHEMES,
+    _contour_parts,
+    _derivative_matrices,
+    _filter_window,
+    _shift_invert,
+)
 
 from conftest import V1_WELL, V2_TAIL
 
@@ -82,6 +88,37 @@ def test_scaling_region_requires_room(coupled, window):
         build_hamiltonian(coupled, cfg, 0.1, window)
     with pytest.raises(ValueError):
         build_hamiltonian(coupled, DiscretizationConfig(), 0.1, window=None)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_derivative_matrix_cache_is_read_only(scheme):
+    d1, d2, nodes = _derivative_matrices(scheme, 64, -8.0, 12.0)
+    for arr in (nodes, *(m if isinstance(m, np.ndarray) else m.data for m in (d1, d2))):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _derivative_matrices(scheme, 64, -8.0, 12.0)[0] is d1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cached_build_equals_cold_build(scheme, coupled, window):
+    """A factorisation of one matrix leaves the cache intact: the next build,
+    at another h, equals a build from an emptied cache bit for bit."""
+    cfg = DiscretizationConfig(n=64, scheme=scheme)
+    first = build_hamiltonian(coupled, cfg, 0.14, window).matrix
+    before = first.copy()
+    _shift_invert(first, complex(1.0, -0.3))  # dense matrices are factored in place
+    if scheme == "chebyshev_collocation":
+        assert not np.array_equal(first, before)
+    hits = _derivative_matrices.cache_info().hits
+    warm = build_hamiltonian(coupled, cfg, 0.12, window).matrix
+    assert _derivative_matrices.cache_info().hits == hits + 1
+    _derivative_matrices.cache_clear()
+    cold = build_hamiltonian(coupled, cfg, 0.12, window).matrix
+    if scheme == "chebyshev_collocation":
+        assert np.array_equal(warm, cold)
+    else:
+        assert np.array_equal(warm.toarray(), cold.toarray())
 
 
 def test_harmonic_block_eigenvalues():

@@ -53,8 +53,9 @@ for v in vals:
 # ---------------------------------------------------------------------------
 # theta-stability separates resonances from rotated continuum
 # ---------------------------------------------------------------------------
-# drift under a 20% contour rotation: tiny for the true resonance, O(1e-3)
-# and larger for continuum points
+# drift under a 20% contour rotation, predicted to first order from the
+# eigenvector of the one solve: tiny for the true resonance, O(1e-3) and
+# larger for continuum points
 res_like = vals[np.argmax(vals.imag)]
 cont_like = vals[np.argmin(vals.imag)]
 for label, v in (("most resonance-like", res_like),
@@ -66,7 +67,7 @@ for label, v in (("most resonance-like", res_like),
 # The full comparison pipeline
 # ---------------------------------------------------------------------------
 # estimates from the width formula, eigenvalues from the matrix, stability
-# screening, greedy matching, and a noise floor from the observed drifts
+# screening, greedy matching, and a noise floor from the predicted drifts
 records = compare_with_direct(sys_, window, cfg, h)
 print("\nformula vs direct at h =", h)
 for rec in records:

@@ -27,6 +27,7 @@ from .errors import (
     CrossingMismatch,
     DegenerateEnergy,
     EigensolveFailure,
+    EmptyInterval,
     EvalDomainError,
     ExpressionError,
     InsufficientData,
@@ -120,7 +121,7 @@ __all__ = [
     # errors
     "PredissocError", "ExpressionError", "EvalDomainError",
     "CrossingMismatch", "NoWell", "NoExit", "BracketFailure",
-    "NewtonDivergence", "DegenerateEnergy", "BarrierViolation",
+    "NewtonDivergence", "DegenerateEnergy", "BarrierViolation", "EmptyInterval",
     "InvalidAngle", "InsufficientData", "EigensolveFailure",
     "ContourEvaluationError", "ConfigError",
 ]

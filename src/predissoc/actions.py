@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BarrierViolation
+from .errors import BarrierViolation, EmptyInterval
 from .potentials import DEFAULT_X_RANGE, PotentialSystem
 from .turning_points import barrier_points, find_well_endpoints
 
@@ -97,7 +97,7 @@ def integrate_endpoint_singular(f, lo, hi, sing_lo=False, sing_hi=False,
     if hi <= lo:
         if hi == lo:
             return 0.0
-        raise ValueError(f"empty integration interval [{lo!r}, {hi!r}]")
+        raise EmptyInterval(f"empty integration interval [{lo!r}, {hi!r}]")
     coarse = _integrate_once(f, lo, hi, sing_lo, sing_hi, n)
     fine = _integrate_once(f, lo, hi, sing_lo, sing_hi, 2 * n)
     if abs(fine - coarse) <= REFINE_ABS_TOL * max(1.0, abs(fine)):

@@ -48,6 +48,13 @@ class DegenerateEnergy(PredissocError):
     """Energy too close to the well bottom or to the crossing value."""
 
 
+class EmptyInterval(PredissocError, ValueError):
+    """An integration interval with its ends reversed.
+
+    Also a ValueError, which the quadrature raised for it before.
+    """
+
+
 class BarrierViolation(PredissocError):
     """An integrand that must stay positive on the barrier went negative."""
 

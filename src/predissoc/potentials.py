@@ -201,7 +201,8 @@ def _scan_brackets(vals, xs):
     """
     left, right = vals[:-1], vals[1:]
     zero = left == 0.0
-    idx = np.flatnonzero(zero | (left * right < 0))
+    with np.errstate(over="ignore"):  # an overflowed product keeps its sign
+        idx = np.flatnonzero(zero | (left * right < 0))
     lo = np.where(zero[idx], xs[np.maximum(idx - 1, 0)], xs[idx])
     return list(zip(lo.tolist(), xs[idx + 1].tolist()))
 

@@ -367,8 +367,11 @@ def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
     """
     window = EnergyWindow(e_star, half_width, c0_im)
     rows = []
+    disc_count = None  # each h's eigensolve is sized from the previous h's disc
     for idx, h in enumerate(h_values):
-        records = compare_with_direct(sys, window, disc, h, stab_tol=stab_tol)
+        records = compare_with_direct(sys, window, disc, h, stab_tol=stab_tol,
+                                      _disc_hint=disc_count)
+        disc_count = records.disc_count
         if ks is not None:
             rec = next((r for r in records if r.estimate.k == ks[idx]), None)
         else:

@@ -13,13 +13,19 @@ beyond the ramp.  Resonances appear as complex eigenvalues of the scaled
 matrix that are insensitive to the scaling angle; the rotated continuum
 sweeps past them as theta changes, which is what the stability filter
 exploits when pairing eigenvalues with semiclassical estimates.
+
+That insensitivity is measured from one eigensolve: the scaled operator is
+complex-symmetric under the bilinear form (u, v) = integral of u v dz, so
+the left eigenvector of an eigenpair (lambda, x) is conj(W F' x), with W
+the grid's quadrature weights, and first-order perturbation theory gives
+d lambda / d theta = y^H (dH/dtheta) x / y^H x.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -31,6 +37,7 @@ from .errors import (
     EigensolveFailure,
     InvalidAngle,
 )
+from .expressions import differentiate
 from .potentials import EnergyWindow, PotentialSystem
 from .spectrum import ResonanceEstimate, resonance_estimates
 from .turning_points import find_exit_point
@@ -53,19 +60,14 @@ SCHEMES = ("chebyshev_collocation", "finite_difference_4")
 #: anything below this is still treated as a resonance candidate.
 IM_ROUNDOFF_GUARD = 1e-9
 
-#: A drifted eigenvalue farther than this many local spacings from its
-#: parent is considered lost rather than drifted.
-LOST_TRACK_FACTOR = 10.0
-
-#: Eigenvalues asked of the first shift-invert solve about a target; the
-#: solve doubles this until it reaches past the target disc.  The reference
-#: box disc holds about 17 eigenvalues, the scan boxes 3 to 9.
+#: Eigenvalues asked of the first shift-invert solve of a disc whose count
+#: is unknown; the solve doubles this until it reaches past the disc.  The
+#: reference box disc holds about 17 eigenvalues, the scan boxes 3 to 9.
 K_START = 24
 
-#: A repeat solve of the same disc (theta -> 1.2 theta) asks for the first
-#: solve's disc count plus this many; ARPACK converges fewer values in
-#: fewer operator solves.
-K_PAD = 8
+#: A solve given the disc count of a neighbouring disc (the previous h of a
+#: scan) asks for that count plus this many instead.
+K_HINT_PAD = 8
 
 logger = logging.getLogger("predissoc.solver")
 
@@ -227,6 +229,21 @@ def _resolve_x_inf(sys: PotentialSystem, cfg: DiscretizationConfig,
     return x_inf
 
 
+def _on_contour(name: str, expr, z: np.ndarray, cfg: DiscretizationConfig,
+                x_inf: float) -> np.ndarray:
+    """Values of ``expr`` at the contour nodes z, checked finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(expr(z), dtype=complex)
+    if vals.ndim == 0:
+        vals = np.full(z.shape, complex(vals))
+    if not np.all(np.isfinite(vals)):
+        raise ContourEvaluationError(
+            f"{name} is not finite on the deformed contour "
+            f"(theta={cfg.theta!r}, x_start_scaling={x_inf!r})"
+        )
+    return vals
+
+
 def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
                       window: EnergyWindow | None = None) -> HamiltonianMatrix:
     """Assemble the 2n x 2n complex-scaled matrix.
@@ -249,19 +266,9 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     d1c = (1.0 / fprime)[:, None] * d1
     d2c = (1.0 / fprime ** 2)[:, None] * d2 - (fsecond / fprime ** 3)[:, None] * d1
 
-    blocks = {}
-    for name, expr in (("v1", sys.v1), ("v2", sys.v2),
-                       ("r0", sys.r0), ("r1", sys.r1)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(expr(z), dtype=complex)
-        if vals.ndim == 0:
-            vals = np.full(z.shape, complex(vals))
-        if not np.all(np.isfinite(vals)):
-            raise ContourEvaluationError(
-                f"{name} is not finite on the deformed contour "
-                f"(theta={cfg.theta!r}, x_start_scaling={x_inf!r})"
-            )
-        blocks[name] = vals
+    blocks = {name: _on_contour(name, expr, z, cfg, x_inf)
+              for name, expr in (("v1", sys.v1), ("v2", sys.v2),
+                                 ("r0", sys.r0), ("r1", sys.r1))}
 
     if isinstance(d1, np.ndarray):
         diag, matrix_of = np.diag, np.block
@@ -300,14 +307,16 @@ def _shift_invert(matrix, sigma: complex):
     return partial(scipy.linalg.lu_solve, lu_piv, trans=1, check_finite=False)
 
 
-def _disc_eigenvalues(sys, cfg, h, window, sigma: complex, radius: float,
-                      k_start: int = K_START) -> np.ndarray:
-    """Every eigenvalue of the scaled matrix within ``radius`` of ``sigma``.
+def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_START,
+                      vectors: bool = False):
+    """Every eigenvalue of ``matrix`` within ``radius`` of ``sigma``.
 
     Shift-invert Arnoldi (ARPACK) about sigma returns the k eigenvalues
     nearest it; k doubles from ``k_start`` until the farthest of them lies
-    outside the disc, so the disc is complete.  Returns those k eigenvalues:
-    the disc's and the few just beyond it.  A disc too full for ARPACK,
+    outside the disc, so the disc is complete.  Returns ``(vals, vecs)``:
+    those k eigenvalues (the disc's and the few just beyond it) and, with
+    ``vectors``, their right eigenvectors as columns, else None.  A dense
+    matrix is consumed by the factorisation.  A disc too full for ARPACK,
     whose k must stay below dim - 2, raises EigensolveFailure rather than
     return part of it.
     """
@@ -315,9 +324,8 @@ def _disc_eigenvalues(sys, cfg, h, window, sigma: complex, radius: float,
     # widths, validate) start faster without it
     import scipy.sparse.linalg
 
-    ham = build_hamiltonian(sys, cfg, h, window)
-    dim = ham.matrix.shape[0]
-    solve = _shift_invert(ham.matrix, sigma)
+    dim = matrix.shape[0]
+    solve = _shift_invert(matrix, sigma)
     solves = 0
 
     def counted_solve(x):
@@ -336,10 +344,11 @@ def _disc_eigenvalues(sys, cfg, h, window, sigma: complex, radius: float,
         try:
             # in shift-invert mode ARPACK applies only OPinv; the operator
             # passed as A supplies shape and dtype
-            vals = scipy.sparse.linalg.eigs(inverse, k=k, sigma=sigma, OPinv=inverse,
-                                            v0=v0, return_eigenvectors=False)
+            found = scipy.sparse.linalg.eigs(inverse, k=k, sigma=sigma, OPinv=inverse,
+                                             v0=v0, return_eigenvectors=vectors)
         except scipy.sparse.linalg.ArpackError as exc:
             raise EigensolveFailure(f"shift-invert eigensolve failed: {exc}") from exc
+        vals, vecs = found if vectors else (found, None)
         if not np.all(np.isfinite(vals)):
             raise EigensolveFailure("eigensolve returned non-finite eigenvalues")
         if np.max(np.abs(vals - sigma)) > radius:
@@ -353,7 +362,7 @@ def _disc_eigenvalues(sys, cfg, h, window, sigma: complex, radius: float,
     logger.debug("eigensolve: dim=%d sigma=%.6g%+.6gj radius=%.3g k=%d in disc=%d "
                  "margin=%.3g operator solves=%d", dim, sigma.real, sigma.imag, radius,
                  k, int(np.sum(dist <= radius)), dist.max() - radius, solves)
-    return vals
+    return vals, vecs
 
 
 def _box_disc(window: EnergyWindow, h: float) -> tuple[complex, float]:
@@ -378,60 +387,125 @@ def compute_resonances(sys: PotentialSystem, cfg: DiscretizationConfig, h: float
     The box is Re in [lo, hi], -C0 h < Im <= (roundoff guard); results come
     back sorted by real part.  No stability screening happens here — the
     list may contain rotated-continuum points alongside true resonances.
-    Only the eigenvalues in the disc circumscribing the box are computed.
+    Only the eigenvalues in the disc circumscribing the box are computed,
+    and no eigenvectors.
     """
-    vals = _disc_eigenvalues(sys, cfg, h, window, *_box_disc(window, h))
+    ham = build_hamiltonian(sys, cfg, h, window)
+    vals, _ = _disc_eigenvalues(ham.matrix, *_box_disc(window, h))
     return _filter_window(vals, window, h)
 
 
-def _drifts(sys, cfg, h, window, anchors, disc, base=None):
-    """Drift of each anchor's nearest eigenvalue under theta -> 1.2 theta.
+def _left_weights(ham: HamiltonianMatrix) -> np.ndarray:
+    """Weights w for which y = conj(w x) is the left eigenvector of an
+    eigenpair (lambda, x) of ``ham``: W F' on each channel.
 
-    Both spectra are the disc ``disc = (sigma, radius)`` of
-    :func:`_disc_eigenvalues`; ``base`` is the theta solve when the caller
-    already has it.  Returns an array of drifts, inf marking anchors whose
-    eigenvalue could not be followed (nearest partner farther than
-    LOST_TRACK_FACTOR local spacings).
-
-    Each spectrum holds every eigenvalue out to its farthest value, which
-    lies beyond the radius by a margin (0.09 or more on the reference and
-    scan boxes).  An anchor inside the disc therefore sees every eigenvalue
-    nearer to it than that margin: a missing neighbour can only overstate a
-    spacing, and a missing partner only a drift.  Whether an anchor is
-    stable (drift <= stab_tol, 1e-6 by default) depends only on eigenvalues
-    within stab_tol of it, so stable anchors are tracked exactly.
+    W is 1 on the FD4 grid, whose D2 is symmetric and D1 skew-symmetric,
+    and the Clenshaw-Curtis weights of the interior Chebyshev points
+    cos(pi j / N), N = n + 1 (Trefethen, Spectral Methods in MATLAB, ch. 12).
     """
+    cfg = ham.config
+    weight = np.ones(cfg.n)
+    if cfg.scheme == "chebyshev_collocation":
+        big_n = cfg.n + 1
+        angle = np.pi * np.arange(1, big_n) / big_n
+        k = np.arange(1, (big_n - 1) // 2 + 1)[:, None]
+        # summed elementwise: a numpy matrix product would wake numpy's BLAS
+        weight -= np.sum(2.0 / (4.0 * k * k - 1.0) * np.cos(2.0 * k * angle), axis=0)
+        if big_n % 2 == 0:
+            weight -= np.cos(big_n * angle) / (big_n * big_n - 1.0)
+        weight *= (cfg.x_max - cfg.x_min) / big_n
+    weight = weight * ham.contour_scale
+    return np.concatenate([weight, weight])
+
+
+def _blas_apply(d, block: np.ndarray) -> np.ndarray:
+    """d @ block for a real derivative matrix d and a complex block.
+
+    Dense products run on scipy's BLAS, which the LU factorisations use:
+    numpy loads an OpenBLAS of its own, and its thread pool contends with
+    scipy's when a numpy product runs between two factorisations.
+    """
+    if not isinstance(d, np.ndarray):
+        return d @ block
+    parts = np.asfortranarray(np.concatenate([block.real, block.imag], axis=1))
+    # d.T is d's Fortran-ordered view, so trans_a=1 multiplies by d uncopied
+    real, imag = np.split(scipy.linalg.blas.dgemm(1.0, d.T, parts, trans_a=1), 2, axis=1)
+    return real + 1j * imag
+
+
+def _theta_derivative(sys: PotentialSystem, ham: HamiltonianMatrix,
+                      vecs: np.ndarray) -> np.ndarray:
+    """(dH/dtheta) X for the 2n x m block X, at fixed nodes and x_start.
+
+    theta enters H through z = x + i theta f, F' = 1 + i theta f' and
+    F'' = i theta f'', whose theta-derivatives are i f, i f' and i f''.
+    """
+    cfg, h = ham.config, ham.h
+    d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
+    f, fp, fpp = _contour_parts(nodes, ham.x_start_scaling, cfg.smoothing_width)
+    z, fprime = ham.z_nodes, ham.contour_scale
+    fsecond = 1j * cfg.theta * fpp
+    n = nodes.size
+    x1, x2 = vecs[:n], vecs[n:]
+
+    def along(name, expr):  # d/dtheta of expr(z) = expr'(z) i f
+        return 1j * f * _on_contour(name, expr, z, cfg, ham.x_start_scaling)
+
+    dv1, dv2 = along("v1'", sys.dv1), along("v2'", sys.dv2)
+    dr0, dr1 = along("r0'", differentiate(sys.r0)), along("r1'", differentiate(sys.r1))
+    r1 = _on_contour("r1", sys.r1, z, cfg, ham.x_start_scaling)
+    inv_f = 1.0 / fprime
+    # d(1/F'), d(1/F'^2) and d(-F''/F'^3), the row factors of D1c and D2c
+    a1 = -1j * fp * inv_f ** 2
+    b2 = -2j * fp * inv_f ** 3
+    b1 = -1j * fpp * inv_f ** 3 + 3j * fp * fsecond * inv_f ** 4
+    # every factor below scales the rows of an n x m block
+    dv1, dv2, dr0, dr1, r1, inv_f, a1, b1, b2 = (
+        v[:, None] for v in (dv1, dv2, dr0, dr1, r1, inv_f, a1, b1, b2))
+    d1x1, d1x2, d1r1x1, d1dr1x1 = np.split(
+        _blas_apply(d1, np.concatenate([x1, x2, r1 * x1, dr1 * x1], axis=1)), 4, axis=1)
+    d2x1, d2x2 = np.split(_blas_apply(d2, np.concatenate([x1, x2], axis=1)), 2, axis=1)
+    top = (-h * h * (b2 * d2x1 + b1 * d1x1) + dv1 * x1
+           + h * (dr0 * x2 + h * (dr1 * inv_f + r1 * a1) * d1x2))
+    bottom = (-h * h * (b2 * d2x2 + b1 * d1x2) + dv2 * x2
+              + h * (dr0 * x1 - h * (a1 * d1r1x1 + inv_f * d1dr1x1)))
+    return np.concatenate([top, bottom])
+
+
+def _drifts(sys: PotentialSystem, ham: HamiltonianMatrix, vals: np.ndarray,
+            vecs: np.ndarray, anchors) -> np.ndarray:
+    """Predicted drift under theta -> 1.2 theta, |d lambda/d theta| 0.2 theta,
+    of the eigenvalue nearest each anchor, from the eigenpairs of ``ham``.
+
+    With the left eigenvector y = conj(w x) of :func:`_left_weights`,
+    y^H v = sum(w x v) is a bilinear sum with no conjugation.
+    """
+    cfg = ham.config
     if cfg.theta <= 0.0:
         raise InvalidAngle("stability testing requires a positive scaling angle")
-    vals0 = base if base is not None else _disc_eigenvalues(sys, cfg, h, window, *disc)
-    sigma, radius = disc
-    in_disc = int(np.sum(np.abs(vals0 - sigma) <= radius))
-    cfg_up = replace(cfg, theta=1.2 * cfg.theta,
-                     x_start_scaling=_resolve_x_inf(sys, cfg, window))
-    vals1 = _disc_eigenvalues(sys, cfg_up, h, window, *disc, k_start=in_disc + K_PAD)
-    drifts = np.empty(len(anchors))
-    for i, e in enumerate(anchors):
-        dist0 = np.abs(vals0 - e)
-        i0 = int(np.argmin(dist0))
-        lam0 = vals0[i0]
-        others = np.abs(np.delete(vals0, i0) - lam0)
-        spacing = float(np.min(others)) if others.size else math.inf
-        drift = float(np.min(np.abs(vals1 - lam0)))
-        drifts[i] = math.inf if drift > LOST_TRACK_FACTOR * spacing else drift
-    return drifts
+    anchors = np.asarray(anchors, dtype=complex)
+    nearest = np.argmin(np.abs(vals[None, :] - anchors[:, None]), axis=1)
+    x = vecs[:, nearest]
+    weight = _left_weights(ham)[:, None]
+    rate = (np.sum(weight * x * _theta_derivative(sys, ham, x), axis=0)
+            / np.sum(weight * x * x, axis=0))
+    return np.abs(rate) * 0.2 * cfg.theta
 
 
 def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
                     E: complex, window: EnergyWindow | None = None) -> float:
-    """How far the eigenvalue nearest E moves when theta grows by 20 %.
+    """How far the eigenvalue nearest E moves when theta grows by 20 %,
+    to first order: |d lambda/d theta| 0.2 theta.
 
     Small values (<< local spacing) certify E as a genuine resonance of the
-    unscaled problem; inf means the eigenvalue could not be tracked.  Both
-    solves take the few eigenvalues nearest E (a disc of radius 0 about E),
-    which hold its eigenvalue, that eigenvalue's neighbours and its partner.
+    unscaled problem.  One solve takes the few eigenvalues nearest E (a
+    disc of radius 0 about E) with their eigenvectors; the derivative
+    follows from the eigenvector (see the module docstring).
     """
     E = complex(E)
-    return float(_drifts(sys, cfg, h, window, [E], (E, 0.0))[0])
+    ham = build_hamiltonian(sys, cfg, h, window)
+    vals, vecs = _disc_eigenvalues(ham.matrix, E, 0.0, vectors=True)
+    return float(_drifts(sys, ham, vals, vecs, [E])[0])
 
 
 @dataclass
@@ -450,12 +524,14 @@ class ComparisonRecords(list):
     """The records of :func:`compare_with_direct`, one per estimated level.
 
     ``skipped`` lists the window levels whose estimate failed, as
-    ``(k, e_k, reason)``; they have no record.
+    ``(k, e_k, reason)``; they have no record.  ``disc_count`` is the
+    number of eigenvalues in the solved disc, None when nothing was solved.
     """
 
-    def __init__(self, records, skipped):
+    def __init__(self, records, skipped, disc_count=None):
         super().__init__(records)
         self.skipped = list(skipped)
+        self.disc_count = disc_count
 
 
 def match_resonances(estimates: list[ResonanceEstimate],
@@ -497,7 +573,8 @@ def match_resonances(estimates: list[ResonanceEstimate],
 
 def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
                         cfg: DiscretizationConfig, h: float,
-                        stab_tol: float = 1e-6) -> ComparisonRecords:
+                        stab_tol: float = 1e-6, _disc_hint: int | None = None
+                        ) -> ComparisonRecords:
     """Full pipeline: estimates, direct eigenvalues, stability, matching.
 
     Eigenvalues in the window are screened for theta-stability first, so
@@ -506,6 +583,11 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     matched a stable eigenvalue whose magnitude of imaginary part clears
     the eigensolver noise floor, taken as 100 x the largest matched drift.
     Levels whose estimate failed are logged and kept in ``skipped``.
+
+    One solve of the box disc gives the eigenvalues and, for the stability
+    screen, their eigenvectors.  The records' ``disc_count`` is the number
+    of eigenvalues in that disc; ``_disc_hint``, such a count from a
+    neighbouring disc (the previous h of a scan), sizes the solve.
     """
     estimates, skipped = resonance_estimates(sys, h, window)
     for k, e_k, reason in skipped:
@@ -515,17 +597,21 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     if not estimates:
         return records
 
-    disc = _box_disc(window, h)
-    vals0 = _disc_eigenvalues(sys, cfg, h, window, *disc)
-    candidates = _filter_window(vals0, window, h)
+    sigma, radius = _box_disc(window, h)
+    k_start = K_START if _disc_hint is None else _disc_hint + K_HINT_PAD
+    ham = build_hamiltonian(sys, cfg, h, window)
+    vals, vecs = _disc_eigenvalues(ham.matrix, sigma, radius, k_start, vectors=True)
+    records.disc_count = int(np.sum(np.abs(vals - sigma) <= radius))
+    candidates = _filter_window(vals, window, h)
     if len(candidates) == 0:
         return records
-    drifts = _drifts(sys, cfg, h, window, candidates, disc, base=vals0)
-    stable = np.isfinite(drifts) & (drifts <= stab_tol)
+    drifts = _drifts(sys, ham, vals, vecs, candidates)
+    stable = drifts <= stab_tol
     stable_vals = candidates[stable]
     stable_drifts = drifts[stable]
 
-    records = ComparisonRecords(match_resonances(estimates, stable_vals), skipped)
+    records = ComparisonRecords(match_resonances(estimates, stable_vals), skipped,
+                                records.disc_count)
     matched_drifts = []
     for rec in records:
         if rec.computed is None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import action, action_derivative, agmon_distance, phase_integrals
-from .errors import DegenerateEnergy, NewtonDivergence
+from .errors import DegenerateEnergy, NewtonDivergence, PredissocError
 from .potentials import (
     DEFAULT_X_RANGE,
     GRID_POINTS,
@@ -194,9 +194,10 @@ def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow,
                         x_range: tuple = DEFAULT_X_RANGE):
     """Estimates for every level in the window.
 
-    Returns ``(estimates, skipped)``; levels whose width computation fails
-    are reported in ``skipped`` as (k, e_k, reason) instead of aborting the
-    whole window.
+    Returns ``(estimates, skipped)``; levels whose width computation raises
+    a :class:`PredissocError` are reported in ``skipped`` as
+    (k, e_k, reason) instead of aborting the whole window.  Any other
+    exception is a fault and propagates.
     """
     estimates = []
     skipped = []
@@ -208,7 +209,7 @@ def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow,
                 s_at_ek=agmon_distance(sys, e_k, x_range),
                 prefactor_parts=parts, h=h,
             ))
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        except PredissocError as exc:
             skipped.append((k, e_k, f"{type(exc).__name__}: {exc}"))
     return estimates, skipped
 

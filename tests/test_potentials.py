@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ def test_validation_flags_broken_exit_channel(window):
     report = validate_assumptions(sys, window)
     assert not report.clauses["crossing_at_0"]
     assert not report.clauses["limit_right_v2"]
+    assert not report.passed
+
+
+def test_validation_of_overflowing_potential_warns_nothing(window):
+    """exp(x^2) overflows the bracket scan's neighbour products at the grid
+    ends; the overflowed products keep their sign and raise no warning."""
+    sys = PotentialSystem.from_strings(V1_WELL + " + exp(x^2) - 1", V2_TAIL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_assumptions(sys, window)
+    assert report.clauses["crossing_at_0"]
+    assert not report.clauses["roots_located"]  # exp(x^2) fills in the well
     assert not report.passed
 
 

@@ -1,5 +1,6 @@
 """Complex-scaled matrix solver: contour, discretizations, eigenvalue pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,11 +20,16 @@ from predissoc import (
     theta_stability,
 )
 from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
+from predissoc import solver
 from predissoc.solver import (
     SCHEMES,
+    _box_disc,
     _contour_parts,
     _derivative_matrices,
+    _disc_eigenvalues,
+    _drifts,
     _filter_window,
+    _left_weights,
     _shift_invert,
 )
 
@@ -238,6 +244,113 @@ def test_theta_stability_separates_resonance_from_continuum(coupled, window):
     continuum = vals[np.argmin(vals.imag)]  # the most rotated box point
     assert continuum.imag < -1e-3
     assert theta_stability(coupled, cfg, 0.14, continuum, window) >= 1e-3
+
+
+def _dense(matrix):
+    return matrix.toarray() if scipy.sparse.issparse(matrix) else matrix.copy()
+
+
+#: the reference instance's couplings, and varying ones with a derivative
+#: coupling r1 != 0, which bring in every term of dH/dtheta
+COUPLINGS = {"reference": ("1", "0"), "varying": ("1 + 0.1*x", "0.3*x")}
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_left_eigenvector_is_weighted_conjugate(scheme, coupling, window):
+    """y = conj(W F' x) on each channel is the left eigenvector LAPACK finds,
+    for every eigenvalue in the box."""
+    r0, r1 = COUPLINGS[coupling]
+    sys = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0=r0, r1=r1)
+    cfg = DiscretizationConfig(n=128, scheme=scheme)
+    ham = build_hamiltonian(sys, cfg, 0.14, window)
+    vals, left, right = scipy.linalg.eig(_dense(ham.matrix), left=True)
+    box = _filter_window(vals, window, 0.14)
+    assert box.size >= 5
+    weight = _left_weights(ham)
+    for lam in box:
+        j = int(np.argmin(np.abs(vals - lam)))
+        y = np.conj(weight * right[:, j])
+        cos = abs(np.vdot(y, left[:, j])) / (np.linalg.norm(y) * np.linalg.norm(left[:, j]))
+        assert cos >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_predicted_drift_matches_finite_drift(scheme, coupling, window):
+    """|d lambda/d theta| 0.2 theta from the eigenvector agrees within 2 %
+    with the drift of two dense solves at theta and 1.2 theta, on every box
+    eigenvalue that moves by more than roundoff.  The rate itself agrees
+    within 1e-4 with a central difference over theta +- 1e-3 theta, whose
+    error is O(1e-6): that pins every term of dH/dtheta."""
+    r0, r1 = COUPLINGS[coupling]
+    coupled = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0=r0, r1=r1)
+    h = 0.14
+    cfg = DiscretizationConfig(n=200, scheme=scheme)
+    ham = build_hamiltonian(coupled, cfg, h, window)
+
+    def dense_at(factor):
+        scaled = dataclasses.replace(cfg, theta=factor * cfg.theta,
+                                     x_start_scaling=ham.x_start_scaling)
+        return scipy.linalg.eigvals(_dense(build_hamiltonian(coupled, scaled, h).matrix))
+
+    before, after = dense_at(1.0), dense_at(1.2)
+    below, above = dense_at(1.0 - 1e-3), dense_at(1.0 + 1e-3)
+    vals, vecs = _disc_eigenvalues(ham.matrix, *_box_disc(window, h), vectors=True)
+    candidates = _filter_window(vals, window, h)
+    predicted = _drifts(coupled, ham, vals, vecs, candidates)
+    checked = 0
+    for lam, drift in zip(candidates, predicted):
+        lam0 = before[np.argmin(np.abs(before - lam))]
+        finite = np.min(np.abs(after - lam0))
+        if finite > 1e-10:
+            assert drift == pytest.approx(finite, rel=0.02)
+            step = abs(above[np.argmin(np.abs(above - lam0))]
+                       - below[np.argmin(np.abs(below - lam0))])
+            assert drift / 0.2 == pytest.approx(step / 2e-3, rel=1e-4)
+            checked += 1
+        else:
+            assert drift <= 1e-10
+    assert checked >= 10
+
+
+def test_compare_solves_each_disc_once(coupled, window, monkeypatch):
+    """The stability screen needs no second assembly, factorisation or solve."""
+    calls = {"build_hamiltonian": 0, "_shift_invert": 0}
+
+    def counting(name):
+        original = getattr(solver, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    cfg = DiscretizationConfig(n=200)
+    sigma, radius = _box_disc(window, 0.14)
+    dense = scipy.linalg.eigvals(build_hamiltonian(coupled, cfg, 0.14, window).matrix)
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    records = compare_with_direct(coupled, window, cfg, 0.14)
+    assert calls == {"build_hamiltonian": 1, "_shift_invert": 1}
+    assert any(rec.accepted for rec in records)
+    assert records.disc_count == np.sum(np.abs(dense - sigma) <= radius)
+
+
+def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatch):
+    import scipy.sparse.linalg
+
+    requested = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def recording(*args, **kwargs):
+        requested.append(kwargs.get("return_eigenvectors", True))
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording)
+    for scheme in SCHEMES:
+        compute_resonances(coupled, DiscretizationConfig(n=128, scheme=scheme), 0.14, window)
+    assert requested == [False, False]
 
 
 def test_theta_stability_requires_rotation(coupled, window):

@@ -20,7 +20,8 @@ from predissoc import (
     width_from_parts,
     width_leading,
 )
-from predissoc.errors import DegenerateEnergy, NewtonDivergence
+from predissoc import spectrum
+from predissoc.errors import DegenerateEnergy, EmptyInterval, NewtonDivergence
 
 from conftest import V1_WELL, V2_TAIL
 
@@ -116,6 +117,26 @@ def test_estimates_compose_width_leading(coupled, window):
         assert est.h == 0.1
     empty, none_skipped = resonance_estimates(coupled, 0.1, EnergyWindow(-1.0, 0.3))
     assert empty == [] and none_skipped == []
+
+
+def test_estimates_skip_package_errors_only(coupled, window, monkeypatch):
+    """A level whose width raises a package error (here the quadrature's
+    empty interval) is skipped; any other exception is a fault and
+    propagates."""
+    def failing(error):
+        def width(*args):
+            raise error
+        return width
+
+    monkeypatch.setattr(spectrum, "width_leading",
+                        failing(EmptyInterval("empty integration interval [1.0, 0.5]")))
+    estimates, skipped = resonance_estimates(coupled, 0.1, window)
+    assert estimates == []
+    assert [reason for _, _, reason in skipped] == [
+        "EmptyInterval: empty integration interval [1.0, 0.5]"] * 2
+    monkeypatch.setattr(spectrum, "width_leading", failing(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        resonance_estimates(coupled, 0.1, window)
 
 
 def test_transition_elements_identity(coupled):

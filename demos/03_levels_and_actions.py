@@ -16,7 +16,7 @@ from predissoc import (
     EnergyWindow,
     PotentialSystem,
     action,
-    action_derivative,
+    action_and_derivative,
     agmon_distance,
     bohr_sommerfeld_levels,
     find_well_endpoints,
@@ -47,8 +47,9 @@ window = EnergyWindow(1.0, 0.2)
 
 a, b = find_well_endpoints(sys_, 1.0)
 print(f"\nwell at E=1: [{a:.6f}, {b:.6f}]")
-print("A(1)  =", action(sys_, 1.0))
-print("A'(1) =", action_derivative(sys_, 1.0), " (the inverse level density)")
+a_1, a_prime_1 = action_and_derivative(sys_, 1.0)
+print("A(1)  =", a_1)
+print("A'(1) =", a_prime_1, " (the inverse level density)")
 print("S(1)  =", agmon_distance(sys_, 1.0), " (tunneling distance through the barrier)")
 
 for h in (0.14, 0.1):

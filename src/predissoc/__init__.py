@@ -10,11 +10,9 @@ operator — and then reconciles.
 """
 
 from .actions import (
-    ActionData,
     PhaseIntegrals,
     action,
-    action_data,
-    action_derivative,
+    action_and_derivative,
     agmon_distance,
     integrate_endpoint_singular,
     phase_integrals,
@@ -44,7 +42,6 @@ from .potentials import (
     PotentialSystem,
     ValidationReport,
     crossing_data,
-    eval_potential,
     validate_assumptions,
 )
 from .runner import (
@@ -81,14 +78,7 @@ from .spectrum import (
     width_from_parts,
     width_leading,
 )
-from .turning_points import (
-    TurningPoints,
-    barrier_points,
-    continue_complex,
-    find_exit_point,
-    find_well_endpoints,
-    turning_points,
-)
+from .turning_points import barrier_points, find_exit_point, find_well_endpoints
 
 __version__ = "0.1.0"
 
@@ -98,14 +88,12 @@ __all__ = [
     "AnalyticExpr", "parse_expression", "differentiate",
     # potentials
     "PotentialSystem", "EnergyWindow", "CrossingData", "ValidationReport",
-    "crossing_data", "eval_potential", "validate_assumptions",
+    "crossing_data", "validate_assumptions",
     # turning points
-    "TurningPoints", "find_well_endpoints", "find_exit_point",
-    "barrier_points", "continue_complex", "turning_points",
+    "find_well_endpoints", "find_exit_point", "barrier_points",
     # actions
-    "ActionData", "PhaseIntegrals", "action", "action_derivative",
-    "agmon_distance", "phase_integrals", "action_data",
-    "integrate_endpoint_singular",
+    "PhaseIntegrals", "action", "action_and_derivative", "agmon_distance",
+    "phase_integrals", "integrate_endpoint_singular",
     # spectrum
     "ResonanceEstimate", "TransitionElements", "QuantizationResidual",
     "RefinedResonance", "bohr_sommerfeld_levels", "width_from_parts",

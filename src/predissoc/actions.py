@@ -6,6 +6,11 @@ removes the square-root singularity exactly (the mapped integrand is
 analytic in s for analytic potentials), after which fixed-order
 Gauss-Legendre converges spectrally.  Every integral is evaluated at N and
 2N nodes; if the two disagree the interval is bisected once and re-done.
+The well integrals A and A' are singular at both ends, so the rule is
+already split at the midpoint and the bisected pass re-does exactly the
+same two 2N-node halves: the 2N result is the value either way, and
+:func:`action_and_derivative` computes it directly, for both integrands
+from one turning-point search and one evaluation of v1.
 
 Notation, for energy E in the window and scaled Planck parameter h:
 
@@ -33,14 +38,12 @@ from .potentials import DEFAULT_X_RANGE, PotentialSystem
 from .turning_points import barrier_points, find_well_endpoints
 
 __all__ = [
-    "ActionData",
     "PhaseIntegrals",
     "integrate_endpoint_singular",
     "action",
-    "action_derivative",
+    "action_and_derivative",
     "agmon_distance",
     "phase_integrals",
-    "action_data",
 ]
 
 GL_NODES = 80
@@ -60,18 +63,20 @@ def _gl_plain(f, lo, hi, n):
     return half * float(np.sum(weights * f(ts)))
 
 
-def _gl_mapped(f, lo, hi, n, singular_end):
-    """Gauss-Legendre after t = end -+ s^2; integrand f gets mapped t values
-    and the extra jacobian 2s is applied here."""
-    length = hi - lo
-    smax = np.sqrt(length)
+def _mapped_rule(lo, hi, n, singular_end):
+    """Nodes t = end -+ s^2 of the mapped rule, with its weights and s."""
+    smax = np.sqrt(hi - lo)
     nodes, weights = _gl_rule(n)
     ss = 0.5 * smax * (nodes + 1.0)
     ws = 0.5 * smax * weights
-    if singular_end == "lo":
-        ts = lo + ss * ss
-    else:
-        ts = hi - ss * ss
+    ts = lo + ss * ss if singular_end == "lo" else hi - ss * ss
+    return ts, ws, ss
+
+
+def _gl_mapped(f, lo, hi, n, singular_end):
+    """Gauss-Legendre after t = end -+ s^2; integrand f gets mapped t values
+    and the extra jacobian 2s is applied here."""
+    ts, ws, ss = _mapped_rule(lo, hi, n, singular_end)
     return float(np.sum(ws * f(ts) * 2.0 * ss))
 
 
@@ -113,26 +118,33 @@ def _sqrt_clip(vals):
     return np.sqrt(np.maximum(vals, 0.0))
 
 
+def action_and_derivative(sys: PotentialSystem, E: float,
+                          x_range: tuple = DEFAULT_X_RANGE) -> tuple[float, float]:
+    """The well action and its energy derivative, (A(E), A'(E)).
+
+    A = integral a..b of sqrt(E - v1(t)) dt and A' = 1/2 * integral a..b
+    of dt / sqrt(E - v1(t)); the boundary terms of differentiating under
+    the integral vanish because the integrand of A is zero at the turning
+    points.  Both integrands are built from one search for a, b and one
+    evaluation of v1 at the 2N-node rule of the two halves of [a, b].
+    """
+    a, b = find_well_endpoints(sys, E, x_range)
+    mid = 0.5 * (a + b)
+    halves = (_mapped_rule(a, mid, 2 * GL_NODES, "lo"),
+              _mapped_rule(mid, b, 2 * GL_NODES, "hi"))
+    ts = np.concatenate([rule[0] for rule in halves])
+    gaps = np.split(E - np.real(sys.v1(ts)), 2)
+    a_val = a_prime = 0.0
+    for (_, ws, ss), gap in zip(halves, gaps):
+        a_val += float(np.sum(ws * _sqrt_clip(gap) * 2.0 * ss))
+        a_prime += float(np.sum(ws * (0.5 / np.sqrt(np.maximum(gap, 1e-300))) * 2.0 * ss))
+    return a_val, a_prime
+
+
 def action(sys: PotentialSystem, E: float,
            x_range: tuple = DEFAULT_X_RANGE) -> float:
     """Well action A(E) = integral a..b of sqrt(E - v1(t)) dt."""
-    a, b = find_well_endpoints(sys, E, x_range)
-    v1 = sys.v1
-    f = lambda ts: _sqrt_clip(E - np.real(v1(ts)))
-    return integrate_endpoint_singular(f, a, b, sing_lo=True, sing_hi=True)
-
-
-def action_derivative(sys: PotentialSystem, E: float,
-                      x_range: tuple = DEFAULT_X_RANGE) -> float:
-    """dA/dE = 1/2 * integral a..b of dt / sqrt(E - v1(t)).
-
-    The boundary terms of differentiating under the integral vanish because
-    the integrand of A is zero at the turning points.
-    """
-    a, b = find_well_endpoints(sys, E, x_range)
-    v1 = sys.v1
-    f = lambda ts: 0.5 / np.sqrt(np.maximum(E - np.real(v1(ts)), 1e-300))
-    return integrate_endpoint_singular(f, a, b, sing_lo=True, sing_hi=True)
+    return action_and_derivative(sys, E, x_range)[0]
 
 
 def _check_positive(g, lo, hi, label):
@@ -193,43 +205,3 @@ def phase_integrals(sys: PotentialSystem, E: float, h: float,
     i_b1 = integrate_endpoint_singular(lambda ts: _sqrt_clip(g1(ts)), 0.0, c)
     i_b2 = integrate_endpoint_singular(lambda ts: _sqrt_clip(g2(ts)), b, 0.0)
     return PhaseIntegrals(a1=i_a1 / h, a2=i_a2 / h, b1=i_b1 / h, b2=i_b2 / h)
-
-
-@dataclass(frozen=True)
-class ActionData:
-    """Action bundle at one (E, h): see module docstring for definitions.
-
-    ``S1``/``S2`` are the full-barrier distances of each channel from b to
-    c, i.e. S1 = h*(A1 + B1) and S2 = h*(A2 + B2) by construction.
-    """
-
-    A: float
-    A_prime: float
-    S: float
-    S1: float
-    S2: float
-    A1: float
-    A2: float
-    B1: float
-    B2: float
-    energy: float
-    h: float
-
-
-def action_data(sys: PotentialSystem, E: float, h: float,
-                x_range: tuple = DEFAULT_X_RANGE) -> ActionData:
-    """Evaluate all action quantities at one energy with one quadrature pass."""
-    ph = phase_integrals(sys, E, h, x_range)
-    return ActionData(
-        A=action(sys, E, x_range),
-        A_prime=action_derivative(sys, E, x_range),
-        S=h * ph.a1 + h * ph.a2,
-        S1=h * ph.a1 + h * ph.b1,
-        S2=h * ph.a2 + h * ph.b2,
-        A1=ph.a1,
-        A2=ph.a2,
-        B1=ph.b1,
-        B2=ph.b2,
-        energy=E,
-        h=h,
-    )

@@ -28,7 +28,6 @@ __all__ = [
     "EnergyWindow",
     "CrossingData",
     "ValidationReport",
-    "eval_potential",
     "crossing_data",
     "validate_assumptions",
 ]
@@ -95,11 +94,6 @@ class PotentialSystem:
         if which not in (1, 2):
             raise ValueError(f"channel index must be 1 or 2, got {which}")
         return self.dv1 if which == 1 else self.dv2
-
-
-def eval_potential(sys: PotentialSystem, which: int, x):
-    """Evaluate potential 1 or 2 at ``x`` (scalar or array, real or complex)."""
-    return sys.potential(which)(x)
 
 
 @dataclass(frozen=True)

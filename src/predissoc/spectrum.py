@@ -31,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import action, action_derivative, agmon_distance, phase_integrals
+from .actions import action, action_and_derivative, agmon_distance, phase_integrals
 from .errors import DegenerateEnergy, NewtonDivergence, PredissocError
 from .potentials import (
     DEFAULT_X_RANGE,
     GRID_POINTS,
+    CrossingData,
     EnergyWindow,
     PotentialSystem,
     _scan_grid,
@@ -78,29 +79,30 @@ def _well_energy_range(sys: PotentialSystem, x_range) -> tuple[float, float]:
     return lo, hi
 
 
-def _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range) -> float:
+def _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range) -> tuple[float, float]:
     """Invert the (strictly increasing) action: A(e) = target on [lo, hi].
 
     Bracketed Newton using A' as the exact derivative, with bisection
-    fallback whenever a step leaves the bracket.
+    fallback whenever a step leaves the bracket.  Returns (e, A'(e)); the
+    slope is the one of the final step, taken at the returned e.
     """
     blo, bhi = lo, hi
     e = lo + (hi - lo) * (target - a_lo) / (a_hi - a_lo)
     e = min(max(e, blo), bhi)
     for _ in range(80):
-        res = action(sys, e, x_range) - target
+        a_val, slope = action_and_derivative(sys, e, x_range)
+        res = a_val - target
         if abs(res) <= LEVEL_TOL * max(1.0, abs(target)):
-            return e
+            return e, slope
         if res > 0:
             bhi = min(bhi, e)
         else:
             blo = max(blo, e)
-        slope = action_derivative(sys, e, x_range)
         cand = e - res / slope
         if not (blo <= cand <= bhi):
             cand = 0.5 * (blo + bhi)
         if cand == e:
-            return e
+            return e, slope
         e = cand
     raise NewtonDivergence(
         f"level solve stalled at e={e!r} (target action {target!r})"
@@ -108,12 +110,14 @@ def _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range) -> float:
 
 
 def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
-                           x_range: tuple = DEFAULT_X_RANGE) -> list[tuple[int, float]]:
+                           x_range: tuple = DEFAULT_X_RANGE,
+                           _with_slope: bool = False) -> list[tuple]:
     """All (k, e_k) with A(e_k) = (k + 1/2) pi h and e_k in the window.
 
     The window is first clamped to energies at which the well exists (and
     stays below the barrier top when there is one); a window entirely
-    outside that range yields an empty list.
+    outside that range yields an empty list.  The private ``_with_slope``
+    makes each entry (k, e_k, A'(e_k)), the slope from the level solve.
     """
     range_lo, range_hi = _well_energy_range(sys, x_range)
     lo = max(window.lo, range_lo)
@@ -127,8 +131,8 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
     out = []
     for k in range(max(k_min, 0), k_max + 1):
         target = (k + 0.5) * math.pi * h
-        e_k = _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range)
-        out.append((k, e_k))
+        e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range)
+        out.append((k, e_k, a_prime) if _with_slope else (k, e_k))
     return out
 
 
@@ -154,8 +158,8 @@ def width_from_parts(h: float, a_prime: float, s_agmon: float, v1_minus_e: float
     return width, parts
 
 
-def _crossing_factors(sys: PotentialSystem, E: float):
-    cd = crossing_data(sys)
+def _crossing_factors(sys: PotentialSystem, E: float, cd=None):
+    cd = crossing_data(sys) if cd is None else cd
     v1me = cd.v1_at_0 - E
     if v1me <= ENERGY_MARGIN:
         raise DegenerateEnergy(
@@ -169,11 +173,19 @@ def _crossing_factors(sys: PotentialSystem, E: float):
 
 
 def width_leading(sys: PotentialSystem, h: float, e_k: float,
-                  x_range: tuple = DEFAULT_X_RANGE):
-    """Leading-order width (Im E_k) at the level e_k; returns (width, parts)."""
-    cd, v1me = _crossing_factors(sys, e_k)
-    a_prime = action_derivative(sys, e_k, x_range)
-    s_agmon = agmon_distance(sys, e_k, x_range)
+                  x_range: tuple = DEFAULT_X_RANGE, a_prime: float | None = None,
+                  s_agmon: float | None = None, crossing: CrossingData | None = None):
+    """Leading-order width (Im E_k) at the level e_k; returns (width, parts).
+
+    ``a_prime`` = A'(e_k), ``s_agmon`` = S(e_k) and ``crossing`` =
+    ``crossing_data(sys)`` are computed here unless the caller passes the
+    values it already has.
+    """
+    cd, v1me = _crossing_factors(sys, e_k, crossing)
+    if a_prime is None:
+        a_prime = action_and_derivative(sys, e_k, x_range)[1]
+    if s_agmon is None:
+        s_agmon = agmon_distance(sys, e_k, x_range)
     return width_from_parts(h, a_prime, s_agmon, v1me, cd.slope_gap,
                             cd.r0_at_0, cd.r1_at_0)
 
@@ -197,16 +209,19 @@ def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow,
     Returns ``(estimates, skipped)``; levels whose width computation raises
     a :class:`PredissocError` are reported in ``skipped`` as
     (k, e_k, reason) instead of aborting the whole window.  Any other
-    exception is a fault and propagates.
+    exception is a fault and propagates.  A'(e_k) comes from the level
+    solve, and one S(e_k) serves the width and ``s_at_ek``.
     """
     estimates = []
     skipped = []
-    for k, e_k in bohr_sommerfeld_levels(sys, h, window, x_range):
+    cd = crossing_data(sys)
+    for k, e_k, a_prime in bohr_sommerfeld_levels(sys, h, window, x_range,
+                                                  _with_slope=True):
         try:
-            width, parts = width_leading(sys, h, e_k, x_range)
+            s_agmon = agmon_distance(sys, e_k, x_range)
+            width, parts = width_leading(sys, h, e_k, x_range, a_prime, s_agmon, cd)
             estimates.append(ResonanceEstimate(
-                k=k, e_k=e_k, width=width,
-                s_at_ek=agmon_distance(sys, e_k, x_range),
+                k=k, e_k=e_k, width=width, s_at_ek=s_agmon,
                 prefactor_parts=parts, h=h,
             ))
         except PredissocError as exc:
@@ -261,15 +276,15 @@ class QuantizationResidual:
 def _f_leading(sys, e0, h, x_range):
     """Energy-independent part of F at the real anchor e0, the scalar efac * X.
 
-    efac = exp(-2 A1 - 2 A2) and X is the crossing prefactor; the full
+    efac = exp(-2 A1 - 2 A2) = exp(-2 S(e0) / h), from the Agmon distance
+    the width formula uses, and X is the crossing prefactor; the full
     leading term is F = (i pi / 4) * s * cos(delta) * efac * X, where the
     caller supplies s = (-1)^k, the sine sign at the nearest level.
     """
     cd, v1me = _crossing_factors(sys, e0)
-    ph = phase_integrals(sys, e0, h, x_range)
     coupling = cd.r0_at_0 + cd.r1_at_0 * math.sqrt(v1me)
     x_factor = v1me ** -0.5 / cd.slope_gap * coupling ** 2
-    efac = math.exp(-2.0 * ph.a1 - 2.0 * ph.a2)
+    efac = math.exp(-2.0 * agmon_distance(sys, e0, x_range) / h)
     return efac * x_factor
 
 
@@ -298,8 +313,7 @@ def quantization_residual(sys: PotentialSystem, E: complex, h: float,
     """
     E = complex(E)
     e0 = E.real
-    a0 = action(sys, e0, x_range)
-    a_prime = action_derivative(sys, e0, x_range)
+    a0, a_prime = action_and_derivative(sys, e0, x_range)
     k = int(round(a0 / (math.pi * h) - 0.5))
     s = 1.0 if k % 2 == 0 else -1.0
     delta = (a0 - (k + 0.5) * math.pi * h) / h + 1j * a_prime * E.imag / h
@@ -355,9 +369,7 @@ def solve_quantization(sys: PotentialSystem, h: float, k: int,
         raise NewtonDivergence(
             f"level k={k} has no Bohr-Sommerfeld solution in ({lo!r}, {hi!r})"
         )
-    e_k = _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range)
-
-    a_prime = action_derivative(sys, e_k, x_range)
+    e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range)
     s = 1.0 if k % 2 == 0 else -1.0
     hf_scale = h * (math.pi / 4.0) * _f_leading(sys, e_k, h, x_range)
 

@@ -1,25 +1,15 @@
-"""Real turning points at a given energy, and their complex continuation.
+"""Real turning points at a given energy.
 
 At a real energy E inside the window, channel 1 has a classically allowed
 well [a, b] and both channels have barrier endpoints adjacent to the
-crossing: b < 0 < c with v1 > E on (b, 0) and v2 > E on (0, c).  For
-complex E the real roots continue analytically; ``continue_complex``
-follows them by a damped Newton iteration seeded at the real root.
+crossing: b < 0 < c with v1 > E on (b, 0) and v2 > E on (0, c).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    DegenerateEnergy,
-    NewtonDivergence,
-    NoExit,
-    NoWell,
-)
+from .errors import BracketFailure, DegenerateEnergy, NoExit, NoWell
 from .potentials import (
     DEFAULT_X_RANGE,
     GRID_POINTS,
@@ -30,28 +20,15 @@ from .potentials import (
 )
 
 __all__ = [
-    "TurningPoints",
     "find_well_endpoints",
     "find_exit_point",
     "barrier_points",
-    "continue_complex",
-    "turning_points",
 ]
 
 RESIDUAL_TOL = 1e-11
 #: energies closer than this to the well bottom or the crossing value are
 #: rejected; the asymptotics degenerate there
 ENERGY_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class TurningPoints:
-    """Well endpoints a, b and exit point c at a (possibly complex) energy."""
-
-    a: complex
-    b: complex
-    c: complex
-    energy: complex
 
 
 def find_well_endpoints(sys: PotentialSystem, E: float,
@@ -131,62 +108,3 @@ def barrier_points(sys: PotentialSystem, E: float,
         raise BracketFailure(f"v1 does not rise through E at b={b!r}")
     c = find_exit_point(sys, E, x_range, n_grid)
     return b, c
-
-
-def continue_complex(sys: PotentialSystem, which: int, E: complex, seed: float) -> complex:
-    """Continue a real turning point to complex energy by damped Newton.
-
-    Solves v(z) = E for the root of channel ``which`` near ``seed`` (the
-    real root at Re E).  Steps are halved while they increase the residual;
-    at most 50 iterations.  The result must stay within
-    ``10 |Im E| / |v'(seed)|`` of the seed, otherwise the iteration is
-    deemed to have wandered to a different root and NewtonDivergence is
-    raised.
-    """
-    v = sys.potential(which)
-    dv = sys.potential_derivative(which)
-    z = complex(seed)
-    res = v(z) - E
-    for _ in range(50):
-        if abs(res) <= RESIDUAL_TOL:
-            break
-        d = dv(z)
-        if d == 0:
-            raise NewtonDivergence(f"zero derivative at {z!r}")
-        step = -res / d
-        for _ in range(60):
-            cand = z + step
-            cand_res = v(cand) - E
-            if abs(cand_res) < abs(res):
-                break
-            step *= 0.5
-        else:
-            raise NewtonDivergence(f"damping stalled at {z!r}, residual {abs(res)!r}")
-        z, res = cand, cand_res
-    else:
-        raise NewtonDivergence(f"no convergence after 50 iterations, residual {abs(res)!r}")
-    dseed = abs(complex(dv(seed)))
-    if dseed > 0:
-        allowed = 10.0 * abs(E.imag) / dseed + 1e-8
-        if abs(z - complex(seed)) > allowed:
-            raise NewtonDivergence(
-                f"root {z!r} left the basin of seed {seed!r} (allowed {allowed!r})"
-            )
-    return complex(z)
-
-
-def turning_points(sys: PotentialSystem, E: complex,
-                   x_range: tuple = DEFAULT_X_RANGE) -> TurningPoints:
-    """All three turning points at ``E``; complex energies are continued
-    from the real roots at Re E."""
-    e_re = float(np.real(E))
-    a, b = find_well_endpoints(sys, e_re, x_range)
-    c = find_exit_point(sys, e_re, x_range)
-    if complex(E).imag == 0.0:
-        return TurningPoints(a=a, b=b, c=c, energy=complex(E))
-    return TurningPoints(
-        a=continue_complex(sys, 1, E, a),
-        b=continue_complex(sys, 1, E, b),
-        c=continue_complex(sys, 2, E, c),
-        energy=complex(E),
-    )

@@ -16,8 +16,7 @@ from predissoc import (
     EnergyWindow,
     PotentialSystem,
     action,
-    action_data,
-    action_derivative,
+    action_and_derivative,
     agmon_distance,
     bohr_sommerfeld_levels,
     compute_resonances,
@@ -211,8 +210,8 @@ def test_criterion_8_identity_suite(coupled):
     quadratic coupling scaling, and derivative-vs-difference checks."""
     # (a) the barrier phase integrals assemble the Agmon distance: h(A1+A2)=S
     for energy, h in ((1.0, 0.14), (0.9, 0.1)):
-        ad = action_data(coupled, energy, h)
-        assert abs(ad.h * (ad.A1 + ad.A2) - ad.S) <= 1e-10
+        ph = phase_integrals(coupled, energy, h)
+        assert abs(h * (ph.a1 + ph.a2) - agmon_distance(coupled, energy)) <= 1e-10
 
     # (b) |t23 t32| equals its closed-form factorization
     energy, h = 1.0, 0.2
@@ -237,7 +236,7 @@ def test_criterion_8_identity_suite(coupled):
     # (d) analytic derivatives agree with central differences to 1e-6
     d = 5e-4
     fd_a = (action(coupled, 1.0 + d) - action(coupled, 1.0 - d)) / (2 * d)
-    assert action_derivative(coupled, 1.0) == pytest.approx(fd_a, rel=1e-6)
+    assert action_and_derivative(coupled, 1.0)[1] == pytest.approx(fd_a, rel=1e-6)
 
     e0, dq = 1.19, 1e-6
     res = quantization_residual(coupled, e0, 0.14)

@@ -4,19 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predissoc import (
     PotentialSystem,
     action,
-    action_data,
-    action_derivative,
+    action_and_derivative,
     agmon_distance,
+    find_well_endpoints,
     integrate_endpoint_singular,
     phase_integrals,
 )
 from predissoc.errors import BarrierViolation, NoWell
+from predissoc.potentials import DEFAULT_X_RANGE
+from predissoc.spectrum import _well_energy_range
+from predissoc.turning_points import RESIDUAL_TOL
 
-from conftest import V2_TAIL
+from conftest import V1_SHALLOW, V1_WELL, V2_SHALLOW, V2_TAIL
+
+INSTANCES = {
+    "reference": PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1", r1="0"),
+    "shallow": PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW, r0="1", r1="0"),
+}
 
 
 def test_quadrature_quarter_circle():
@@ -40,7 +50,7 @@ def test_harmonic_action_exact(harmonic):
     for energy in (0.5, 1.0, 2.0):
         assert action(harmonic, energy) == pytest.approx(
             math.pi * energy / 2.0, abs=1e-12)
-    assert action_derivative(harmonic, 1.3) == pytest.approx(math.pi / 2.0, abs=1e-10)
+    assert action_and_derivative(harmonic, 1.3)[1] == pytest.approx(math.pi / 2.0, abs=1e-10)
 
 
 def test_reference_action_value(coupled):
@@ -53,7 +63,48 @@ def test_action_derivative_matches_finite_differences(coupled):
     d = 5e-4
     for energy in np.linspace(0.85, 1.15, 5):
         fd = (action(coupled, energy + d) - action(coupled, energy - d)) / (2.0 * d)
-        assert action_derivative(coupled, energy) == pytest.approx(fd, rel=1e-6)
+        assert action_and_derivative(coupled, energy)[1] == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_one_pass_equals_separate_quadratures(name):
+    """The shared pass gives exactly the values of integrating each integrand
+    on its own with the general rule, refine decision included."""
+    sys_ = INSTANCES[name]
+    lo, hi = _well_energy_range(sys_, DEFAULT_X_RANGE)
+    for energy in np.linspace(lo, hi, 9)[1:-1]:
+        a, b = find_well_endpoints(sys_, energy)
+        gap = lambda ts: energy - np.real(sys_.v1(ts))
+        a_sep = integrate_endpoint_singular(
+            lambda ts: np.sqrt(np.maximum(gap(ts), 0.0)), a, b, sing_lo=True, sing_hi=True)
+        a_prime_sep = integrate_endpoint_singular(
+            lambda ts: 0.5 / np.sqrt(np.maximum(gap(ts), 1e-300)), a, b,
+            sing_lo=True, sing_hi=True)
+        assert action_and_derivative(sys_, energy) == (a_sep, a_prime_sep)
+
+
+FD_STEP = 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+@settings(max_examples=100, deadline=None)
+@given(u=st.floats(0.0, 1.0), gap=st.floats(1e-9, 1.0))
+def test_well_pass_properties(name, u, gap):
+    """At energies inside the well range: A increases strictly, A' > 0 and
+    matches a central difference of A, and v1 = E at the well endpoints."""
+    sys_ = INSTANCES[name]
+    lo, hi = _well_energy_range(sys_, DEFAULT_X_RANGE)
+    lo, hi = lo + FD_STEP, hi - FD_STEP
+    e1 = lo + u * (hi - lo)
+    e2 = lo + min(u + gap, 1.0) * (hi - lo)
+    a1, a_prime = action_and_derivative(sys_, e1)
+    assert a_prime > 0
+    if e2 > e1:
+        assert action(sys_, e2) > a1
+    fd = (action(sys_, e1 + FD_STEP) - action(sys_, e1 - FD_STEP)) / (2.0 * FD_STEP)
+    assert a_prime == pytest.approx(fd, rel=1e-6)
+    for root in find_well_endpoints(sys_, e1):
+        assert abs(float(np.real(sys_.v1(root))) - e1) <= RESIDUAL_TOL
 
 
 def test_agmon_closed_form():
@@ -91,17 +142,6 @@ def test_agmon_equals_scaled_barrier_integrals(coupled):
         assert h * ph.a1 + h * ph.a2 == pytest.approx(s, rel=1e-14)
 
 
-def test_action_data_bundle(coupled):
-    data = action_data(coupled, 1.0, 0.2)
-    assert data.A == action(coupled, 1.0)
-    assert data.A_prime == action_derivative(coupled, 1.0)
-    assert data.S == pytest.approx(agmon_distance(coupled, 1.0), rel=1e-14)
-    # channel distances recombine the same phase integrals
-    assert data.S1 == 0.2 * data.A1 + 0.2 * data.B1
-    assert data.S2 == 0.2 * data.A2 + 0.2 * data.B2
-    assert data.energy == 1.0 and data.h == 0.2
-
-
 def test_monotonicity_over_window(coupled):
     """A grows and S shrinks with E across the window."""
     energies = np.linspace(0.85, 1.15, 10)
@@ -112,9 +152,10 @@ def test_monotonicity_over_window(coupled):
 
 
 def test_positive_quantities(coupled):
-    data = action_data(coupled, 1.0, 0.1)
-    assert data.A > 0 and data.A_prime > 0 and data.S > 0
-    assert data.A1 > 0 and data.A2 > 0 and data.B1 > 0 and data.B2 > 0
+    a_val, a_prime = action_and_derivative(coupled, 1.0)
+    ph = phase_integrals(coupled, 1.0, 0.1)
+    assert a_val > 0 and a_prime > 0 and agmon_distance(coupled, 1.0) > 0
+    assert ph.a1 > 0 and ph.a2 > 0 and ph.b1 > 0 and ph.b2 > 0
 
 
 def test_barrier_violation_detected():

@@ -11,7 +11,6 @@ from predissoc import (
     EnergyWindow,
     PotentialSystem,
     crossing_data,
-    eval_potential,
     validate_assumptions,
 )
 from predissoc.errors import CrossingMismatch
@@ -38,14 +37,6 @@ def test_crossing_data_values(coupled):
     assert cd.slope_gap == pytest.approx(8.0 * math.exp(-4.0) + 1.2, rel=1e-14)
     assert cd.r0_at_0 == 1.0
     assert cd.r1_at_0 == 0.0
-
-
-def test_eval_potential_dispatch(coupled):
-    xs = np.linspace(-3.0, 3.0, 13)
-    assert np.array_equal(eval_potential(coupled, 1, xs), coupled.v1(xs))
-    assert np.array_equal(eval_potential(coupled, 2, xs), coupled.v2(xs))
-    with pytest.raises(ValueError):
-        eval_potential(coupled, 3, 0.0)
 
 
 def test_energy_window_geometry():
@@ -113,6 +104,11 @@ def test_validation_report_serializes(coupled, window):
 
 
 def test_channel_index_guard(coupled):
+    xs = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(coupled.potential(1)(xs), coupled.v1(xs))
+    assert np.array_equal(coupled.potential(2)(xs), coupled.v2(xs))
+    with pytest.raises(ValueError):
+        coupled.potential(3)
     with pytest.raises(ValueError):
         coupled.potential(0)
     with pytest.raises(ValueError):

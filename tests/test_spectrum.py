@@ -1,6 +1,8 @@
 """Bohr-Sommerfeld levels, leading-order widths and the quantization condition."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from predissoc import (
     EnergyWindow,
     PotentialSystem,
     action,
-    action_derivative,
+    action_and_derivative,
     agmon_distance,
     bohr_sommerfeld_levels,
     crossing_data,
@@ -20,10 +22,14 @@ from predissoc import (
     width_from_parts,
     width_leading,
 )
-from predissoc import spectrum
+from predissoc import actions, spectrum
 from predissoc.errors import DegenerateEnergy, EmptyInterval, NewtonDivergence
 
 from conftest import V1_WELL, V2_TAIL
+
+#: resonance_estimates on both instances at h = 0.02 ... 0.14, recorded at
+#: commit d11eb98, before the level solve handed A' on to the widths
+PINNED = json.loads((Path(__file__).parent / "data" / "estimates_d11eb98.json").read_text())
 
 
 def test_harmonic_levels_exact(harmonic):
@@ -119,6 +125,47 @@ def test_estimates_compose_width_leading(coupled, window):
     assert empty == [] and none_skipped == []
 
 
+@pytest.mark.parametrize("name, fixture", [("reference", "coupled"), ("shallow", "shallow")])
+def test_estimates_match_pinned_values(name, fixture, request):
+    sys_ = request.getfixturevalue(fixture)
+    pinned = PINNED["instances"][name]
+    window = EnergyWindow(*pinned["window"])
+    got = []
+    for h in sorted({row[0] for row in pinned["levels"]}):
+        estimates, skipped = resonance_estimates(sys_, h, window)
+        assert skipped == []
+        got += [[h, est.k, est.e_k, est.width, est.s_at_ek] for est in estimates]
+    assert [row[:2] for row in got] == [row[:2] for row in pinned["levels"]]
+    for (h, k, e_k, width, s_at_ek), want in zip(got, pinned["levels"]):
+        assert e_k == pytest.approx(want[2], rel=0, abs=1e-12), (h, k)
+        assert width == pytest.approx(want[3], rel=1e-10, abs=0), (h, k)
+        assert s_at_ek == pytest.approx(want[4], rel=1e-10, abs=0), (h, k)
+
+
+def test_estimates_make_one_semiclassical_pass_per_level(coupled, monkeypatch):
+    """Per level: the Newton steps of the level solve search the turning
+    points once each, and one Agmon distance serves width and s_at_ek."""
+    counts = {"find_well_endpoints": 0, "agmon_distance": 0, "width_leading": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(actions, "find_well_endpoints")
+    counting(spectrum, "agmon_distance")
+    counting(spectrum, "width_leading")
+    estimates, skipped = resonance_estimates(coupled, 0.14, EnergyWindow(1.2, 0.4))
+    levels = len(estimates)
+    assert skipped == [] and levels == 3
+    assert counts["find_well_endpoints"] <= 5 * levels
+    assert counts["agmon_distance"] == levels
+    assert counts["width_leading"] == levels
+
+
 def test_estimates_skip_package_errors_only(coupled, window, monkeypatch):
     """A level whose width raises a package error (here the quadrature's
     empty interval) is skipped; any other exception is a fault and
@@ -179,7 +226,7 @@ def test_quantization_residual_at_level(coupled):
     assert abs(res.value.real) <= 1e-11
     assert res.dvalue_dE.imag == 0.0
     assert res.dvalue_dE.real == pytest.approx(
-        action_derivative(coupled, e_k) / h, rel=1e-9)
+        action_and_derivative(coupled, e_k)[1] / h, rel=1e-9)
 
 
 def test_quantization_residual_derivative_consistency(coupled):

@@ -1,4 +1,4 @@
-"""Real turning points of the well and exit channel, and complex continuation."""
+"""Real turning points of the well and exit channel."""
 
 import math
 
@@ -7,14 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from predissoc import (
-    PotentialSystem,
-    barrier_points,
-    continue_complex,
-    find_exit_point,
-    find_well_endpoints,
-    turning_points,
-)
+from predissoc import PotentialSystem, barrier_points, find_exit_point, find_well_endpoints
 from predissoc.errors import (
     BracketFailure,
     DegenerateEnergy,
@@ -86,39 +79,10 @@ def test_barrier_points_on_barrier_only_model():
 
 
 def test_real_energy_returns_real_points(coupled):
-    tp = turning_points(coupled, 1.0)
-    assert tp.a.imag == 0.0 and tp.b.imag == 0.0 and tp.c.imag == 0.0
-    assert tp.a.real < tp.b.real < 0.0 < tp.c.real
-    assert tp.energy == 1.0 + 0.0j
-
-
-def test_complex_continuation_tracks_roots(coupled):
-    E = 1.0 - 1e-3j
-    tp = turning_points(coupled, E)
-    for z, which in ((tp.a, 1), (tp.b, 1), (tp.c, 2)):
-        assert abs(coupled.potential(which)(z) - E) <= 1e-11
-    # the continued points respond linearly: dz = Im E / v'(z0) at first order
-    a0, b0 = find_well_endpoints(coupled, 1.0)
-    c0 = find_exit_point(coupled, 1.0)
-    for z, z0, which in ((tp.a, a0, 1), (tp.b, b0, 1), (tp.c, c0, 2)):
-        predicted = z0 + complex(E.imag) * 1j / coupled.potential_derivative(which)(z0)
-        assert z == pytest.approx(predicted, abs=5e-6)
-
-
-def test_complex_continuation_conjugate_symmetry(coupled):
-    """Real-analytic potentials continue conjugate energies to conjugate roots."""
-    up = turning_points(coupled, 1.0 + 2e-3j)
-    dn = turning_points(coupled, 1.0 - 2e-3j)
-    assert dn.a == pytest.approx(up.a.conjugate(), abs=1e-10)
-    assert dn.b == pytest.approx(up.b.conjugate(), abs=1e-10)
-    assert dn.c == pytest.approx(up.c.conjugate(), abs=1e-10)
-
-
-def test_continue_complex_residual(coupled):
-    c0 = find_exit_point(coupled, 1.0)
-    z = continue_complex(coupled, 2, 1.0 - 5e-4j, c0)
-    assert abs(coupled.v2(z) - (1.0 - 5e-4j)) <= 1e-11
-    assert z.imag != 0.0
+    a, b = find_well_endpoints(coupled, 1.0)
+    c = find_exit_point(coupled, 1.0)
+    assert all(type(t) is float for t in (a, b, c))
+    assert a < b < 0.0 < c
 
 
 def _scan_brackets_loop(vals, xs):

@@ -103,12 +103,15 @@ def test_validation_report_serializes(coupled, window):
     assert round_trip["clauses"] == {k: bool(v) for k, v in report.clauses.items()}
 
 
-def test_channel_index_guard(coupled):
+def test_eval_potential_dispatch(coupled):
     xs = np.linspace(-3.0, 3.0, 13)
     assert np.array_equal(coupled.potential(1)(xs), coupled.v1(xs))
     assert np.array_equal(coupled.potential(2)(xs), coupled.v2(xs))
     with pytest.raises(ValueError):
         coupled.potential(3)
+
+
+def test_channel_index_guard(coupled):
     with pytest.raises(ValueError):
         coupled.potential(0)
     with pytest.raises(ValueError):

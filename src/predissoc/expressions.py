@@ -177,7 +177,9 @@ class Div(AnalyticExpr):
 
     def __call__(self, x):
         den = self.right(x)
-        if np.any(np.asarray(den) == 0):
+        # a nonzero literal denominator, as in ((x+4)/3)^2, needs no check
+        nonzero_literal = isinstance(self.right, Num) and self.right.value != 0
+        if not nonzero_literal and np.any(np.asarray(den) == 0):
             raise EvalDomainError(f"division by zero in {self._src()!r}")
         return self.left(x) / den
 

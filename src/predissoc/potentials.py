@@ -90,11 +90,6 @@ class PotentialSystem:
             raise ValueError(f"channel index must be 1 or 2, got {which}")
         return self.v1 if which == 1 else self.v2
 
-    def potential_derivative(self, which: int) -> AnalyticExpr:
-        if which not in (1, 2):
-            raise ValueError(f"channel index must be 1 or 2, got {which}")
-        return self.dv1 if which == 1 else self.dv2
-
 
 @dataclass(frozen=True)
 class EnergyWindow:

@@ -66,8 +66,15 @@ IM_ROUNDOFF_GUARD = 1e-9
 K_START = 24
 
 #: A solve given the disc count of a neighbouring disc (the previous h of a
-#: scan) asks for that count plus this many instead.
-K_HINT_PAD = 8
+#: scan) asks for that count plus this many instead.  With the NCV_FLOOR
+#: Krylov space, the seven scan_shallow discs take 717, 697 and 703
+#: operator solves in all at pads 4, 3 and 2 (795 at 8).
+K_HINT_PAD = 3
+
+#: The least Krylov dimension of any solve: the 2k + 1 of a cold solve's
+#: first k.  A hinted solve asks for fewer eigenvalues than K_START but
+#: keeps this much room, which saves more restarts than it costs.
+NCV_FLOOR = 2 * K_START + 1
 
 logger = logging.getLogger("predissoc.solver")
 
@@ -253,6 +260,13 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     are evaluated on the deformed contour z = x + i theta f(x); derivative
     matrices pick up 1/F' (first order) and 1/F'^2 together with the
     curvature term -F''/F'^3 (second order).
+
+    The dense (Chebyshev) matrix is written block by block into one zeroed
+    2n x 2n array, about 1.1 x its own size at peak: the kinetic block
+    once, with the F'' term only on the ramp rows where F'' is nonzero,
+    copied to the other channel; v1, v2 and h r0 on the diagonals; and the
+    r1 D1 coupling terms only when r1 is not identically zero.  Without r1
+    the matrix equals the block formula of the FD4 branch bit for bit.
     """
     x_inf = _resolve_x_inf(sys, cfg, window)
     d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
@@ -260,31 +274,60 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     fprime = 1.0 + 1j * cfg.theta * fp
     fsecond = 1j * cfg.theta * fpp
     z = nodes + 1j * cfg.theta * f
-
-    # every diagonal factor is applied as a broadcast row or column scaling,
-    # which serves dense and sparse derivative matrices alike
-    d1c = (1.0 / fprime)[:, None] * d1
-    d2c = (1.0 / fprime ** 2)[:, None] * d2 - (fsecond / fprime ** 3)[:, None] * d1
-
-    blocks = {name: _on_contour(name, expr, z, cfg, x_inf)
-              for name, expr in (("v1", sys.v1), ("v2", sys.v2),
-                                 ("r0", sys.r0), ("r1", sys.r1))}
-
-    if isinstance(d1, np.ndarray):
-        diag, matrix_of = np.diag, np.block
-    else:  # the sparse FD4 stencils; _derivative_matrices imported scipy.sparse
-        diag = scipy.sparse.diags_array
-        matrix_of = partial(scipy.sparse.block_array, format="csc")
-    r0d = diag(blocks["r0"])
-    r1 = blocks["r1"]
-    h11 = -h * h * d2c + diag(blocks["v1"])
-    h22 = -h * h * d2c + diag(blocks["v2"])
-    h12 = h * (r0d + (h * r1)[:, None] * d1c)
-    h21 = h * (r0d - h * d1c * r1[None, :])
-    matrix = matrix_of([[h11, h12], [h21, h22]])
+    v1, v2, r0, r1 = (_on_contour(name, expr, z, cfg, x_inf)
+                      for name, expr in (("v1", sys.v1), ("v2", sys.v2),
+                                         ("r0", sys.r0), ("r1", sys.r1)))
+    build = _dense_blocks if isinstance(d1, np.ndarray) else _sparse_blocks
+    matrix = build(d1, d2, fprime, fsecond, v1, v2, r0, r1, h)
     return HamiltonianMatrix(matrix=matrix, x_nodes=nodes, z_nodes=z,
                              contour_scale=fprime, x_start_scaling=x_inf,
                              config=cfg, h=h)
+
+
+def _sparse_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
+    """The FD4 matrix as a CSC array; _derivative_matrices imported scipy.sparse."""
+    d1c = (1.0 / fprime)[:, None] * d1
+    d2c = (1.0 / fprime ** 2)[:, None] * d2 - (fsecond / fprime ** 3)[:, None] * d1
+    diag = scipy.sparse.diags_array
+    r0d = diag(r0)
+    h11 = -h * h * d2c + diag(v1)
+    h22 = -h * h * d2c + diag(v2)
+    h12 = h * (r0d + (h * r1)[:, None] * d1c)
+    h21 = h * (r0d - h * d1c * r1[None, :])
+    return scipy.sparse.block_array([[h11, h12], [h21, h22]], format="csc")
+
+
+def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
+    """The Chebyshev matrix, built in place (see :func:`build_hamiltonian`)."""
+    n = fprime.size
+    matrix = np.zeros((2 * n, 2 * n), dtype=complex)
+    h11, h12 = matrix[:n, :n], matrix[:n, n:]
+    h21, h22 = matrix[n:, :n], matrix[n:, n:]
+    diagonal = np.diag_indices(n)
+
+    # -h^2 D2c, D2c = (1/F'^2) D2 - (F''/F'^3) D1
+    np.multiply((1.0 / fprime ** 2)[:, None], d2, out=h11)
+    ramp = np.flatnonzero(fsecond)
+    h11[ramp] -= (fsecond[ramp] / fprime[ramp] ** 3)[:, None] * d1[ramp]
+    h11 *= -h * h
+    h22[...] = h11
+    h11[diagonal] += v1
+    h22[diagonal] += v2
+
+    # h (r0 + h r1 D1c) above and h (r0 - h D1c r1) below, D1c = (1/F') D1
+    if not np.any(r1):
+        h12[diagonal] = h21[diagonal] = h * r0
+        return matrix
+    np.multiply((1.0 / fprime)[:, None], d1, out=h12)
+    np.multiply(h12, h, out=h21)
+    h12 *= (h * r1)[:, None]
+    h21 *= r1[None, :]
+    np.negative(h21, out=h21)
+    h12[diagonal] += r0
+    h21[diagonal] += r0
+    h12 *= h
+    h21 *= h
+    return matrix
 
 
 def _shift_invert(matrix, sigma: complex):
@@ -319,6 +362,12 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
     matrix is consumed by the factorisation.  A disc too full for ARPACK,
     whose k must stay below dim - 2, raises EigensolveFailure rather than
     return part of it.
+
+    Each solve keeps ncv = max(2k + 1, NCV_FLOOR) Arnoldi vectors, at most
+    dim: ARPACK's own 2k + 1 for a cold solve (k = K_START and its
+    doublings), and for a hinted solve with small k the same NCV_FLOOR = 49
+    vectors, whose wider Krylov space needs fewer restarts and so fewer
+    operator solves.
     """
     # imported on first use: the commands with no eigensolve (levels,
     # widths, validate) start faster without it
@@ -341,11 +390,13 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
     k_cap = dim - 3  # ARPACK needs k < dim - 1; k = dim - 2 and up is refused
     k = min(k_start, k_cap)
     while True:
+        ncv = min(max(2 * k + 1, NCV_FLOOR), dim)
         try:
             # in shift-invert mode ARPACK applies only OPinv; the operator
             # passed as A supplies shape and dtype
-            found = scipy.sparse.linalg.eigs(inverse, k=k, sigma=sigma, OPinv=inverse,
-                                             v0=v0, return_eigenvectors=vectors)
+            found = scipy.sparse.linalg.eigs(inverse, k=k, ncv=ncv, sigma=sigma,
+                                             OPinv=inverse, v0=v0,
+                                             return_eigenvectors=vectors)
         except scipy.sparse.linalg.ArpackError as exc:
             raise EigensolveFailure(f"shift-invert eigensolve failed: {exc}") from exc
         vals, vecs = found if vectors else (found, None)
@@ -359,9 +410,9 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
                 f"{k_cap} eigenvalues, the most ARPACK returns for a {dim} x {dim} matrix")
         k = min(2 * k, k_cap)
     dist = np.abs(vals - sigma)
-    logger.debug("eigensolve: dim=%d sigma=%.6g%+.6gj radius=%.3g k=%d in disc=%d "
+    logger.debug("eigensolve: dim=%d sigma=%.6g%+.6gj radius=%.3g k=%d ncv=%d in disc=%d "
                  "margin=%.3g operator solves=%d", dim, sigma.real, sigma.imag, radius,
-                 k, int(np.sum(dist <= radius)), dist.max() - radius, solves)
+                 k, ncv, int(np.sum(dist <= radius)), dist.max() - radius, solves)
     return vals, vecs
 
 

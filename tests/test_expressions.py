@@ -77,6 +77,22 @@ def test_division_by_zero_raises():
         parse_expression("1/(x - x)")(4.0)
     with pytest.raises(EvalDomainError):
         parse_expression("x^-1")(0.0)
+    with pytest.raises(EvalDomainError):
+        parse_expression("x/0")(np.array([1.0, 2.0]))
+    with pytest.raises(EvalDomainError):
+        parse_expression("1/(x + 1)")(np.array([0.0, -1.0]))
+
+
+def test_nonzero_literal_denominator_skips_zero_check(monkeypatch):
+    """Only a denominator that can vanish is tested for zeros."""
+    tested = []
+    any_ = np.any
+    monkeypatch.setattr(np, "any", lambda a: tested.append(a) or any_(a))
+    xs = np.linspace(-6.0, 2.0, 9)
+    assert np.array_equal(parse_expression("((x+4)/3)^2")(xs), ((xs + 4) / 3) ** 2)
+    assert tested == []
+    parse_expression("1/(x + 7)")(xs)
+    assert len(tested) == 1
 
 
 def test_array_and_complex_evaluation():

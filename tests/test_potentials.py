@@ -114,5 +114,3 @@ def test_eval_potential_dispatch(coupled):
 def test_channel_index_guard(coupled):
     with pytest.raises(ValueError):
         coupled.potential(0)
-    with pytest.raises(ValueError):
-        coupled.potential_derivative(3)

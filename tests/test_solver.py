@@ -1,7 +1,10 @@
 """Complex-scaled matrix solver: contour, discretizations, eigenvalue pipeline."""
 
 import dataclasses
+import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,12 +31,13 @@ from predissoc.solver import (
     _derivative_matrices,
     _disc_eigenvalues,
     _drifts,
+    _on_contour,
     _filter_window,
     _left_weights,
     _shift_invert,
 )
 
-from conftest import V1_WELL, V2_TAIL
+from conftest import V1_SHALLOW, V1_WELL, V2_SHALLOW, V2_TAIL
 
 
 def test_config_validation():
@@ -127,6 +131,66 @@ def test_cached_build_equals_cold_build(scheme, coupled, window):
         assert np.array_equal(warm.toarray(), cold.toarray())
 
 
+def _block_oracle(sys, ham):
+    """The Chebyshev matrix of ``ham`` assembled from whole blocks with
+    np.diag and np.block, each coupling term written out in full."""
+    cfg, h = ham.config, ham.h
+    d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
+    _, fp, fpp = _contour_parts(nodes, ham.x_start_scaling, cfg.smoothing_width)
+    fprime = 1.0 + 1j * cfg.theta * fp
+    fsecond = 1j * cfg.theta * fpp
+    d1c = (1.0 / fprime)[:, None] * d1
+    d2c = (1.0 / fprime ** 2)[:, None] * d2 - (fsecond / fprime ** 3)[:, None] * d1
+    v1, v2, r0, r1 = (_on_contour(name, expr, ham.z_nodes, cfg, ham.x_start_scaling)
+                      for name, expr in (("v1", sys.v1), ("v2", sys.v2),
+                                         ("r0", sys.r0), ("r1", sys.r1)))
+    h11 = -h * h * d2c + np.diag(v1)
+    h22 = -h * h * d2c + np.diag(v2)
+    h12 = h * (np.diag(r0) + (h * r1)[:, None] * d1c)
+    h21 = h * (np.diag(r0) - h * d1c * r1[None, :])
+    return np.block([[h11, h12], [h21, h22]])
+
+
+_INSTANCES = {
+    "reference": (V1_WELL, V2_TAIL, EnergyWindow(1.0, 0.2, 5.0),
+                  DiscretizationConfig(n=200)),
+    "shallow": (V1_SHALLOW, V2_SHALLOW, EnergyWindow(1.3, 0.2, 5.0),
+                DiscretizationConfig(n=200, theta=0.25, x_min=-11.0, x_max=14.0)),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(_INSTANCES))
+@pytest.mark.parametrize("r1", ["0", "x"])
+@pytest.mark.parametrize("h", [0.14, 0.2])
+def test_dense_build_equals_block_assembly(instance, r1, h):
+    """The in-place Chebyshev build is the block formula entry for entry:
+    bit for bit without r1, to roundoff with it."""
+    v1, v2, window, cfg = _INSTANCES[instance]
+    sys = PotentialSystem.from_strings(v1, v2, r0="1", r1=r1)
+    ham = build_hamiltonian(sys, cfg, h, window)
+    expected = _block_oracle(sys, ham)
+    if r1 == "0":
+        assert np.array_equal(ham.matrix, expected)
+    else:
+        assert np.count_nonzero(ham.matrix[:cfg.n, cfg.n:]) > cfg.n  # r1 D1 is there
+        np.testing.assert_allclose(ham.matrix, expected, rtol=1e-14, atol=0)
+
+
+def test_dense_build_allocates_little_beyond_the_matrix(coupled, window):
+    """One Chebyshev build allocates at most 1.25 x the matrix it returns
+    (a block-by-block np.block assembly takes about 2.8 x)."""
+    cfg = DiscretizationConfig(n=400)
+    build_hamiltonian(coupled, cfg, 0.14, window)  # fills the derivative cache
+    tracemalloc.start()
+    try:
+        matrix = build_hamiltonian(coupled, cfg, 0.14, window).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (800, 800)
+    assert peak <= 1.25 * matrix.nbytes
+
+
 def test_harmonic_block_eigenvalues():
     """The upper-left block alone is the well Hamiltonian -h^2 u'' + x^2 u."""
     sys = PotentialSystem.from_strings("x^2", "-x")
@@ -191,15 +255,18 @@ def _dense_box(sys, cfg, h, window):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize(
-    "case", ["reference", "wide_window", "decoupled_theta_zero", "empty_window"])
-def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window):
+    "case", ["reference", "wide_window", "decoupled_theta_zero", "empty_window",
+             "small_k_start"])
+def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, caplog):
     """The shift-invert disc solve finds exactly the box a dense solve finds.
 
     The wide window's box holds 29 eigenvalues, more than the solve asks
-    for at first, so k must grow.  The theta-drift tracker relies on the
-    same completeness: it sees only the disc about the box.
+    for at first, so k must grow.  So must a solve started at k = 2, as
+    a scan's hint might start it, with its Krylov space floored at 49
+    vectors.  The theta-drift tracker relies on the same completeness: it
+    sees only the disc about the box.
     """
-    if case == "reference":
+    if case in ("reference", "small_k_start"):
         sys, cfg = coupled, DiscretizationConfig(n=400, scheme=scheme)
     elif case == "wide_window":
         sys, cfg = coupled, DiscretizationConfig(n=200, scheme=scheme)
@@ -211,7 +278,17 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window):
         window = EnergyWindow(-1.0, 0.2, 5.0)
     h = 0.14
     expected = _dense_box(sys, cfg, h, window)
-    found = compute_resonances(sys, cfg, h, window)
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        if case == "small_k_start":
+            matrix = build_hamiltonian(sys, cfg, h, window).matrix
+            vals, _ = _disc_eigenvalues(matrix, *_box_disc(window, h), k_start=2)
+            found = _filter_window(vals, window, h)
+        else:
+            found = compute_resonances(sys, cfg, h, window)
+    k, ncv = map(int, re.search(r"k=(\d+) ncv=(\d+)", caplog.messages[-1]).groups())
+    assert ncv == max(2 * k + 1, 2 * solver.K_START + 1)
+    if case == "small_k_start":
+        assert k == 32  # 2, 4, 8 and 16 fell short of the disc's 17
     assert found.size == expected.size
     assert (found.size == 0) == (case == "empty_window")
     if found.size:

@@ -65,13 +65,14 @@ print("|t23 t32| =", abs(t.t23 * t.t32), " (carries e^{-2S/h} x coupling^2)")
 # ---------------------------------------------------------------------------
 # Refining a level through the quantization relation
 # ---------------------------------------------------------------------------
-# Newton on cos(A(E)/h) = h F(E) moves the real level into the lower half
-# plane; the imaginary part of the refined root is the width again.
+# The root of cos(A(E)/h) = h F(E) near the level is e_k - i artanh(hF) h/A'
+# in closed form: it lies in the lower half plane, and its imaginary part is
+# the width again, times artanh(hF)/hF = 1 + O((hF)^2).
 for k in (3, 4):
     res = solve_quantization(sys_, 0.1, k)
     wl, _ = width_leading(sys_, 0.1, res.level)
     print(f"\nk={k} at h=0.1: level {res.level:.12f}")
-    print(f"   refined offset  = {res.offset:.6e}  ({res.iterations} Newton step(s))")
+    print(f"   refined offset  = {res.offset:.6e}")
     print(f"   width formula   = {wl:.6e}")
     print(f"   relative gap    = {abs(res.offset.imag - wl) / abs(wl):.2e}"
           f"   (tolerance 2 sqrt(h) = {2 * math.sqrt(0.1):.3f})")

@@ -14,6 +14,8 @@ the dtype follows the input (real in, real out).
 
 from __future__ import annotations
 
+import operator
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,20 +94,30 @@ def _is_one(e):
     return isinstance(e, Num) and e.value == 1.0
 
 
+def _fold(cls, a, b, op):
+    """cls(a, b), or one Num when a and b are literals: op on their values is
+    what the node computes, bit for bit.  A node whose op raises is kept, to
+    fail where it did."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        with suppress(ArithmeticError):
+            return Num(op(a.value, b.value))
+    return cls(a, b)
+
+
 def _add(a, b):
     if _is_zero(a):
         return b
     if _is_zero(b):
         return a
-    return Add(a, b)
+    return _fold(Add, a, b, operator.add)
 
 
 def _sub(a, b):
     if _is_zero(b):
         return a
     if _is_zero(a):
-        return Neg(b)
-    return Sub(a, b)
+        return _neg(b)
+    return _fold(Sub, a, b, operator.sub)
 
 
 def _mul(a, b):
@@ -115,7 +127,20 @@ def _mul(a, b):
         return b
     if _is_one(b):
         return a
-    return Mul(a, b)
+    return _fold(Mul, a, b, operator.mul)
+
+
+def _neg(a):
+    if _is_zero(a):
+        return Num(0.0)
+    return Num(-a.value) if isinstance(a, Num) else Neg(a)
+
+
+def _square(a):
+    if isinstance(a, Num):
+        with suppress(ArithmeticError):
+            return Num(a.value ** 2)
+    return Pow(a, 2)
 
 
 @dataclass(frozen=True, repr=False)
@@ -189,7 +214,7 @@ class Div(AnalyticExpr):
             _mul(self.left.derivative(), self.right),
             _mul(self.left, self.right.derivative()),
         )
-        return Div(num, Pow(self.right, 2))
+        return _fold(Div, num, _square(self.right), operator.truediv)
 
     def _src(self):
         return f"{_render(self.left, 2)}/{_render(self.right, 3)}"
@@ -204,8 +229,7 @@ class Neg(AnalyticExpr):
         return -self.child(x)
 
     def derivative(self):
-        d = self.child.derivative()
-        return Num(0.0) if _is_zero(d) else Neg(d)
+        return _neg(self.child.derivative())
 
     def _src(self):
         return f"-{_render(self.child, 3)}"
@@ -417,17 +441,8 @@ class _Parser:
 
 
 def _contains_var(node: AnalyticExpr) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Neg):
-        return _contains_var(node.child)
-    if isinstance(node, Pow):
-        return _contains_var(node.base)
-    if isinstance(node, Call):
-        return _contains_var(node.arg)
-    return False
+    return isinstance(node, Var) or any(
+        _contains_var(v) for v in vars(node).values() if isinstance(v, AnalyticExpr))
 
 
 def parse_expression(text: str) -> AnalyticExpr:

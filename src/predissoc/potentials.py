@@ -15,12 +15,13 @@ configuration can be diagnosed in one pass.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CrossingMismatch
+from .errors import CrossingMismatch, EvalDomainError, PredissocError
 from .expressions import AnalyticExpr, differentiate, parse_expression
 
 __all__ = [
@@ -230,7 +231,8 @@ def _scan_grid(expr: AnalyticExpr, x_min: float, x_max: float, n_grid: int,
 
     ``part`` selects the ``n_grid``-point grid: "full" spans [x_min, x_max],
     "left" is [x_min, 0) and "right" (0, x_max].  Scans at different
-    energies subtract E from the same cached values.
+    energies subtract E from the same cached values.  A value that is not
+    finite raises EvalDomainError.
     """
     if part == "full":
         xs = np.linspace(x_min, x_max, n_grid)
@@ -239,7 +241,11 @@ def _scan_grid(expr: AnalyticExpr, x_min: float, x_max: float, n_grid: int,
     else:
         xs = np.linspace(0.0, x_max, n_grid)[1:]
     xs.flags.writeable = False
-    return xs, np.broadcast_to(np.real(expr(xs)), xs.shape)  # a read-only view
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.real(expr(xs))
+    if not np.all(np.isfinite(vals)):
+        raise EvalDomainError(f"{expr} is not finite on [{x_min!r}, {x_max!r}]")
+    return xs, np.broadcast_to(vals, xs.shape)  # a read-only view
 
 
 def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
@@ -248,13 +254,16 @@ def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
     """Check the geometric hypotheses at the reference energy E' = e_ref.
 
     Limits at +-infinity are proxied at the endpoints of ``x_range``;
-    the interval-ordering clauses are sampled on ``n_grid`` points.  A
-    failed root bracketing marks the dependent clauses False rather than
-    raising.
+    the interval-ordering clauses are sampled on ``n_grid`` points.  The
+    turning points come from :func:`find_well_endpoints` and
+    :func:`find_exit_point`; a search that raises marks the dependent
+    clauses False rather than raising.
     """
+    from .turning_points import find_exit_point, find_well_endpoints  # imports this module
+
     ep = window.e_ref
     x_lo, x_hi = x_range
-    xs, v1g = _scan_grid(sys.v1, x_lo, x_hi, n_grid)
+    _, v1g = _scan_grid(sys.v1, x_lo, x_hi, n_grid)
     _, v2g = _scan_grid(sys.v2, x_lo, x_hi, n_grid)
 
     clauses: dict = {}
@@ -279,19 +288,12 @@ def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
 
     # locate a0 < b0 < 0 (roots of v1 = E') and 0 < c0 (root of v2 = E')
     a0 = b0 = c0 = None
-    br1 = _scan_brackets(v1g - ep, xs)
-    if len(br1) == 2:
-        f1 = lambda t: float(np.real(sys.v1(t))) - ep
-        df1 = lambda t: float(np.real(sys.dv1(t)))
-        r0_, r1_ = (_refine_root(f1, df1, lo, hi, f1(lo)) for lo, hi in br1)
-        if r0_ < r1_ < 0:
-            a0, b0 = r0_, r1_
-    pos = xs > 0
-    br2 = _scan_brackets(v2g[pos] - ep, xs[pos])
-    if len(br2) == 1:
-        f2 = lambda t: float(np.real(sys.v2(t))) - ep
-        df2 = lambda t: float(np.real(sys.dv2(t)))
-        c0 = _refine_root(f2, df2, br2[0][0], br2[0][1], f2(br2[0][0]))
+    with suppress(PredissocError):
+        well = find_well_endpoints(sys, ep, x_range, n_grid)
+        if well[1] < 0:
+            a0, b0 = well
+    with suppress(PredissocError):
+        c0 = find_exit_point(sys, ep, x_range, n_grid)
     clauses["roots_located"] = a0 is not None and b0 is not None and c0 is not None
 
     def interval_clause(name, lo, hi, conds):

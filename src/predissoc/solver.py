@@ -90,13 +90,10 @@ class DiscretizationConfig:
     theta: float = 0.15
     x_start_scaling: float | None = None
     smoothing_width: float = 3.0
-    bc: str = "dirichlet"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.bc != "dirichlet":
-            raise ValueError(f"unsupported boundary condition {self.bc!r}")
         if not self.x_min < 0.0 < self.x_max:
             raise ValueError("interval must contain the crossing point x = 0")
         if self.n < 64:
@@ -141,8 +138,6 @@ def _contour_parts(x: np.ndarray, x_inf: float, width: float):
 
 def _cheb_matrix(n_total: int):
     """Spectral differentiation matrix on the n_total+1 Chebyshev points."""
-    if n_total == 0:
-        return np.zeros((1, 1)), np.ones(1)
     j = np.arange(n_total + 1)
     x = np.cos(np.pi * j / n_total)
     c = np.ones(n_total + 1)

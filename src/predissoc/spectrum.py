@@ -7,8 +7,8 @@ To leading order the imaginary part of the k-th resonance is
              * (v1(0) - e_k)^(-1/2) * (v1'(0) - v2'(0))^(-1)
              * (r0(0) + r1(0) sqrt(v1(0) - e_k))^2,
 
-negative: resonances sit below the real axis.  The same displacement is
-re-derived here by solving the quantization condition
+negative: resonances sit below the real axis.  The same displacement
+follows from the quantization condition
 
     cos(A(E)/h) = h F(E, h),
     F = -(pi / 4i) sin(A(E)/h) e^(-2 A1 - 2 A2) (v1(0)-E)^(-1/2)
@@ -17,10 +17,10 @@ re-derived here by solving the quantization condition
 with the unknown O(h^(1/2)) correction set to zero and cos(A(E)/h)
 linearized around the level: with delta = (A(Re E) - (k+1/2) pi h)/h
 + A' (E - Re E)/h one has cos(A(E)/h) = -(-1)^k sin(delta), which keeps
-full relative accuracy when both sides are exponentially small.  The
-refinement Newton therefore iterates on the complex offset from e_k
-rather than on E itself (a bare double at E ~ 1 cannot resolve residuals
-far below machine epsilon times A'/h).
+full relative accuracy when both sides are exponentially small.  With
+A' and F frozen at e_k the condition reads tan(delta) = -i hF, so its
+root is delta = -i artanh(hF) in closed form, and hF = -w A'/h for the
+leading width w: the refined width is w artanh(hF)/hF.
 """
 
 from __future__ import annotations
@@ -136,6 +136,15 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
     return out
 
 
+def _crossing_prefactor(v1_minus_e, slope_gap, r0_at_0, r1_at_0):
+    """(factors, coupling): the three factors whose product, left to right,
+    is the crossing prefactor X = (v1(0)-E)^(-1/2) (v1'(0)-v2'(0))^(-1)
+    coupling^2, and the coupling r0(0) + r1(0) sqrt(v1(0)-E) itself."""
+    coupling = r0_at_0 + r1_at_0 * math.sqrt(v1_minus_e)
+    return {"v1_minus_e_pow": v1_minus_e ** -0.5, "dV_inv": 1.0 / slope_gap,
+            "coupling_sq": coupling ** 2}, coupling
+
+
 def width_from_parts(h: float, a_prime: float, s_agmon: float, v1_minus_e: float,
                      slope_gap: float, r0_at_0: float, r1_at_0: float):
     """Leading-order width from its raw ingredients.
@@ -145,13 +154,12 @@ def width_from_parts(h: float, a_prime: float, s_agmon: float, v1_minus_e: float
     :func:`width_leading` so the pure formula can be exercised with
     synthetic factors.
     """
+    x_factors, _ = _crossing_prefactor(v1_minus_e, slope_gap, r0_at_0, r1_at_0)
     parts = {
         "h2pi4": h * h * math.pi / 4.0,
         "Aprime_inv": 1.0 / a_prime,
         "exp_factor": math.exp(-2.0 * s_agmon / h),
-        "v1_minus_e_pow": v1_minus_e ** -0.5,
-        "dV_inv": 1.0 / slope_gap,
-        "coupling_sq": (r0_at_0 + r1_at_0 * math.sqrt(v1_minus_e)) ** 2,
+        **x_factors,
     }
     width = -(parts["h2pi4"] * parts["Aprime_inv"] * parts["exp_factor"]
               * parts["v1_minus_e_pow"] * parts["dV_inv"] * parts["coupling_sq"])
@@ -250,9 +258,10 @@ def transition_elements(sys: PotentialSystem, E: float, h: float,
                         x_range: tuple = DEFAULT_X_RANGE) -> TransitionElements:
     cd, v1me = _crossing_factors(sys, E)
     ph = phase_integrals(sys, E, h, x_range)
-    coupling = cd.r0_at_0 + cd.r1_at_0 * math.sqrt(v1me)
-    pref = (math.sqrt(math.pi * h) * v1me ** -0.25
-            * cd.slope_gap ** -0.5 * coupling)
+    x_factors, coupling = _crossing_prefactor(v1me, cd.slope_gap,
+                                              cd.r0_at_0, cd.r1_at_0)
+    pref = math.copysign(math.sqrt(math.pi * h * math.prod(x_factors.values())),
+                         coupling)
     return TransitionElements(
         t12=complex(math.exp(ph.a1 + ph.b1)),
         t34=complex(math.exp(ph.a2 + ph.b2)),
@@ -273,30 +282,15 @@ class QuantizationResidual:
     h: float
 
 
-def _f_leading(sys, e0, h, x_range):
-    """Energy-independent part of F at the real anchor e0, the scalar efac * X.
-
-    efac = exp(-2 A1 - 2 A2) = exp(-2 S(e0) / h), from the Agmon distance
-    the width formula uses, and X is the crossing prefactor; the full
-    leading term is F = (i pi / 4) * s * cos(delta) * efac * X, where the
-    caller supplies s = (-1)^k, the sine sign at the nearest level.
-    """
-    cd, v1me = _crossing_factors(sys, e0)
-    coupling = cd.r0_at_0 + cd.r1_at_0 * math.sqrt(v1me)
-    x_factor = v1me ** -0.5 / cd.slope_gap * coupling ** 2
-    efac = math.exp(-2.0 * agmon_distance(sys, e0, x_range) / h)
-    return efac * x_factor
-
-
-def _anchored_residual(s, delta, hf_scale, a_prime, h):
+def _anchored_residual(s, delta, hf, a_prime, h):
     """Residual of the quantization condition in the shifted phase delta.
 
     cos(A/h) = cos((k+1/2) pi + delta) = -s sin(delta), and the sine factor
-    inside F is s cos(delta); hf_scale = h * (pi/4) * efac * X.
+    inside F is s cos(delta); hf is hF with that factor at its level value.
     """
     sin_d = cmath.sin(delta)
     cos_d = cmath.cos(delta)
-    f_term = 1j * hf_scale * s * cos_d
+    f_term = 1j * hf * s * cos_d
     value = -s * sin_d - f_term
     dvalue = -s * cos_d * a_prime / h
     return value, dvalue, f_term
@@ -317,8 +311,8 @@ def quantization_residual(sys: PotentialSystem, E: complex, h: float,
     k = int(round(a0 / (math.pi * h) - 0.5))
     s = 1.0 if k % 2 == 0 else -1.0
     delta = (a0 - (k + 0.5) * math.pi * h) / h + 1j * a_prime * E.imag / h
-    hf_scale = h * (math.pi / 4.0) * _f_leading(sys, e0, h, x_range)
-    value, dvalue, _ = _anchored_residual(s, delta, hf_scale, a_prime, h)
+    hf = -width_leading(sys, h, e0, x_range, a_prime)[0] * a_prime / h
+    value, dvalue, _ = _anchored_residual(s, delta, hf, a_prime, h)
     return QuantizationResidual(value=value, dvalue_dE=dvalue, energy=E, h=h)
 
 
@@ -328,7 +322,7 @@ class RefinedResonance:
 
     ``energy`` = e_k + offset; the offset is kept separately because its
     magnitude (~ h^2 exp(-2S/h)) is far below one ulp of ``energy``, and
-    the converged residual is only meaningful relative to the offset.
+    the residual is only meaningful relative to the offset.
     """
 
     k: int
@@ -336,7 +330,6 @@ class RefinedResonance:
     offset: complex
     residual: complex
     residual_tol: float
-    iterations: int
 
     @property
     def energy(self) -> complex:
@@ -349,17 +342,15 @@ class RefinedResonance:
 
 def solve_quantization(sys: PotentialSystem, h: float, k: int,
                        x_range: tuple = DEFAULT_X_RANGE) -> RefinedResonance:
-    """Newton-refine level k of the quantization condition into the complex
-    plane.
+    """Solve the quantization condition for level k in the complex plane.
 
-    The iteration runs in the shifted phase delta = A'(e_k) (E - e_k) / h,
-    seeded at the level (delta = 0) with all slowly varying quantities
-    frozen there; the residual of the level solve itself is dropped from
-    the phase, as it sits far below the neglected O(h^(1/2)) term of the
-    quantization condition and would otherwise contaminate the real part,
-    which at this order must not move.  Converges when |value| <= 1e-12
-    |hF|; more than 10 steps raise NewtonDivergence.  With vanishing
-    coupling F = 0 and the solution is the level itself, exactly.
+    With A' and F frozen at the level e_k the root in the shifted phase
+    delta = A'(e_k) (E - e_k) / h is delta = -i artanh(hF), hF = -w A'/h
+    for the leading width w; the offset is purely imaginary, as the level
+    solve's own residual sits far below the neglected O(h^(1/2)) term and
+    is dropped from the phase.  hF >= 1 has no root and raises
+    NewtonDivergence, as does a k without a Bohr-Sommerfeld level.  With
+    vanishing coupling F = 0 and the solution is the level itself, exactly.
     """
     lo, hi = _well_energy_range(sys, x_range)
     a_lo = action(sys, lo, x_range)
@@ -370,22 +361,12 @@ def solve_quantization(sys: PotentialSystem, h: float, k: int,
             f"level k={k} has no Bohr-Sommerfeld solution in ({lo!r}, {hi!r})"
         )
     e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range)
-    s = 1.0 if k % 2 == 0 else -1.0
-    hf_scale = h * (math.pi / 4.0) * _f_leading(sys, e_k, h, x_range)
-
-    delta = 0.0 + 0.0j
-    value, dvalue, f_term = _anchored_residual(s, delta, hf_scale, a_prime, h)
-    tol = 1e-12 * abs(f_term)
-    iterations = 0
-    while abs(value) > tol:
-        if iterations >= 10:
-            raise NewtonDivergence(
-                f"quantization refinement stalled at |value|={abs(value)!r} "
-                f"(tol {tol!r}) for level k={k}"
-            )
-        delta = delta - value / (dvalue * h / a_prime)
-        value, dvalue, f_term = _anchored_residual(s, delta, hf_scale, a_prime, h)
-        iterations += 1
-    offset = delta * h / a_prime
-    return RefinedResonance(k=k, level=e_k, offset=offset, residual=value,
-                            residual_tol=tol, iterations=iterations)
+    hf = -width_leading(sys, h, e_k, x_range, a_prime)[0] * a_prime / h
+    if not hf < 1.0:
+        raise NewtonDivergence(f"level k={k}: hF = {hf!r} >= 1, the "
+                               "quantization condition has no root")
+    delta = complex(0.0, -math.atanh(hf))
+    value, _, f_term = _anchored_residual(1.0 if k % 2 == 0 else -1.0, delta,
+                                          hf, a_prime, h)
+    return RefinedResonance(k=k, level=e_k, offset=complex(0.0, delta.imag * h / a_prime),
+                            residual=value, residual_tol=1e-12 * abs(f_term))

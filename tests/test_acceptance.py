@@ -185,7 +185,9 @@ def test_criterion_6_vanishing_prefactor(shallow_scan):
 
 def test_criterion_7_quantization_self_consistency(coupled, window):
     """The refined quantization width matches the leading formula within
-    relative 2 sqrt(h) for every level at h in {0.1, 0.2}."""
+    relative 2 sqrt(h) for every level at h in {0.1, 0.2}.  The refined root
+    is closed-form, delta = -i artanh(hF) with hF = -w A'/h, so this checks
+    artanh(hF)/hF against the formula width w."""
     results = []
     for h in (0.1, 0.2):
         ks = [k for k, _ in bohr_sommerfeld_levels(coupled, h, window)]

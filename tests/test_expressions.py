@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from predissoc import differentiate, parse_expression
 from predissoc.errors import EvalDomainError, ExpressionError
+from predissoc.expressions import (
+    _FUNCTIONS, AnalyticExpr, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
+)
 
 
 def test_literals_variable_and_gaussian_well():
@@ -179,3 +184,93 @@ def test_nested_calls():
 def test_scientific_notation_and_whitespace():
     assert parse_expression("1e-3 + 2.5E+2*x")(1.0) == pytest.approx(250.001, rel=1e-15)
     assert parse_expression("  .5 * x  ")(2.0) == 1.0
+
+
+def test_derivative_folds_literal_subtrees():
+    """Derivative nodes over literals only become one Num of the same value."""
+    deriv = differentiate(parse_expression("2 - 2*exp(-((x+4)/3)^2)"))
+    assert str(deriv) == ("-(2.0*(exp(-((x + 4.0)/3.0)^2)"
+                          "*-(2.0*((x + 4.0)/3.0)*0.3333333333333333)))")
+    # the same derivative before folding; the parser itself folds nothing
+    unfolded = parse_expression(
+        "-(2.0*(exp(-((x + 4.0)/3.0)^2)*-(2.0*((x + 4.0)/3.0)*(3.0/3.0^2))))")
+    assert str(unfolded).endswith("*(3.0/3.0^2))))")
+    xs = np.linspace(-12.0, 12.0, 2001)
+    assert np.array_equal(deriv(xs), unfolded(xs))
+    # a literal node that cannot be evaluated is kept, to fail where it did
+    kept = differentiate(parse_expression("x/0"))
+    assert kept == Div(Num(0.0), Num(0.0))
+    with pytest.raises(EvalDomainError):
+        kept(1.0)
+
+
+# Random trees over the whole language, with the non-negative literals the
+# parser produces (a leading minus parses as Neg).
+_TREES = st.recursive(
+    st.one_of(st.just(Var()), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(Num)),
+    lambda kids: st.one_of(
+        st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids), st.builds(Div, kids, kids),
+        st.builds(Neg, kids), st.builds(Pow, kids, st.integers(-2, 3)),
+        st.builds(Call, st.sampled_from(sorted(_FUNCTIONS)), kids),
+    ),
+    max_leaves=8,
+)
+_XS = np.linspace(-1.3, 1.7, 7)
+
+
+def _values(tree, xs):
+    """Values of ``tree`` at ``xs``, or the error type evaluating them raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(tree(xs))
+    except EvalDomainError as exc:
+        return type(exc)
+
+
+def _children(node):
+    return [v for v in vars(node).values() if isinstance(v, AnalyticExpr)]
+
+
+def _subtrees(tree):
+    yield tree
+    for child in _children(tree):
+        yield from _subtrees(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES)
+def test_print_parse_round_trip_random_trees(tree):
+    redone = parse_expression(str(tree))
+    assert redone == tree
+    before, after = _values(tree, _XS), _values(redone, _XS)
+    if isinstance(before, type):
+        assert after is before
+    else:
+        assert np.array_equal(after, before, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES)
+def test_derivative_matches_complex_step_random_trees(tree):
+    """d/dx f = Im f(x + i eta) / eta + O(eta^2) for the real-analytic trees."""
+    eta = 1e-20
+    vals, step = _values(tree, _XS), _values(tree, _XS + 1j * eta)
+    deriv = _values(differentiate(tree), _XS)
+    assume(not any(isinstance(v, type) for v in (vals, step, deriv)))
+    assume(np.all(np.isfinite(step)) and np.all(np.abs(step.real) < 1e6))
+    assume(np.all(np.isfinite(deriv)) and np.all(np.abs(deriv) < 1e6))
+    assert np.allclose(deriv, step.imag / eta, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES)
+def test_derivative_builds_no_literal_operator_node(tree):
+    """An operator node over literals only in a derivative is a subtree
+    copied from the input or one that cannot be evaluated (kept so that it
+    fails where it did); differentiation builds no other."""
+    copied = set(_subtrees(tree))
+    for node in _subtrees(differentiate(tree)):
+        kids = _children(node)
+        if kids and all(isinstance(k, Num) for k in kids) and node not in copied:
+            assert _values(node, 0.0) is EvalDomainError, f"{node} in d/dx {tree}"

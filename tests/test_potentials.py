@@ -13,7 +13,7 @@ from predissoc import (
     crossing_data,
     validate_assumptions,
 )
-from predissoc.errors import CrossingMismatch
+from predissoc.errors import CrossingMismatch, EvalDomainError
 
 from conftest import V1_WELL, V2_TAIL
 
@@ -92,6 +92,16 @@ def test_validation_of_overflowing_potential_warns_nothing(window):
     assert report.clauses["crossing_at_0"]
     assert not report.clauses["roots_located"]  # exp(x^2) fills in the well
     assert not report.passed
+
+
+def test_validation_rejects_non_finite_grid_values(window):
+    """1e-300*exp(x^2) overflows to inf beyond |x| ~ 26.3: a typed error, and
+    no overflow warning escapes."""
+    sys = PotentialSystem.from_strings(V1_WELL + " + 1e-300*exp(x^2)", V2_TAIL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match="not finite"):
+            validate_assumptions(sys, window, x_range=(-30.0, 30.0))
 
 
 def test_validation_report_serializes(coupled, window):

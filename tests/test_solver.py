@@ -47,8 +47,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DiscretizationConfig(scheme="spectral_elements")
     with pytest.raises(ValueError):
-        DiscretizationConfig(bc="neumann")
-    with pytest.raises(ValueError):
         DiscretizationConfig(x_min=1.0)
     with pytest.raises(InvalidAngle):
         DiscretizationConfig(theta=0.8)  # past pi/4

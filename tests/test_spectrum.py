@@ -253,7 +253,6 @@ def test_solve_quantization_matches_width_formula(coupled):
         assert res.level == pytest.approx(level, rel=1e-12)
         assert res.offset.real == 0.0  # the real part must not move
         assert res.width == pytest.approx(width, rel=1e-9)
-        assert res.iterations <= 5
         assert abs(res.residual) <= res.residual_tol
         assert res.energy == res.level + res.offset
 
@@ -261,9 +260,29 @@ def test_solve_quantization_matches_width_formula(coupled):
 def test_solve_quantization_decoupled_is_exact(decoupled):
     res = solve_quantization(decoupled, 0.1, 4)
     assert res.offset == 0j
-    assert res.iterations == 0
     assert res.width == 0.0
     assert res.energy == res.level
+
+
+def test_solve_quantization_is_the_closed_form(coupled):
+    """The root is delta = -i artanh(hF) with hF = -w A'/h for the leading
+    width w.  A coupling that puts hF near 0.5 shows the artanh; hF >= 1 has
+    no root and raises the typed error."""
+    strong = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="2e5", r1="0")
+    for sys_, h, k in ((coupled, 0.1, 3), (coupled, 0.1, 4), (coupled, 0.2, 1),
+                       (strong, 0.2, 1)):
+        res = solve_quantization(sys_, h, k)
+        a_prime = action_and_derivative(sys_, res.level)[1]
+        w, _ = width_leading(sys_, h, res.level, a_prime=a_prime)
+        hf = -w * a_prime / h
+        assert res.offset == complex(0.0, -math.atanh(hf) * h / a_prime)
+        assert res.offset.real == 0.0
+        assert abs(res.residual) <= res.residual_tol
+    assert hf > 0.5
+    assert res.width / w == pytest.approx(math.atanh(hf) / hf, rel=1e-14)
+    too_strong = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="3e5", r1="0")
+    with pytest.raises(NewtonDivergence, match="hF"):
+        solve_quantization(too_strong, 0.2, 1)
 
 
 def test_solve_quantization_out_of_range(coupled):

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BarrierViolation, EmptyInterval
-from .potentials import DEFAULT_X_RANGE, PotentialSystem
+from .potentials import PotentialSystem
 from .turning_points import barrier_points, find_well_endpoints
 
 __all__ = [
@@ -91,25 +91,24 @@ def _integrate_once(f, lo, hi, sing_lo, sing_hi, n):
     return _gl_plain(f, lo, hi, n)
 
 
-def integrate_endpoint_singular(f, lo, hi, sing_lo=False, sing_hi=False,
-                                n=GL_NODES) -> float:
+def integrate_endpoint_singular(f, lo, hi, sing_lo=False, sing_hi=False) -> float:
     """Integrate f over [lo, hi]; endpoints flagged singular get the s^2 map.
 
-    The N-node and 2N-node results are compared; on disagreement beyond
-    ~1e-11 the interval is bisected once (a single adaptive pass) and each
-    half re-done at the doubled order.
+    The N-node and 2N-node results (N = GL_NODES) are compared; on
+    disagreement beyond ~1e-11 the interval is bisected once (a single
+    adaptive pass) and each half re-done at the doubled order.
     """
     if hi <= lo:
         if hi == lo:
             return 0.0
         raise EmptyInterval(f"empty integration interval [{lo!r}, {hi!r}]")
-    coarse = _integrate_once(f, lo, hi, sing_lo, sing_hi, n)
-    fine = _integrate_once(f, lo, hi, sing_lo, sing_hi, 2 * n)
+    coarse = _integrate_once(f, lo, hi, sing_lo, sing_hi, GL_NODES)
+    fine = _integrate_once(f, lo, hi, sing_lo, sing_hi, 2 * GL_NODES)
     if abs(fine - coarse) <= REFINE_ABS_TOL * max(1.0, abs(fine)):
         return fine
     mid = 0.5 * (lo + hi)
-    left = _integrate_once(f, lo, mid, sing_lo, False, 2 * n)
-    right = _integrate_once(f, mid, hi, False, sing_hi, 2 * n)
+    left = _integrate_once(f, lo, mid, sing_lo, False, 2 * GL_NODES)
+    right = _integrate_once(f, mid, hi, False, sing_hi, 2 * GL_NODES)
     return left + right
 
 
@@ -118,8 +117,7 @@ def _sqrt_clip(vals):
     return np.sqrt(np.maximum(vals, 0.0))
 
 
-def action_and_derivative(sys: PotentialSystem, E: float,
-                          x_range: tuple = DEFAULT_X_RANGE) -> tuple[float, float]:
+def action_and_derivative(sys: PotentialSystem, E: float) -> tuple[float, float]:
     """The well action and its energy derivative, (A(E), A'(E)).
 
     A = integral a..b of sqrt(E - v1(t)) dt and A' = 1/2 * integral a..b
@@ -128,7 +126,7 @@ def action_and_derivative(sys: PotentialSystem, E: float,
     points.  Both integrands are built from one search for a, b and one
     evaluation of v1 at the 2N-node rule of the two halves of [a, b].
     """
-    a, b = find_well_endpoints(sys, E, x_range)
+    a, b = find_well_endpoints(sys, E)
     mid = 0.5 * (a + b)
     halves = (_mapped_rule(a, mid, 2 * GL_NODES, "lo"),
               _mapped_rule(mid, b, 2 * GL_NODES, "hi"))
@@ -141,10 +139,9 @@ def action_and_derivative(sys: PotentialSystem, E: float,
     return a_val, a_prime
 
 
-def action(sys: PotentialSystem, E: float,
-           x_range: tuple = DEFAULT_X_RANGE) -> float:
+def action(sys: PotentialSystem, E: float) -> float:
     """Well action A(E) = integral a..b of sqrt(E - v1(t)) dt."""
-    return action_and_derivative(sys, E, x_range)[0]
+    return action_and_derivative(sys, E)[0]
 
 
 def _check_positive(g, lo, hi, label):
@@ -158,9 +155,9 @@ def _check_positive(g, lo, hi, label):
         )
 
 
-def _barrier_quads(sys: PotentialSystem, E: float, x_range: tuple):
+def _barrier_quads(sys: PotentialSystem, E: float):
     """The two Agmon pieces: integral b..0 of sqrt(v1-E), 0..c of sqrt(v2-E)."""
-    b, c = barrier_points(sys, E, x_range)
+    b, c = barrier_points(sys, E)
     v1, v2 = sys.v1, sys.v2
     g1 = lambda ts: np.real(v1(ts)) - E
     g2 = lambda ts: np.real(v2(ts)) - E
@@ -171,10 +168,9 @@ def _barrier_quads(sys: PotentialSystem, E: float, x_range: tuple):
     return b, c, i_a1, i_a2
 
 
-def agmon_distance(sys: PotentialSystem, E: float,
-                   x_range: tuple = DEFAULT_X_RANGE) -> float:
+def agmon_distance(sys: PotentialSystem, E: float) -> float:
     """Tunneling distance S(E) from the well edge b through the crossing to c."""
-    _, _, i_a1, i_a2 = _barrier_quads(sys, E, x_range)
+    _, _, i_a1, i_a2 = _barrier_quads(sys, E)
     return i_a1 + i_a2
 
 
@@ -188,14 +184,13 @@ class PhaseIntegrals:
     b2: float
 
 
-def phase_integrals(sys: PotentialSystem, E: float, h: float,
-                    x_range: tuple = DEFAULT_X_RANGE) -> PhaseIntegrals:
+def phase_integrals(sys: PotentialSystem, E: float, h: float) -> PhaseIntegrals:
     """The four barrier integrals scaled by 1/h.
 
     Requires v2 > E on (b, 0) and v1 > E on (0, c) as well (the crossing
     geometry guarantees both); violations raise BarrierViolation.
     """
-    b, c, i_a1, i_a2 = _barrier_quads(sys, E, x_range)
+    b, c, i_a1, i_a2 = _barrier_quads(sys, E)
     v1, v2 = sys.v1, sys.v2
     g1 = lambda ts: np.real(v1(ts)) - E
     g2 = lambda ts: np.real(v2(ts)) - E

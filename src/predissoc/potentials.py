@@ -38,8 +38,8 @@ CROSSING_RTOL = 1e-9
 GRID_POINTS = 2000
 #: a root is final once its bracket or its Newton step is this small
 ROOT_XTOL = 1e-12
-#: real interval used by default for grid scans and as the finite proxy for
-#: the x -> +-infinity limit checks
+#: real interval of every turning-point scan, and the finite proxy for the
+#: x -> +-infinity limit checks
 DEFAULT_X_RANGE = (-20.0, 20.0)
 
 
@@ -57,7 +57,6 @@ class PotentialSystem:
     v2: AnalyticExpr
     r0: AnalyticExpr
     r1: AnalyticExpr
-    name: str = ""
     enforce_crossing: bool = True
     dv1: AnalyticExpr = field(init=False)
     dv2: AnalyticExpr = field(init=False)
@@ -76,13 +75,12 @@ class PotentialSystem:
 
     @classmethod
     def from_strings(cls, v1: str, v2: str, r0: str = "0", r1: str = "0",
-                     name: str = "", enforce_crossing: bool = True) -> "PotentialSystem":
+                     enforce_crossing: bool = True) -> "PotentialSystem":
         return cls(
             parse_expression(v1),
             parse_expression(v2),
             parse_expression(r0),
             parse_expression(r1),
-            name=name,
             enforce_crossing=enforce_crossing,
         )
 
@@ -225,21 +223,21 @@ def _refine_root(f, df, lo, hi, flo):
 
 
 @lru_cache(maxsize=32)
-def _scan_grid(expr: AnalyticExpr, x_min: float, x_max: float, n_grid: int,
-               part: str = "full"):
-    """A fixed scan grid and the real values of ``expr`` on it, read-only.
+def _scan_grid(expr: AnalyticExpr, part: str = "full"):
+    """The fixed scan grid and the real values of ``expr`` on it, read-only.
 
-    ``part`` selects the ``n_grid``-point grid: "full" spans [x_min, x_max],
-    "left" is [x_min, 0) and "right" (0, x_max].  Scans at different
-    energies subtract E from the same cached values.  A value that is not
-    finite raises EvalDomainError.
+    ``part`` selects the GRID_POINTS-point grid: "full" spans
+    DEFAULT_X_RANGE = [x_min, x_max], "left" is [x_min, 0) and "right"
+    (0, x_max].  Scans at different energies subtract E from the same
+    cached values.  A value that is not finite raises EvalDomainError.
     """
+    x_min, x_max = DEFAULT_X_RANGE
     if part == "full":
-        xs = np.linspace(x_min, x_max, n_grid)
+        xs = np.linspace(x_min, x_max, GRID_POINTS)
     elif part == "left":
-        xs = np.linspace(x_min, 0.0, n_grid)[:-1]
+        xs = np.linspace(x_min, 0.0, GRID_POINTS)[:-1]
     else:
-        xs = np.linspace(0.0, x_max, n_grid)[1:]
+        xs = np.linspace(0.0, x_max, GRID_POINTS)[1:]
     xs.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.real(expr(xs))
@@ -248,23 +246,22 @@ def _scan_grid(expr: AnalyticExpr, x_min: float, x_max: float, n_grid: int,
     return xs, np.broadcast_to(vals, xs.shape)  # a read-only view
 
 
-def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
-                         n_grid: int = GRID_POINTS,
-                         x_range: tuple = DEFAULT_X_RANGE) -> ValidationReport:
+def validate_assumptions(sys: PotentialSystem, window: EnergyWindow) -> ValidationReport:
     """Check the geometric hypotheses at the reference energy E' = e_ref.
 
-    Limits at +-infinity are proxied at the endpoints of ``x_range``;
-    the interval-ordering clauses are sampled on ``n_grid`` points.  The
-    turning points come from :func:`find_well_endpoints` and
-    :func:`find_exit_point`; a search that raises marks the dependent
-    clauses False rather than raising.
+    Limits at +-infinity are proxied at the endpoints of DEFAULT_X_RANGE.
+    The well endpoints come from :func:`find_well_endpoints` and c0 is the
+    root of v2 = E' that :func:`find_exit_point` would refine, whichever
+    way v2 crosses there, so ``slope_c0`` reports a rising exit channel; a
+    search that raises marks the dependent clauses False rather than
+    raising.
     """
-    from .turning_points import find_exit_point, find_well_endpoints  # imports this module
+    from .turning_points import _exit_root, find_well_endpoints  # imports this module
 
     ep = window.e_ref
-    x_lo, x_hi = x_range
-    _, v1g = _scan_grid(sys.v1, x_lo, x_hi, n_grid)
-    _, v2g = _scan_grid(sys.v2, x_lo, x_hi, n_grid)
+    x_lo, x_hi = DEFAULT_X_RANGE
+    _, v1g = _scan_grid(sys.v1)
+    _, v2g = _scan_grid(sys.v2)
 
     clauses: dict = {}
     margins: dict = {}
@@ -289,11 +286,11 @@ def validate_assumptions(sys: PotentialSystem, window: EnergyWindow,
     # locate a0 < b0 < 0 (roots of v1 = E') and 0 < c0 (root of v2 = E')
     a0 = b0 = c0 = None
     with suppress(PredissocError):
-        well = find_well_endpoints(sys, ep, x_range, n_grid)
+        well = find_well_endpoints(sys, ep)
         if well[1] < 0:
             a0, b0 = well
     with suppress(PredissocError):
-        c0 = find_exit_point(sys, ep, x_range, n_grid)
+        c0 = _exit_root(sys, ep)
     clauses["roots_located"] = a0 is not None and b0 is not None and c0 is not None
 
     def interval_clause(name, lo, hi, conds):

@@ -32,13 +32,8 @@ import numpy as np
 
 from .actions import action, agmon_distance
 from .errors import ConfigError, InsufficientData, InvalidAngle, PredissocError
-from .potentials import (
-    DEFAULT_X_RANGE,
-    EnergyWindow,
-    PotentialSystem,
-    validate_assumptions,
-)
-from .solver import DiscretizationConfig, compare_with_direct, compute_resonances
+from .potentials import EnergyWindow, PotentialSystem, validate_assumptions
+from .solver import STAB_TOL, DiscretizationConfig, compare_with_direct, compute_resonances
 from .spectrum import bohr_sommerfeld_levels, resonance_estimates
 
 __all__ = [
@@ -81,7 +76,7 @@ class RunConfig:
     domain: tuple[float, float] = (DiscretizationConfig.x_min, DiscretizationConfig.x_max)
     x_start_scaling: float | None = None
     smoothing_width: float = DiscretizationConfig.smoothing_width
-    stab_tol: float = 1e-6
+    stab_tol: float = STAB_TOL
     e_star: float | None = None
     k_min: int | None = None
     k_max: int | None = None
@@ -287,14 +282,13 @@ def _check_scan_inputs(cfg: RunConfig, lines=None) -> None:
         raise ConfigError("scan requires ≥3 h values", (lines or {}).get(("scan", key)))
 
 
-def pin_level_h(sys: PotentialSystem, e_star: float, k_range,
-                x_range: tuple = DEFAULT_X_RANGE) -> list[float]:
+def pin_level_h(sys: PotentialSystem, e_star: float, k_range) -> list[float]:
     """h values at which level k sits exactly at e_star, for each k in
     k_range; descending in h (ascending in k).
 
     Inverts the quantization condition in h: h_k = A(E*) / ((k+1/2) pi).
     """
-    a_star = action(sys, e_star, x_range)
+    a_star = action(sys, e_star)
     return [a_star / ((k + 0.5) * math.pi) for k in sorted(k_range)]
 
 
@@ -356,8 +350,8 @@ def fit_width_slope(scan: ScanResult) -> tuple[float, float, float]:
 
 def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
              half_width: float, disc: DiscretizationConfig,
-             c0_im: float = 5.0, stab_tol: float = 1e-6,
-             ks=None, x_range: tuple = DEFAULT_X_RANGE) -> ScanResult:
+             c0_im: float = EnergyWindow.im_depth_coeff, stab_tol: float = STAB_TOL,
+             ks=None) -> ScanResult:
     """Track the level nearest e_star across the given h values.
 
     For each h the full comparison pipeline runs inside the window centered
@@ -388,7 +382,7 @@ def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
             accepted=rec.accepted,
         ))
     rows.sort(key=lambda r: -r.h)
-    scan = ScanResult(rows=rows, s_target=agmon_distance(sys, e_star, x_range),
+    scan = ScanResult(rows=rows, s_target=agmon_distance(sys, e_star),
                       e_star=e_star)
     try:
         scan.slope, scan.intercept, scan.r_squared = fit_width_slope(scan)

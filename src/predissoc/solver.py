@@ -60,6 +60,10 @@ SCHEMES = ("chebyshev_collocation", "finite_difference_4")
 #: anything below this is still treated as a resonance candidate.
 IM_ROUNDOFF_GUARD = 1e-9
 
+#: Default of the largest predicted theta-drift (see ``_drifts``) of an
+#: eigenvalue that the stability screen keeps as a resonance.
+STAB_TOL = 1e-6
+
 #: Eigenvalues asked of the first shift-invert solve of a disc whose count
 #: is unknown; the solve doubles this until it reaches past the disc.  The
 #: reference box disc holds about 17 eigenvalues, the scan boxes 3 to 9.
@@ -329,7 +333,9 @@ def _shift_invert(matrix, sigma: complex):
     """Factor ``matrix - sigma`` once; returns x -> (matrix - sigma)^-1 x.
 
     A dense matrix is shifted and factored in place and is unusable
-    afterwards; a sparse one is left as it is.
+    afterwards; a sparse one is left as it is.  The returned solve must not
+    be shared between threads: concurrent solves with one dense factor can
+    abort the interpreter, so each thread needs its own factor.
     """
     dim = matrix.shape[0]
     if not isinstance(matrix, np.ndarray):
@@ -581,19 +587,17 @@ class ComparisonRecords(list):
 
 
 def match_resonances(estimates: list[ResonanceEstimate],
-                     eigenvalues: np.ndarray,
-                     radius: float | None = None) -> list[ResonanceRecord]:
+                     eigenvalues: np.ndarray) -> list[ResonanceRecord]:
     """Greedily pair estimates with eigenvalues by real-part distance.
 
     Pairs are taken globally closest-first; each eigenvalue is used at most
-    once, and pairs farther apart than ``radius`` (default 5 h^(3/2), the
-    next-correction scale of the level positions) are left unmatched.
+    once, and pairs farther apart than 5 h^(3/2) (the next-correction
+    scale of the level positions) are left unmatched.
     """
     records = [ResonanceRecord(estimate=est) for est in estimates]
     if not estimates or len(eigenvalues) == 0:
         return records
-    if radius is None:
-        radius = 5.0 * estimates[0].h ** 1.5
+    radius = 5.0 * estimates[0].h ** 1.5
     pairs = sorted(
         (abs(float(np.real(eigenvalues[j])) - est.e_k), i, j)
         for i, est in enumerate(estimates)
@@ -619,7 +623,7 @@ def match_resonances(estimates: list[ResonanceEstimate],
 
 def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
                         cfg: DiscretizationConfig, h: float,
-                        stab_tol: float = 1e-6, _disc_hint: int | None = None
+                        stab_tol: float = STAB_TOL, _disc_hint: int | None = None
                         ) -> ComparisonRecords:
     """Full pipeline: estimates, direct eigenvalues, stability, matching.
 

@@ -34,8 +34,6 @@ import numpy as np
 from .actions import action, action_and_derivative, agmon_distance, phase_integrals
 from .errors import DegenerateEnergy, NewtonDivergence, PredissocError
 from .potentials import (
-    DEFAULT_X_RANGE,
-    GRID_POINTS,
     CrossingData,
     EnergyWindow,
     PotentialSystem,
@@ -61,14 +59,14 @@ __all__ = [
 LEVEL_TOL = 1e-13
 
 
-def _well_energy_range(sys: PotentialSystem, x_range) -> tuple[float, float]:
+def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
     """Energies at which the well exists strictly inside the scan interval.
 
     The upper limit is the lowest of the interval-edge values of v1 and,
     when the crossing value sits above the well bottom, v1(0) (the barrier
     top); a guard of twice the degenerate-energy margin is applied.
     """
-    _, v1g = _scan_grid(sys.v1, *x_range, GRID_POINTS)
+    _, v1g = _scan_grid(sys.v1)
     vmin = float(np.min(v1g))
     v10 = float(np.real(sys.v1(0.0)))
     hi_candidates = [float(v1g[0]), float(v1g[-1])]
@@ -79,7 +77,7 @@ def _well_energy_range(sys: PotentialSystem, x_range) -> tuple[float, float]:
     return lo, hi
 
 
-def _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range) -> tuple[float, float]:
+def _solve_level(sys, target, lo, hi, a_lo, a_hi) -> tuple[float, float]:
     """Invert the (strictly increasing) action: A(e) = target on [lo, hi].
 
     Bracketed Newton using A' as the exact derivative, with bisection
@@ -90,7 +88,7 @@ def _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range) -> tuple[float, float
     e = lo + (hi - lo) * (target - a_lo) / (a_hi - a_lo)
     e = min(max(e, blo), bhi)
     for _ in range(80):
-        a_val, slope = action_and_derivative(sys, e, x_range)
+        a_val, slope = action_and_derivative(sys, e)
         res = a_val - target
         if abs(res) <= LEVEL_TOL * max(1.0, abs(target)):
             return e, slope
@@ -110,7 +108,6 @@ def _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range) -> tuple[float, float
 
 
 def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
-                           x_range: tuple = DEFAULT_X_RANGE,
                            _with_slope: bool = False) -> list[tuple]:
     """All (k, e_k) with A(e_k) = (k + 1/2) pi h and e_k in the window.
 
@@ -119,19 +116,19 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
     outside that range yields an empty list.  The private ``_with_slope``
     makes each entry (k, e_k, A'(e_k)), the slope from the level solve.
     """
-    range_lo, range_hi = _well_energy_range(sys, x_range)
+    range_lo, range_hi = _well_energy_range(sys)
     lo = max(window.lo, range_lo)
     hi = min(window.hi, range_hi)
     if hi <= lo:
         return []
-    a_lo = action(sys, lo, x_range)
-    a_hi = action(sys, hi, x_range)
+    a_lo = action(sys, lo)
+    a_hi = action(sys, hi)
     k_min = math.ceil(a_lo / (math.pi * h) - 0.5 - 1e-12)
     k_max = math.floor(a_hi / (math.pi * h) - 0.5 + 1e-12)
     out = []
     for k in range(max(k_min, 0), k_max + 1):
         target = (k + 0.5) * math.pi * h
-        e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range)
+        e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi)
         out.append((k, e_k, a_prime) if _with_slope else (k, e_k))
     return out
 
@@ -181,8 +178,8 @@ def _crossing_factors(sys: PotentialSystem, E: float, cd=None):
 
 
 def width_leading(sys: PotentialSystem, h: float, e_k: float,
-                  x_range: tuple = DEFAULT_X_RANGE, a_prime: float | None = None,
-                  s_agmon: float | None = None, crossing: CrossingData | None = None):
+                  a_prime: float | None = None, s_agmon: float | None = None,
+                  crossing: CrossingData | None = None):
     """Leading-order width (Im E_k) at the level e_k; returns (width, parts).
 
     ``a_prime`` = A'(e_k), ``s_agmon`` = S(e_k) and ``crossing`` =
@@ -191,9 +188,9 @@ def width_leading(sys: PotentialSystem, h: float, e_k: float,
     """
     cd, v1me = _crossing_factors(sys, e_k, crossing)
     if a_prime is None:
-        a_prime = action_and_derivative(sys, e_k, x_range)[1]
+        a_prime = action_and_derivative(sys, e_k)[1]
     if s_agmon is None:
-        s_agmon = agmon_distance(sys, e_k, x_range)
+        s_agmon = agmon_distance(sys, e_k)
     return width_from_parts(h, a_prime, s_agmon, v1me, cd.slope_gap,
                             cd.r0_at_0, cd.r1_at_0)
 
@@ -210,8 +207,7 @@ class ResonanceEstimate:
     h: float
 
 
-def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow,
-                        x_range: tuple = DEFAULT_X_RANGE):
+def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow):
     """Estimates for every level in the window.
 
     Returns ``(estimates, skipped)``; levels whose width computation raises
@@ -223,11 +219,10 @@ def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow,
     estimates = []
     skipped = []
     cd = crossing_data(sys)
-    for k, e_k, a_prime in bohr_sommerfeld_levels(sys, h, window, x_range,
-                                                  _with_slope=True):
+    for k, e_k, a_prime in bohr_sommerfeld_levels(sys, h, window, _with_slope=True):
         try:
-            s_agmon = agmon_distance(sys, e_k, x_range)
-            width, parts = width_leading(sys, h, e_k, x_range, a_prime, s_agmon, cd)
+            s_agmon = agmon_distance(sys, e_k)
+            width, parts = width_leading(sys, h, e_k, a_prime, s_agmon, cd)
             estimates.append(ResonanceEstimate(
                 k=k, e_k=e_k, width=width, s_at_ek=s_agmon,
                 prefactor_parts=parts, h=h,
@@ -254,10 +249,9 @@ class TransitionElements:
     h: float
 
 
-def transition_elements(sys: PotentialSystem, E: float, h: float,
-                        x_range: tuple = DEFAULT_X_RANGE) -> TransitionElements:
+def transition_elements(sys: PotentialSystem, E: float, h: float) -> TransitionElements:
     cd, v1me = _crossing_factors(sys, E)
-    ph = phase_integrals(sys, E, h, x_range)
+    ph = phase_integrals(sys, E, h)
     x_factors, coupling = _crossing_prefactor(v1me, cd.slope_gap,
                                               cd.r0_at_0, cd.r1_at_0)
     pref = math.copysign(math.sqrt(math.pi * h * math.prod(x_factors.values())),
@@ -296,8 +290,7 @@ def _anchored_residual(s, delta, hf, a_prime, h):
     return value, dvalue, f_term
 
 
-def quantization_residual(sys: PotentialSystem, E: complex, h: float,
-                          x_range: tuple = DEFAULT_X_RANGE) -> QuantizationResidual:
+def quantization_residual(sys: PotentialSystem, E: complex, h: float) -> QuantizationResidual:
     """Evaluate cos(A(E)/h) - h F(E, h) with A Taylor-expanded at Re E.
 
     A and A' are computed at the real part only; the complex offset enters
@@ -307,11 +300,11 @@ def quantization_residual(sys: PotentialSystem, E: complex, h: float,
     """
     E = complex(E)
     e0 = E.real
-    a0, a_prime = action_and_derivative(sys, e0, x_range)
+    a0, a_prime = action_and_derivative(sys, e0)
     k = int(round(a0 / (math.pi * h) - 0.5))
     s = 1.0 if k % 2 == 0 else -1.0
     delta = (a0 - (k + 0.5) * math.pi * h) / h + 1j * a_prime * E.imag / h
-    hf = -width_leading(sys, h, e0, x_range, a_prime)[0] * a_prime / h
+    hf = -width_leading(sys, h, e0, a_prime)[0] * a_prime / h
     value, dvalue, _ = _anchored_residual(s, delta, hf, a_prime, h)
     return QuantizationResidual(value=value, dvalue_dE=dvalue, energy=E, h=h)
 
@@ -340,8 +333,7 @@ class RefinedResonance:
         return self.offset.imag
 
 
-def solve_quantization(sys: PotentialSystem, h: float, k: int,
-                       x_range: tuple = DEFAULT_X_RANGE) -> RefinedResonance:
+def solve_quantization(sys: PotentialSystem, h: float, k: int) -> RefinedResonance:
     """Solve the quantization condition for level k in the complex plane.
 
     With A' and F frozen at the level e_k the root in the shifted phase
@@ -352,16 +344,16 @@ def solve_quantization(sys: PotentialSystem, h: float, k: int,
     NewtonDivergence, as does a k without a Bohr-Sommerfeld level.  With
     vanishing coupling F = 0 and the solution is the level itself, exactly.
     """
-    lo, hi = _well_energy_range(sys, x_range)
-    a_lo = action(sys, lo, x_range)
-    a_hi = action(sys, hi, x_range)
+    lo, hi = _well_energy_range(sys)
+    a_lo = action(sys, lo)
+    a_hi = action(sys, hi)
     target = (k + 0.5) * math.pi * h
     if not a_lo <= target <= a_hi:
         raise NewtonDivergence(
             f"level k={k} has no Bohr-Sommerfeld solution in ({lo!r}, {hi!r})"
         )
-    e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi, x_range)
-    hf = -width_leading(sys, h, e_k, x_range, a_prime)[0] * a_prime / h
+    e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi)
+    hf = -width_leading(sys, h, e_k, a_prime)[0] * a_prime / h
     if not hf < 1.0:
         raise NewtonDivergence(f"level k={k}: hF = {hf!r} >= 1, the "
                                "quantization condition has no root")

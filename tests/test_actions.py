@@ -17,7 +17,6 @@ from predissoc import (
     phase_integrals,
 )
 from predissoc.errors import BarrierViolation, NoWell
-from predissoc.potentials import DEFAULT_X_RANGE
 from predissoc.spectrum import _well_energy_range
 from predissoc.turning_points import RESIDUAL_TOL
 
@@ -71,7 +70,7 @@ def test_one_pass_equals_separate_quadratures(name):
     """The shared pass gives exactly the values of integrating each integrand
     on its own with the general rule, refine decision included."""
     sys_ = INSTANCES[name]
-    lo, hi = _well_energy_range(sys_, DEFAULT_X_RANGE)
+    lo, hi = _well_energy_range(sys_)
     for energy in np.linspace(lo, hi, 9)[1:-1]:
         a, b = find_well_endpoints(sys_, energy)
         gap = lambda ts: energy - np.real(sys_.v1(ts))
@@ -93,7 +92,7 @@ def test_well_pass_properties(name, u, gap):
     """At energies inside the well range: A increases strictly, A' > 0 and
     matches a central difference of A, and v1 = E at the well endpoints."""
     sys_ = INSTANCES[name]
-    lo, hi = _well_energy_range(sys_, DEFAULT_X_RANGE)
+    lo, hi = _well_energy_range(sys_)
     lo, hi = lo + FD_STEP, hi - FD_STEP
     e1 = lo + u * (hi - lo)
     e2 = lo + min(u + gap, 1.0) * (hi - lo)

@@ -95,13 +95,25 @@ def test_validation_of_overflowing_potential_warns_nothing(window):
 
 
 def test_validation_rejects_non_finite_grid_values(window):
-    """1e-300*exp(x^2) overflows to inf beyond |x| ~ 26.3: a typed error, and
-    no overflow warning escapes."""
-    sys = PotentialSystem.from_strings(V1_WELL + " + 1e-300*exp(x^2)", V2_TAIL)
+    """1e-300*exp(2 x^2) overflows to inf beyond |x| ~ 18.8, inside the scan
+    interval: a typed error, and no overflow warning escapes."""
+    sys = PotentialSystem.from_strings(V1_WELL + " + 1e-300*exp(2*x^2)", V2_TAIL)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvalDomainError, match="not finite"):
-            validate_assumptions(sys, window, x_range=(-30.0, 30.0))
+            validate_assumptions(sys, window)
+
+
+def test_validation_reports_rising_exit_channel():
+    """A v2 that rises through E' still locates c0, and slope_c0 fails with
+    the slope as its margin instead of leaving c0 unlocated."""
+    sys = PotentialSystem.from_strings(V1_WELL, "0.5 + 0.2*x", enforce_crossing=False)
+    report = validate_assumptions(sys, EnergyWindow(1.0, 0.2))
+    assert report.c0 == pytest.approx(2.5, abs=1e-12)
+    assert report.clauses["roots_located"]
+    assert not report.clauses["slope_c0"]
+    assert report.margins["slope_c0"] == pytest.approx(-0.2, abs=1e-12)
+    assert not report.passed
 
 
 def test_validation_report_serializes(coupled, window):

@@ -155,7 +155,7 @@ def test_root_kernel_on_every_bracket(model, energies):
     checked = 0
     for E in energies:
         for v, dv, part in ((sys.v1, sys.dv1, "full"), (sys.v2, sys.dv2, "right")):
-            xs, vals = _scan_grid(v, -20.0, 20.0, 2000, part)
+            xs, vals = _scan_grid(v, part)
             f = lambda t, v=v, E=E: float(v(t)) - E
             df = lambda t, dv=dv: float(dv(t))
             for lo, hi in _scan_brackets(vals - E, xs):

@@ -181,45 +181,82 @@ class ValidationReport:
 
 
 def _scan_brackets(vals, xs):
-    """Brackets (lo, hi) of the roots of a sampled function, left to right.
+    """Brackets of the roots of sampled functions, one function per row.
 
-    A sign change between neighbours brackets that pair; an exact zero at
-    ``xs[i]`` (the last sample excepted) brackets ``(xs[i-1], xs[i+1])``,
-    clamped at the left end, and suppresses the pair test at ``i``.
+    ``vals`` has shape (K, len(xs)).  Returns arrays (rows, lo, hi), ordered
+    by row and left to right within a row.  A sign change between
+    neighbours brackets that pair; an exact zero at ``xs[i]`` (the last
+    sample excepted) brackets ``(xs[i-1], xs[i+1])``, clamped at the left
+    end, and suppresses the pair test at ``i``.
     """
-    left, right = vals[:-1], vals[1:]
+    left, right = vals[:, :-1], vals[:, 1:]
     zero = left == 0.0
     with np.errstate(over="ignore"):  # an overflowed product keeps its sign
-        idx = np.flatnonzero(zero | (left * right < 0))
-    lo = np.where(zero[idx], xs[np.maximum(idx - 1, 0)], xs[idx])
-    return list(zip(lo.tolist(), xs[idx + 1].tolist()))
+        rows, idx = np.nonzero(zero | (left * right < 0))
+    lo = np.where(zero[rows, idx], xs[np.maximum(idx - 1, 0)], xs[idx])
+    return rows, lo, xs[idx + 1]
 
 
-def _refine_root(f, df, lo, hi, flo):
-    """Root of f in the sign-change bracket [lo, hi], given flo = f(lo).
+def _refine_root(v, dv, level, lo, hi):
+    """Roots of v(x) = level[i] in the sign-change brackets [lo[i], hi[i]].
 
-    Newton from the midpoint with the exact derivative df; each iterate
+    All rows are solved together, each with the same arithmetic: Newton
+    from the bracket midpoint with the exact derivative dv; each iterate
     shrinks the bracket, and a step that would leave it (or a zero slope)
-    is replaced by bisection.  Stops once a step or the bracket is within
-    ROOT_XTOL, or at an exact zero.
+    is replaced by bisection.  A row stops once a step or its bracket is
+    within ROOT_XTOL, or at an exact zero; later sweeps evaluate only the
+    rows still running.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo_positive = np.real(v(lo)) - level > 0
     x = 0.5 * (lo + hi)
+    roots = x.copy()
+    rows = np.arange(x.size)
     for _ in range(200):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0) == (flo > 0):
-            lo = x
-        else:
-            hi = x
-        d = df(x)
-        cand = x - fx / d if d != 0.0 else math.nan
-        if not lo <= cand <= hi:
-            cand = 0.5 * (lo + hi)
-        if abs(cand - x) <= ROOT_XTOL or hi - lo <= ROOT_XTOL:
-            return cand
+        fx = np.real(v(x)) - level
+        moves_lo = (fx > 0) == lo_positive
+        lo = np.where(moves_lo, x, lo)
+        hi = np.where(moves_lo, hi, x)
+        d = np.real(dv(x))
+        # a zero slope gives an infinite or NaN step and an overflowed step
+        # is infinite: neither lies in the bracket, so both bisect
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cand = x - fx / d
+        cand = np.where((lo <= cand) & (cand <= hi), cand, 0.5 * (lo + hi))
+        hit = fx == 0.0
+        roots[rows] = np.where(hit, x, cand)
+        running = ~(hit | (np.abs(cand - x) <= ROOT_XTOL) | (hi - lo <= ROOT_XTOL))
+        if not running.all():
+            if not running.any():
+                break
+            cand, lo, hi, level = cand[running], lo[running], hi[running], level[running]
+            lo_positive, rows = lo_positive[running], rows[running]
         x = cand
-    return x
+    return roots
+
+
+def _rows(E):
+    """(E as a 1-D float array of rows, whether E was a scalar)."""
+    return np.atleast_1d(np.asarray(E, dtype=float)), np.ndim(E) == 0
+
+
+def _unrow(values, scalar):
+    """Per-row results back in the caller's shape: a scalar call gets a float."""
+    return float(values[0]) if scalar else values
+
+
+def _raise_first(checks):
+    """Raise the error of the first row that fails any of ``checks``.
+
+    ``checks`` lists (failed, error) pairs in the order one row is checked:
+    ``failed`` is a boolean mask over the rows and ``error(i)`` builds row
+    i's exception, so the row raises the error of its first failed check.
+    """
+    failed = np.array([mask for mask, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        i = bad[0]
+        raise next(error(i) for mask, error in checks if mask[i])
 
 
 @lru_cache(maxsize=32)

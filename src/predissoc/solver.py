@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigError,
@@ -284,7 +283,9 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
 
 
 def _sparse_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
-    """The FD4 matrix as a CSC array; _derivative_matrices imported scipy.sparse."""
+    """The FD4 matrix as a CSC array."""
+    import scipy.sparse  # already loaded by _derivative_matrices
+
     d1c = (1.0 / fprime)[:, None] * d1
     d2c = (1.0 / fprime ** 2)[:, None] * d2 - (fsecond / fprime ** 3)[:, None] * d1
     diag = scipy.sparse.diags_array
@@ -337,6 +338,9 @@ def _shift_invert(matrix, sigma: complex):
     be shared between threads: concurrent solves with one dense factor can
     abort the interpreter, so each thread needs its own factor.
     """
+    import scipy.linalg  # on first use, as in _disc_eigenvalues
+    import scipy.sparse.linalg
+
     dim = matrix.shape[0]
     if not isinstance(matrix, np.ndarray):
         shifted = (matrix - sigma * scipy.sparse.eye_array(dim)).tocsc()
@@ -479,6 +483,8 @@ def _blas_apply(d, block: np.ndarray) -> np.ndarray:
     """
     if not isinstance(d, np.ndarray):
         return d @ block
+    import scipy.linalg  # loaded by the eigensolve that gave the block
+
     parts = np.asfortranarray(np.concatenate([block.real, block.imag], axis=1))
     # d.T is d's Fortran-ordered view, so trans_a=1 multiplies by d uncopied
     real, imag = np.split(scipy.linalg.blas.dgemm(1.0, d.T, parts, trans_a=1), 2, axis=1)

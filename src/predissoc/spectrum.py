@@ -77,34 +77,41 @@ def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
     return lo, hi
 
 
-def _solve_level(sys, target, lo, hi, a_lo, a_hi) -> tuple[float, float]:
-    """Invert the (strictly increasing) action: A(e) = target on [lo, hi].
+def _solve_levels(sys, targets, lo, hi, a_lo, a_hi):
+    """Invert the (strictly increasing) action: A(e_i) = targets[i] on [lo, hi].
 
-    Bracketed Newton using A' as the exact derivative, with bisection
-    fallback whenever a step leaves the bracket.  Returns (e, A'(e)); the
-    slope is the one of the final step, taken at the returned e.
+    All rows run one Newton loop, each with its own bracket and the same
+    arithmetic: bracketed Newton using A' as the exact derivative, with
+    bisection fallback whenever a step leaves the bracket, started at the
+    linear interpolation of A over [lo, hi].  Each sweep takes A and A' of
+    every row still running from one call.  Returns arrays (e, A'(e)); a
+    row's slope is the one of its final step, taken at the returned e.
     """
-    blo, bhi = lo, hi
-    e = lo + (hi - lo) * (target - a_lo) / (a_hi - a_lo)
-    e = min(max(e, blo), bhi)
-    for _ in range(80):
+    targets = np.asarray(targets, dtype=float)
+    e = np.minimum(np.maximum(lo + (hi - lo) * (targets - a_lo) / (a_hi - a_lo), lo), hi)
+    blo, bhi = np.full_like(e, lo), np.full_like(e, hi)
+    levels, slopes = e.copy(), np.empty_like(e)
+    rows = np.arange(e.size)
+    sweeps = 0
+    while rows.size:
+        if sweeps == 80:
+            raise NewtonDivergence(
+                f"level solve stalled at e={float(e[0])!r} (target action {float(targets[0])!r})"
+            )
+        sweeps += 1
         a_val, slope = action_and_derivative(sys, e)
-        res = a_val - target
-        if abs(res) <= LEVEL_TOL * max(1.0, abs(target)):
-            return e, slope
-        if res > 0:
-            bhi = min(bhi, e)
-        else:
-            blo = max(blo, e)
+        levels[rows], slopes[rows] = e, slope
+        res = a_val - targets
+        converged = np.abs(res) <= LEVEL_TOL * np.maximum(1.0, np.abs(targets))
+        above = res > 0
+        bhi = np.where(above, np.minimum(bhi, e), bhi)
+        blo = np.where(above, blo, np.maximum(blo, e))
         cand = e - res / slope
-        if not (blo <= cand <= bhi):
-            cand = 0.5 * (blo + bhi)
-        if cand == e:
-            return e, slope
-        e = cand
-    raise NewtonDivergence(
-        f"level solve stalled at e={e!r} (target action {target!r})"
-    )
+        cand = np.where((blo <= cand) & (cand <= bhi), cand, 0.5 * (blo + bhi))
+        running = ~converged & (cand != e)
+        e, blo, bhi = cand[running], blo[running], bhi[running]
+        targets, rows = targets[running], rows[running]
+    return levels, slopes
 
 
 def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
@@ -113,24 +120,29 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
 
     The window is first clamped to energies at which the well exists (and
     stays below the barrier top when there is one); a window entirely
-    outside that range yields an empty list.  The private ``_with_slope``
-    makes each entry (k, e_k, A'(e_k)), the slope from the level solve.
+    outside that range yields an empty list.  All levels are solved
+    together (see ``_solve_levels``); when that raises, they are solved one
+    at a time in k order, so the first level that fails raises its own
+    error.  The private ``_with_slope`` makes each entry (k, e_k, A'(e_k)),
+    the slope from the level solve.
     """
     range_lo, range_hi = _well_energy_range(sys)
     lo = max(window.lo, range_lo)
     hi = min(window.hi, range_hi)
     if hi <= lo:
         return []
-    a_lo = action(sys, lo)
-    a_hi = action(sys, hi)
+    a_lo, a_hi = action(sys, np.array([lo, hi])).tolist()
     k_min = math.ceil(a_lo / (math.pi * h) - 0.5 - 1e-12)
     k_max = math.floor(a_hi / (math.pi * h) - 0.5 + 1e-12)
-    out = []
-    for k in range(max(k_min, 0), k_max + 1):
-        target = (k + 0.5) * math.pi * h
-        e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi)
-        out.append((k, e_k, a_prime) if _with_slope else (k, e_k))
-    return out
+    ks = np.arange(max(k_min, 0), k_max + 1)
+    targets = (ks + 0.5) * math.pi * h
+    try:
+        e_k, a_prime = _solve_levels(sys, targets, lo, hi, a_lo, a_hi)
+    except PredissocError:
+        e_k, a_prime = np.concatenate([_solve_levels(sys, targets[i:i + 1], lo, hi, a_lo, a_hi)
+                                       for i in range(ks.size)], axis=1)
+    rows = zip(ks.tolist(), e_k.tolist(), a_prime.tolist())
+    return [row if _with_slope else row[:2] for row in rows]
 
 
 def _crossing_prefactor(v1_minus_e, slope_gap, r0_at_0, r1_at_0):
@@ -207,6 +219,22 @@ class ResonanceEstimate:
     h: float
 
 
+def _agmon_per_level(sys: PotentialSystem, energies: list) -> list:
+    """S(e) for every energy from one Agmon pass; when that pass raises, one
+    energy at a time, with a failing energy's error in place of its S."""
+    try:
+        return agmon_distance(sys, np.array(energies)).tolist()
+    except PredissocError:
+        pass
+    out = []
+    for e in energies:
+        try:
+            out.append(agmon_distance(sys, e))
+        except PredissocError as exc:
+            out.append(exc)
+    return out
+
+
 def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow):
     """Estimates for every level in the window.
 
@@ -214,14 +242,20 @@ def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow):
     a :class:`PredissocError` are reported in ``skipped`` as
     (k, e_k, reason) instead of aborting the whole window.  Any other
     exception is a fault and propagates.  A'(e_k) comes from the level
-    solve, and one S(e_k) serves the width and ``s_at_ek``.
+    solve, and S(e_k) of all levels from one Agmon pass, which serves each
+    width and ``s_at_ek``.
     """
     estimates = []
     skipped = []
+    levels = bohr_sommerfeld_levels(sys, h, window, _with_slope=True)
+    if not levels:
+        return estimates, skipped
     cd = crossing_data(sys)
-    for k, e_k, a_prime in bohr_sommerfeld_levels(sys, h, window, _with_slope=True):
+    s_all = _agmon_per_level(sys, [e_k for _, e_k, _ in levels])
+    for (k, e_k, a_prime), s_agmon in zip(levels, s_all):
         try:
-            s_agmon = agmon_distance(sys, e_k)
+            if isinstance(s_agmon, PredissocError):
+                raise s_agmon
             width, parts = width_leading(sys, h, e_k, a_prime, s_agmon, cd)
             estimates.append(ResonanceEstimate(
                 k=k, e_k=e_k, width=width, s_at_ek=s_agmon,
@@ -345,14 +379,13 @@ def solve_quantization(sys: PotentialSystem, h: float, k: int) -> RefinedResonan
     vanishing coupling F = 0 and the solution is the level itself, exactly.
     """
     lo, hi = _well_energy_range(sys)
-    a_lo = action(sys, lo)
-    a_hi = action(sys, hi)
+    a_lo, a_hi = action(sys, np.array([lo, hi])).tolist()
     target = (k + 0.5) * math.pi * h
     if not a_lo <= target <= a_hi:
         raise NewtonDivergence(
             f"level k={k} has no Bohr-Sommerfeld solution in ({lo!r}, {hi!r})"
         )
-    e_k, a_prime = _solve_level(sys, target, lo, hi, a_lo, a_hi)
+    e_k, a_prime = (float(q[0]) for q in _solve_levels(sys, [target], lo, hi, a_lo, a_hi))
     hf = -width_leading(sys, h, e_k, a_prime)[0] * a_prime / h
     if not hf < 1.0:
         raise NewtonDivergence(f"level k={k}: hF = {hf!r} >= 1, the "

@@ -16,7 +16,7 @@ from predissoc import (
     integrate_endpoint_singular,
     phase_integrals,
 )
-from predissoc.errors import BarrierViolation, NoWell
+from predissoc.errors import BarrierViolation, NoExit, NoWell
 from predissoc.spectrum import _well_energy_range
 from predissoc.turning_points import RESIDUAL_TOL
 
@@ -171,3 +171,49 @@ def test_barrier_violation_detected():
 def test_action_below_well_raises(coupled):
     with pytest.raises(NoWell):
         action(coupled, -0.5)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_array_passes_equal_scalar_calls(name):
+    """A and A' and S of an array of energies equal, bit for bit, one call
+    per energy; a scalar call gives Python floats."""
+    sys_ = INSTANCES[name]
+    lo, hi = _well_energy_range(sys_)
+    energies = np.linspace(lo, hi, 11)[1:-1]
+    if name == "reference":
+        energies = energies[energies > 0.8]  # the exit channel's floor is ~0.7634
+    a_val, a_prime = action_and_derivative(sys_, energies)
+    s_val = agmon_distance(sys_, energies)
+    for i, energy in enumerate(energies.tolist()):
+        one = action_and_derivative(sys_, energy)
+        assert all(type(q) is float for q in one)
+        assert one == (a_val[i], a_prime[i])
+        assert agmon_distance(sys_, energy) == s_val[i]
+
+
+def test_agmon_array_raises_first_bad_row(coupled):
+    """One energy without an exit point in an array raises what its scalar
+    call raises."""
+    with pytest.raises(NoExit) as scalar:
+        agmon_distance(coupled, 0.6)
+    with pytest.raises(NoExit) as batched:
+        agmon_distance(coupled, np.array([1.0, 0.6, 1.2]))
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_quadrature_refines_only_the_rows_that_need_it():
+    """sqrt|t - p| on [0, 1] is singular at t = p = 0, unflagged, so that
+    row is bisected; the smooth row (p = -5) is not.  Each row equals its
+    scalar call, and f sees the per-row parameter as a column."""
+    shapes = []
+
+    def f(ts, p):
+        shapes.append((ts.shape, p.shape))
+        return np.sqrt(np.abs(ts - p))
+
+    got = integrate_endpoint_singular(f, 0.0, np.array([1.0, 1.0]), args=(np.array([0.0, -5.0]),))
+    assert shapes == [((2, 80), (2, 1)), ((2, 160), (2, 1)),
+                      ((1, 160), (1, 1)), ((1, 160), (1, 1))]
+    for i, p in enumerate((0.0, -5.0)):
+        assert integrate_endpoint_singular(f, 0.0, 1.0, args=(p,)) == got[i]
+    assert got[1] == pytest.approx((6.0 ** 1.5 - 5.0 ** 1.5) / 1.5, rel=1e-14)

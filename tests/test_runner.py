@@ -421,14 +421,17 @@ def test_package_cli_runs_without_warnings(tmp_path):
 
 
 def test_import_footprint():
-    """``import predissoc`` loads neither scipy.optimize nor scipy.sparse.
+    """``import predissoc`` loads none of scipy.optimize, scipy.sparse and
+    scipy.linalg.
 
     scipy.optimize alone takes the import from about 0.55 s and 57 MB to
-    0.85 s and 77 MB (2 vCPU VM); scipy.sparse is imported on first use by
-    the eigensolver, so the commands without one start without it."""
+    0.85 s and 77 MB (2 vCPU VM), and scipy.linalg (through scipy's
+    array-API layer, numpy.f2py and numpy.testing) costs about 0.25 s and
+    26 MB; the eigensolver imports scipy.sparse and scipy.linalg on first
+    use, so the commands without one start without them."""
     src = str(Path(predissoc.__file__).resolve().parents[1])
     code = ("import sys, predissoc; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.sparse'))))")
+            "if m.startswith(('scipy.optimize', 'scipy.sparse', 'scipy.linalg'))))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)

@@ -4,7 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predissoc import (
     EnergyWindow,
@@ -23,9 +26,9 @@ from predissoc import (
     width_leading,
 )
 from predissoc import actions, spectrum
-from predissoc.errors import DegenerateEnergy, EmptyInterval, NewtonDivergence
+from predissoc.errors import DegenerateEnergy, EmptyInterval, NewtonDivergence, PredissocError
 
-from conftest import V1_WELL, V2_TAIL
+from conftest import V1_SHALLOW, V1_WELL, V2_SHALLOW, V2_TAIL
 
 #: resonance_estimates on both instances at h = 0.02 ... 0.14, recorded at
 #: commit d11eb98, before the level solve handed A' on to the widths
@@ -143,9 +146,12 @@ def test_estimates_match_pinned_values(name, fixture, request):
 
 
 def test_estimates_make_one_semiclassical_pass_per_level(coupled, monkeypatch):
-    """Per level: the Newton steps of the level solve search the turning
-    points once each, and one Agmon distance serves width and s_at_ek."""
-    counts = {"find_well_endpoints": 0, "agmon_distance": 0, "width_leading": 0}
+    """Per window, not per level: each Newton sweep of the level solve
+    searches the turning points of all its levels once, one more search
+    gives the actions at the window ends, and one Agmon pass serves every
+    width and s_at_ek.  The sweep count stays that of one level's solve as
+    the level count grows sevenfold."""
+    counts = {}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -156,14 +162,113 @@ def test_estimates_make_one_semiclassical_pass_per_level(coupled, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(actions, "find_well_endpoints")
+    counting(spectrum, "action_and_derivative")  # one call per Newton sweep
     counting(spectrum, "agmon_distance")
     counting(spectrum, "width_leading")
-    estimates, skipped = resonance_estimates(coupled, 0.14, EnergyWindow(1.2, 0.4))
-    levels = len(estimates)
-    assert skipped == [] and levels == 3
-    assert counts["find_well_endpoints"] <= 5 * levels
-    assert counts["agmon_distance"] == levels
-    assert counts["width_leading"] == levels
+    for h, levels in ((0.14, 3), (0.02, 21)):
+        counts.update(dict.fromkeys(
+            ("find_well_endpoints", "action_and_derivative", "agmon_distance",
+             "width_leading"), 0))
+        estimates, skipped = resonance_estimates(coupled, h, EnergyWindow(1.2, 0.4))
+        assert skipped == [] and len(estimates) == levels
+        sweeps = counts["action_and_derivative"]
+        assert sweeps <= 5
+        assert counts["find_well_endpoints"] <= sweeps + 1
+        assert counts["agmon_distance"] == 1
+        assert counts["width_leading"] == levels
+
+
+INSTANCES = {
+    "reference": PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1", r1="0"),
+    "shallow": PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW, r0="1", r1="0"),
+}
+
+
+def _one_level_at_a_time(sys_, h, window):
+    """The window's estimates from one-row calls: each level solved on its
+    own, then its own S and width.  Returns ({k: (e_k, A', S, width)},
+    {k: (e_k, reason)})."""
+    range_lo, range_hi = spectrum._well_energy_range(sys_)
+    lo, hi = max(window.lo, range_lo), min(window.hi, range_hi)
+    if hi <= lo:
+        return {}, {}
+    a_lo, a_hi = action(sys_, lo), action(sys_, hi)
+    k_min = math.ceil(a_lo / (math.pi * h) - 0.5 - 1e-12)
+    k_max = math.floor(a_hi / (math.pi * h) - 0.5 + 1e-12)
+    found, failed = {}, {}
+    for k in range(max(k_min, 0), k_max + 1):
+        e, a_prime = (float(q[0]) for q in spectrum._solve_levels(
+            sys_, [(k + 0.5) * math.pi * h], lo, hi, a_lo, a_hi))
+        try:
+            s_agmon = agmon_distance(sys_, e)
+            width, _ = width_leading(sys_, h, e, a_prime, s_agmon)
+        except PredissocError as exc:
+            failed[k] = (e, f"{type(exc).__name__}: {exc}")
+            continue
+        found[k] = (e, a_prime, s_agmon, width)
+    return found, failed
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(INSTANCES)), h=st.floats(0.02, 0.3),
+       centre=st.floats(0.0, 1.0), half_width=st.floats(0.01, 0.6))
+def test_batched_estimates_equal_one_level_at_a_time(name, h, centre, half_width):
+    """resonance_estimates, which solves a window's levels together and takes
+    S from one Agmon pass, equals one-row calls level by level, bit for bit
+    in k, e_k, A', S and the width, skipped levels and reasons included."""
+    sys_ = INSTANCES[name]
+    lo, hi = spectrum._well_energy_range(sys_)
+    window = EnergyWindow(lo + centre * (hi - lo), half_width)
+    estimates, skipped = resonance_estimates(sys_, h, window)
+    found, failed = _one_level_at_a_time(sys_, h, window)
+    assert {est.k: (est.e_k, est.prefactor_parts["Aprime_inv"], est.s_at_ek, est.width)
+            for est in estimates} == {k: (e, 1.0 / a_prime, s, w)
+                                      for k, (e, a_prime, s, w) in found.items()}
+    assert {k: (e_k, reason) for k, e_k, reason in skipped} == failed
+
+
+def test_failed_agmon_pass_skips_only_its_level(coupled):
+    """k = 1 at h = 0.14 lies below the floor of the exit channel (~0.7634):
+    its Agmon pass fails, so that level is skipped with the error its own
+    search raises, and the other levels keep their one-level values."""
+    window = EnergyWindow(0.85, 0.4)
+    estimates, skipped = resonance_estimates(coupled, 0.14, window)
+    found, failed = _one_level_at_a_time(coupled, 0.14, window)
+    assert [k for k, _, _ in skipped] == [1] and list(failed) == [1]
+    k, e_k, reason = skipped[0]
+    assert reason == f"NoExit: v2 - E has no sign change on (0, 20.0] at E={e_k!r}"
+    assert (e_k, reason) == failed[1]
+    assert [(est.k, est.e_k, est.s_at_ek, est.width) for est in estimates] == [
+        (k, e, s, w) for k, (e, _, s, w) in found.items()]
+    assert [est.k for est in estimates] == [2, 3]
+
+
+def test_failed_level_solve_redone_one_level_at_a_time(coupled, window, monkeypatch):
+    """When the batched level solve raises, the window is solved again one
+    level at a time in k order, so the first level whose own solve fails
+    raises its own error."""
+    calls = []
+    original = spectrum.action_and_derivative
+
+    def failing_above(sys_, energies):
+        calls.append(len(energies))
+        bad = np.flatnonzero(energies > 1.05)
+        if bad.size:
+            raise EmptyInterval(f"fails at {float(energies[bad[0]])!r}")
+        return original(sys_, energies)
+    monkeypatch.setattr(spectrum, "action_and_derivative", failing_above)
+    with pytest.raises(EmptyInterval) as info:
+        bohr_sommerfeld_levels(coupled, 0.1, window)
+    # the batched sweeps raise, then k = 3 (e_k ~ 0.894) solves on its own,
+    # and k = 4 (e_k ~ 1.112) fails on its own, at one of its own iterates
+    first_single = calls.index(1)
+    assert all(n == 2 for n in calls[:first_single])
+    assert all(n == 1 for n in calls[first_single:])
+    with pytest.raises(EmptyInterval) as alone:
+        a_lo, a_hi = action(coupled, np.array([window.lo, window.hi]))
+        spectrum._solve_levels(coupled, [4.5 * math.pi * 0.1], window.lo, window.hi,
+                               a_lo, a_hi)
+    assert str(info.value) == str(alone.value)
 
 
 def test_estimates_skip_package_errors_only(coupled, window, monkeypatch):

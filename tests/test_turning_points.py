@@ -99,23 +99,32 @@ def _scan_brackets_loop(vals, xs):
 # exact zeros and products that underflow to -0.0 are the edge cases
 _SAMPLES = st.one_of(st.just(0.0), st.sampled_from([1e-300, -1e-300, 5e-324]),
                      st.floats(-1e3, 1e3, allow_nan=False))
+_ROWS = st.integers(2, 60).flatmap(
+    lambda n: st.lists(st.lists(_SAMPLES, min_size=n, max_size=n), min_size=1, max_size=4))
 
 
 @settings(max_examples=300, deadline=None)
-@given(vals=st.lists(_SAMPLES, min_size=2, max_size=60),
-       zeros=st.sets(st.sampled_from(["first", "interior", "last"])),
+@given(rows=_ROWS, zeros=st.sets(st.sampled_from(["first", "interior", "last"])),
        data=st.data())
-@example(vals=[0.0, 1.0, 0.0, -1.0, 0.0], zeros=set(), data=None)
-def test_scan_brackets_matches_loop(vals, zeros, data):
-    vals = np.array(vals)
+@example(rows=[[0.0, 1.0, 0.0, -1.0, 0.0], [2.0, -1.0, 0.0, 0.0, 3.0]], zeros=set(),
+         data=None)
+def test_scan_brackets_matches_loop(rows, zeros, data):
+    """The row scan gives, for every row, the brackets of the loop oracle on
+    that row alone, ordered by row and then left to right."""
+    vals = np.array(rows)
     if "first" in zeros:
-        vals[0] = 0.0
+        vals[:, 0] = 0.0
     if "last" in zeros:
-        vals[-1] = 0.0
-    if "interior" in zeros and len(vals) > 2:
-        vals[data.draw(st.integers(1, len(vals) - 2))] = 0.0
-    xs = np.linspace(-3.0, 4.0, len(vals))
-    assert _scan_brackets(vals, xs) == _scan_brackets_loop(vals, xs)
+        vals[:, -1] = 0.0
+    if "interior" in zeros and vals.shape[1] > 2:
+        for row in vals:
+            row[data.draw(st.integers(1, vals.shape[1] - 2))] = 0.0
+    xs = np.linspace(-3.0, 4.0, vals.shape[1])
+    got_rows, lo, hi = _scan_brackets(vals, xs)
+    assert np.all(np.diff(got_rows) >= 0)
+    for r, row in enumerate(vals):
+        mine = got_rows == r
+        assert list(zip(lo[mine], hi[mine])) == _scan_brackets_loop(row, xs)
 
 
 def _bisect(f, lo, hi):
@@ -147,21 +156,76 @@ def _asymmetric():
     ("asymmetric", (0.85, 1.2, 1.6)),
 ])
 def test_root_kernel_on_every_bracket(model, energies):
-    """Each root lies in its bracket, meets RESIDUAL_TOL and agrees with
-    plain bisection, for the well roots of v1 and the exit root of v2."""
+    """All brackets of all energies refined in one row-kernel call: each
+    root lies in its bracket, meets RESIDUAL_TOL, agrees with plain
+    bisection, and equals the root of a one-row call bit for bit, for the
+    well roots of v1 and the exit root of v2."""
     sys = {"reference": lambda: PotentialSystem.from_strings(V1_WELL, V2_TAIL),
            "shallow": lambda: PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW),
            "asymmetric": _asymmetric}[model]()
+    levels = np.array(energies)
     checked = 0
-    for E in energies:
-        for v, dv, part in ((sys.v1, sys.dv1, "full"), (sys.v2, sys.dv2, "right")):
-            xs, vals = _scan_grid(v, part)
+    for v, dv, part in ((sys.v1, sys.dv1, "full"), (sys.v2, sys.dv2, "right")):
+        xs, vals = _scan_grid(v, part)
+        rows, lo, hi = _scan_brackets(vals - levels[:, None], xs)
+        roots = _refine_root(v, dv, levels[rows], lo, hi)
+        for i, (E, root) in enumerate(zip(levels[rows], roots)):
             f = lambda t, v=v, E=E: float(v(t)) - E
-            df = lambda t, dv=dv: float(dv(t))
-            for lo, hi in _scan_brackets(vals - E, xs):
-                root = _refine_root(f, df, lo, hi, f(lo))
-                assert lo <= root <= hi
-                assert abs(f(root)) <= RESIDUAL_TOL
-                assert abs(root - _bisect(f, lo, hi)) <= 1e-11
-                checked += 1
+            assert lo[i] <= root <= hi[i]
+            assert abs(f(root)) <= RESIDUAL_TOL
+            assert abs(root - _bisect(f, lo[i], hi[i])) <= 1e-11
+            assert _refine_root(v, dv, levels[rows][i:i + 1], lo[i:i + 1], hi[i:i + 1])[0] == root
+            checked += 1
     assert checked == 3 * len(energies)  # two well roots and one exit root each
+
+
+_INSTANCES = {
+    "reference": PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1"),
+    "shallow": PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW, r0="1"),
+}
+
+
+@pytest.mark.parametrize("name, energies", [
+    ("reference", np.linspace(0.8, 1.6, 9)),
+    ("shallow", np.linspace(0.3, 1.6, 9)),
+])
+def test_array_searches_equal_scalar_calls(name, energies):
+    """An array of energies gives, elementwise and bit for bit, what one
+    call per energy gives; a scalar call gives Python floats."""
+    sys_ = _INSTANCES[name]
+    for search in (find_well_endpoints, find_exit_point, barrier_points):
+        batched = search(sys_, energies)
+        one_by_one = [search(sys_, float(E)) for E in energies]
+        if isinstance(batched, tuple):
+            assert all(type(t) is float for pair in one_by_one for t in pair)
+            for j, column in enumerate(batched):
+                assert column.tolist() == [pair[j] for pair in one_by_one]
+        else:
+            assert all(type(t) is float for t in one_by_one)
+            assert batched.tolist() == one_by_one
+
+
+def _error_of(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_array_search_raises_first_bad_row():
+    """An array with bad energies raises what the scalar call of its first
+    bad energy raises, whatever check the later rows fail."""
+    sys_ = _INSTANCES["reference"]
+    vmin = float(np.min(_scan_grid(sys_.v1)[1]))
+    degenerate, below = vmin + 5e-7, -0.5
+    for energies, first_bad in (([1.0, below, 1.2], below),
+                                ([1.0, degenerate, below], degenerate),
+                                ([0.9, 1.1, 1.9633687], 1.9633687)):
+        want = _error_of(lambda: find_well_endpoints(sys_, first_bad))
+        assert _error_of(lambda: find_well_endpoints(sys_, np.array(energies))) == want
+    # v2's right tail bottoms out near 0.7634: no exit point below it
+    want = _error_of(lambda: find_exit_point(sys_, 0.5))
+    assert want[0] is NoExit
+    for search in (find_exit_point, barrier_points):
+        assert _error_of(lambda: search(sys_, np.array([1.0, 0.5, 0.6]))) == want
+
+

@@ -245,6 +245,11 @@ class Pow(AnalyticExpr):
         b = self.base(x)
         if self.exponent < 0 and np.any(np.asarray(b) == 0):
             raise EvalDomainError(f"zero base with negative exponent in {self._src()!r}")
+        if isinstance(b, (float, complex)):
+            # powered as a 0-d array, so a scalar gets the value it would
+            # get inside an array (numpy squares at n = 2; C pow() may
+            # differ in the last bit), and back to the scalar's own type
+            return type(b)(np.asarray(b) ** self.exponent)
         return b ** self.exponent
 
     def derivative(self):

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -333,26 +334,125 @@ def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
 def _shift_invert(matrix, sigma: complex):
     """Factor ``matrix - sigma`` once; returns x -> (matrix - sigma)^-1 x.
 
-    A dense matrix is shifted and factored in place and is unusable
-    afterwards; a sparse one is left as it is.  The returned solve must not
-    be shared between threads: concurrent solves with one dense factor can
-    abort the interpreter, so each thread needs its own factor.
+    A sparse (FD4) matrix is left as it is and factored by ``splu``.  A
+    dense one is factored by channel blocks, in its own memory, and is
+    unusable afterwards.  Write H = [[H11, H12], [H21, H22]] by channel and
+    A1 = H11 - sigma, A2 = H22 - sigma.  Block elimination (Golub & Van
+    Loan, Matrix Computations, block LU) factors A1, forms
+    V = H21 A1^-1 and the Schur complement S = A2 - V H12, and factors S;
+    a solve is then
+
+        x2 = S^-1 (b2 - V b1),    x1 = A1^-1 (b1 - H12 x2),
+
+    two n x n LU solves and one product with V, plus one with H12 when the
+    r1 D1 term makes the coupling dense (it is diagonal for r1 = 0).  Two
+    n x n factors replace one 2n x 2n factor, and a solve reads about 3/4
+    of the bytes.
+
+    Channel 1 is eliminated first because A1 stays far from singular: its
+    spectrum is v1's real bound states, at least C0 h / 2 from a box centre
+    sigma, while channel 2's rotated continuum crosses the disc.  An exactly
+    singular A1 or S raises EigensolveFailure, as a singular sparse factor
+    does.  Every matrix product runs on scipy's BLAS (see
+    :func:`_blas_apply`).  See :func:`_pack_blocks` for the memory layout.
+
+    The returned solve must not be shared between threads: concurrent
+    solves with one dense factor can abort the interpreter, so each thread
+    needs its own factor.
     """
     import scipy.linalg  # on first use, as in _disc_eigenvalues
     import scipy.sparse.linalg
 
-    dim = matrix.shape[0]
     if not isinstance(matrix, np.ndarray):
-        shifted = (matrix - sigma * scipy.sparse.eye_array(dim)).tocsc()
+        shifted = (matrix - sigma * scipy.sparse.eye_array(matrix.shape[0])).tocsc()
         try:
             return scipy.sparse.linalg.splu(shifted).solve
         except RuntimeError as exc:  # exactly singular factor
             raise EigensolveFailure(f"shift-invert factorisation failed: {exc}") from exc
-    matrix[np.diag_indices(dim)] -= sigma
-    # the transpose is the Fortran-ordered view LAPACK factors without a
-    # copy; trans=1 then solves with the matrix itself
-    lu_piv = scipy.linalg.lu_factor(matrix.T, overwrite_a=True, check_finite=False)
-    return partial(scipy.linalg.lu_solve, lu_piv, trans=1, check_finite=False)
+
+    n = matrix.shape[0] // 2
+    a1, h12, v, a2, d12 = _pack_blocks(matrix)
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a1,))
+    gemv, gemm = scipy.linalg.get_blas_funcs(("gemv", "gemm"), (a1,))
+
+    # each C-ordered block's transpose is the Fortran-ordered view LAPACK and
+    # BLAS work on uncopied: factors and products of X.T, with trans=1 where
+    # the block X itself is meant
+    def factor(block, name):
+        block.reshape(-1)[::n + 1] -= sigma
+        lu, piv, info = getrf(block.T, overwrite_a=1)
+        if info != 0:
+            raise EigensolveFailure(
+                f"shift-invert factorisation failed: {name} is exactly singular "
+                f"at sigma = {sigma:.6g}")
+        return lu, piv
+
+    lu1, piv1 = factor(a1, "the channel-1 block")
+    # V^T = A1^-T H21^T, solved in place over H21
+    getrs(lu1, piv1, v.T, overwrite_b=1)
+    if d12 is None:  # S^T = A2^T - H12^T V^T
+        gemm(-1.0, h12.T, v.T, beta=1.0, c=a2.T, overwrite_c=1)
+    else:  # S = A2 - V diag(d12), with the free quarter h12 as scratch
+        np.multiply(v, d12, out=h12)
+        a2 -= h12
+    lu2, piv2 = factor(a2, "the Schur complement of the channel-1 block")
+
+    def solve(b):
+        x = np.array(b, dtype=complex).reshape(-1)
+        x1, x2 = x[:n], x[n:]
+        gemv(-1.0, v.T, x1, beta=1.0, y=x2, trans=1, overwrite_y=1)
+        getrs(lu2, piv2, x2, trans=1, overwrite_b=1)
+        if d12 is None:
+            gemv(-1.0, h12.T, x2, beta=1.0, y=x1, trans=1, overwrite_y=1)
+        else:
+            x1 -= d12 * x2
+        getrs(lu1, piv1, x1, trans=1, overwrite_b=1)
+        return x
+
+    return solve
+
+
+def _pack_blocks(matrix: np.ndarray):
+    """Lay the channel blocks of a dense 2n x 2n matrix out as four
+    contiguous n x n quarters of its own buffer, ``(H11, H12, H21, H22)``.
+
+    The blocks of a C-ordered matrix interleave row by row: row i holds a
+    row of H11 and one of H12 (a row of H21 and one of H22 below).  H11's
+    rows move up into the first quarter, in row ranges that double in size
+    so that no range overlaps its own source, and H22's rows move down into
+    the last quarter the same way from the end.  Coupling blocks that are
+    diagonal (r1 = 0) are first saved as vectors: H21 is rewritten as a
+    diagonal matrix and H12's diagonal ``d12`` is returned, its quarter
+    left free as scratch.  A dense coupling passes through one n x n
+    transient on its way to the middle quarters, and ``d12`` is None.
+    Nothing larger than that transient is allocated.
+    """
+    n = matrix.shape[0] // 2
+    q11, q12, q21, q22 = matrix.reshape(4, n, n)  # views: the build is C-ordered
+    h12, h21 = matrix[:n, n:], matrix[n:, :n]
+    d12, d21 = h12.diagonal().copy(), h21.diagonal().copy()
+    diagonal = (np.count_nonzero(h12) == np.count_nonzero(d12)
+                and np.count_nonzero(h21) == np.count_nonzero(d21))
+    moving = None if diagonal else h12.copy()
+    size = 1
+    while size < n:  # rows [size, 2 size) of H11 land wholly before their source
+        end = min(2 * size, n)
+        q11[size:end] = matrix[size:end, :n]
+        size = end
+    if not diagonal:
+        q12[...] = moving
+        moving[...] = h21
+    size = 1
+    while size < n:  # and rows [n - 2 size, n - size) of H22 wholly after theirs
+        start = max(n - 2 * size, 0)
+        q22[start:n - size] = matrix[n + start:2 * n - size, n:]
+        size = n - start
+    if diagonal:
+        q21.fill(0.0)
+        q21.reshape(-1)[::n + 1] = d21
+        return q11, q12, q21, q22, d12
+    q21[...] = moving
+    return q11, q12, q21, q22, None
 
 
 def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_START,
@@ -373,19 +473,32 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
     doublings), and for a hinted solve with small k the same NCV_FLOOR = 49
     vectors, whose wider Krylov space needs fewer restarts and so fewer
     operator solves.
+
+    The factorisation (:func:`_shift_invert`) runs once per disc, before
+    ARPACK: a dense matrix by block elimination of channel 1, whose
+    shifted block is the far-from-singular one, with every product on
+    scipy's BLAS.  Each call makes its own factor, and no factor may be
+    shared between threads.  The ``eigensolve:`` DEBUG line splits the
+    time into ``factor_s`` (the factorisation), ``solve_s`` (inside the
+    operator) and ``arpack_s`` (the rest of the ``eigs`` calls).
     """
     # imported on first use: the commands with no eigensolve (levels,
     # widths, validate) start faster without it
     import scipy.sparse.linalg
 
     dim = matrix.shape[0]
+    started = time.perf_counter()
     solve = _shift_invert(matrix, sigma)
-    solves = 0
+    factor_s = time.perf_counter() - started
+    solves, solve_s, eigs_s = 0, 0.0, 0.0
 
     def counted_solve(x):
-        nonlocal solves
+        nonlocal solves, solve_s
+        began = time.perf_counter()
+        out = solve(x)
+        solve_s += time.perf_counter() - began
         solves += 1
-        return solve(x)
+        return out
 
     inverse = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=counted_solve,
                                                  dtype=complex)
@@ -396,6 +509,7 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
     k = min(k_start, k_cap)
     while True:
         ncv = min(max(2 * k + 1, NCV_FLOOR), dim)
+        began = time.perf_counter()
         try:
             # in shift-invert mode ARPACK applies only OPinv; the operator
             # passed as A supplies shape and dtype
@@ -404,6 +518,8 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
                                              return_eigenvectors=vectors)
         except scipy.sparse.linalg.ArpackError as exc:
             raise EigensolveFailure(f"shift-invert eigensolve failed: {exc}") from exc
+        finally:
+            eigs_s += time.perf_counter() - began
         vals, vecs = found if vectors else (found, None)
         if not np.all(np.isfinite(vals)):
             raise EigensolveFailure("eigensolve returned non-finite eigenvalues")
@@ -416,8 +532,9 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
         k = min(2 * k, k_cap)
     dist = np.abs(vals - sigma)
     logger.debug("eigensolve: dim=%d sigma=%.6g%+.6gj radius=%.3g k=%d ncv=%d in disc=%d "
-                 "margin=%.3g operator solves=%d", dim, sigma.real, sigma.imag, radius,
-                 k, ncv, int(np.sum(dist <= radius)), dist.max() - radius, solves)
+                 "margin=%.3g operator solves=%d factor_s=%.6f solve_s=%.6f arpack_s=%.6f",
+                 dim, sigma.real, sigma.imag, radius, k, ncv, int(np.sum(dist <= radius)),
+                 dist.max() - radius, solves, factor_s, solve_s, eigs_s - solve_s)
     return vals, vecs
 
 
@@ -451,26 +568,36 @@ def compute_resonances(sys: PotentialSystem, cfg: DiscretizationConfig, h: float
     return _filter_window(vals, window, h)
 
 
-def _left_weights(ham: HamiltonianMatrix) -> np.ndarray:
-    """Weights w for which y = conj(w x) is the left eigenvector of an
-    eigenpair (lambda, x) of ``ham``: W F' on each channel.
+@lru_cache(maxsize=4)
+def _quadrature_weights(scheme: str, n: int, x_min: float, x_max: float) -> np.ndarray:
+    """W of :func:`_left_weights` on one grid: 1 on the FD4 grid, whose D2
+    is symmetric and D1 skew-symmetric, and the Clenshaw-Curtis weights of
+    the interior Chebyshev points cos(pi j / N), N = n + 1 (Trefethen,
+    Spectral Methods in MATLAB, ch. 12).
 
-    W is 1 on the FD4 grid, whose D2 is symmetric and D1 skew-symmetric,
-    and the Clenshaw-Curtis weights of the interior Chebyshev points
-    cos(pi j / N), N = n + 1 (Trefethen, Spectral Methods in MATLAB, ch. 12).
+    Cached per grid, as :func:`_derivative_matrices` is; read-only.
     """
-    cfg = ham.config
-    weight = np.ones(cfg.n)
-    if cfg.scheme == "chebyshev_collocation":
-        big_n = cfg.n + 1
+    weight = np.ones(n)
+    if scheme == "chebyshev_collocation":
+        big_n = n + 1
         angle = np.pi * np.arange(1, big_n) / big_n
         k = np.arange(1, (big_n - 1) // 2 + 1)[:, None]
         # summed elementwise: a numpy matrix product would wake numpy's BLAS
         weight -= np.sum(2.0 / (4.0 * k * k - 1.0) * np.cos(2.0 * k * angle), axis=0)
         if big_n % 2 == 0:
             weight -= np.cos(big_n * angle) / (big_n * big_n - 1.0)
-        weight *= (cfg.x_max - cfg.x_min) / big_n
-    weight = weight * ham.contour_scale
+        weight *= (x_max - x_min) / big_n
+    weight.flags.writeable = False
+    return weight
+
+
+def _left_weights(ham: HamiltonianMatrix) -> np.ndarray:
+    """Weights w for which y = conj(w x) is the left eigenvector of an
+    eigenpair (lambda, x) of ``ham``: W F' on each channel, with the grid's
+    quadrature weights W (:func:`_quadrature_weights`).
+    """
+    cfg = ham.config
+    weight = _quadrature_weights(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max) * ham.contour_scale
     return np.concatenate([weight, weight])
 
 

@@ -274,3 +274,30 @@ def test_derivative_builds_no_literal_operator_node(tree):
         kids = _children(node)
         if kids and all(isinstance(k, Num) for k in kids) and node not in copied:
             assert _values(node, 0.0) is EvalDomainError, f"{node} in d/dx {tree}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=_TREES, x=st.floats(-3.0, 3.0))
+def test_float_evaluates_as_inside_an_array(tree, x):
+    """A float gets bit for bit the value it gets as an element of an
+    array (a Python float pow and numpy's square differ in the last bit
+    for some arguments), and comes out as a float."""
+    try:
+        with np.errstate(all="ignore"):
+            scalar = tree(x)
+            # a tree without x returns a scalar for an array too
+            element = np.broadcast_to(tree(np.array([x, 0.25])), (2,))[0]
+    except EvalDomainError:
+        return
+    assert isinstance(scalar, float)
+    assert np.array_equal(scalar, element, equal_nan=True)
+
+
+def test_power_of_scalar_equals_power_in_array():
+    """(x + 2)^n at floats where C pow() and numpy's power differ."""
+    xs = np.random.default_rng(0).uniform(-25.0, 5.0, 2000)
+    for n in (2, 3, -1, -2):
+        expr = Pow(Add(Var(), Num(2.0)), n)
+        scalars = np.array([expr(float(x)) for x in xs])
+        assert np.array_equal(scalars, expr(xs))
+        assert type(expr(1.5)) is float

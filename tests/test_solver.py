@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from predissoc.solver import (
     _on_contour,
     _filter_window,
     _left_weights,
+    _quadrature_weights,
     _shift_invert,
 )
 
@@ -106,6 +108,19 @@ def test_derivative_matrix_cache_is_read_only(scheme):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert _derivative_matrices(scheme, 64, -8.0, 12.0)[0] is d1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_quadrature_weight_cache_is_read_only(scheme):
+    weight = _quadrature_weights(scheme, 64, -8.0, 12.0)
+    assert not weight.flags.writeable
+    assert _quadrature_weights(scheme, 64, -8.0, 12.0) is weight
+    if scheme == "chebyshev_collocation":
+        # Clenshaw-Curtis integrates 1 exactly: the interior weights are the
+        # length less the two end weights, L / (2 N^2) each for odd N = n + 1
+        assert np.sum(weight) == pytest.approx(20.0 * (1.0 - 1.0 / 65 ** 2), rel=1e-14)
+    else:
+        assert np.all(weight == 1.0)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -187,6 +202,88 @@ def test_dense_build_allocates_little_beyond_the_matrix(coupled, window):
         tracemalloc.stop()
     assert matrix.shape == (800, 800)
     assert peak <= 1.25 * matrix.nbytes
+
+
+#: (instance, r0, r1, sigma): the box-disc centre of each instance with a
+#: diagonal (r1 = 0), a dense (r1 = x) and no coupling (r0 = 0), and the
+#: computed resonance of the theta_stability test, where H - sigma is
+#: nearly singular
+_SOLVE_CASES = [(instance, r0, r1, "box centre") for instance in sorted(_INSTANCES)
+                for r0, r1 in (("1", "0"), ("1", "x"), ("0", "0"))]
+_SOLVE_CASES.append(("reference", "1", "0", "resonance"))
+
+
+@pytest.mark.parametrize("instance, r0, r1, at", _SOLVE_CASES)
+def test_block_solve_matches_full_lu(instance, r0, r1, at):
+    """The channel-block solve of (H - sigma) x = b agrees with the full
+    2n x 2n LU solve it replaces (partial pivoting on the transpose, as the
+    dense path factored before), and its backward error
+    |(H - sigma) x - b| / (|H - sigma| |x| + |b|) is at most 10 x the
+    full LU's.
+
+    Agreement is measured against the full LU's own roundoff: at most
+    10 x the distance to the full LU of the untransposed matrix (another
+    pivot order), or 1e-12 relative where that is larger: the two full
+    LU solves differ by 1e-15 to 3e-14 relative at the box centres, and by
+    4e-4 at the resonance, where H - sigma is singular to roundoff."""
+    v1, v2, window, cfg = _INSTANCES[instance]
+    sys = PotentialSystem.from_strings(v1, v2, r0=r0, r1=r1)
+    h = 0.14
+    sigma = _box_disc(window, h)[0]
+    if at == "resonance":
+        cfg = DiscretizationConfig(theta=0.10)
+        sigma = 1.1820169263068003 - 9.117245620572684e-10j
+    matrix = build_hamiltonian(sys, cfg, h, window).matrix
+    shifted = matrix - sigma * np.eye(matrix.shape[0])
+    b = np.random.default_rng(3).standard_normal((matrix.shape[0], 2)) @ [1.0, 1j]
+    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted.T), b, trans=1)
+    pivoted = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted), b)
+    x = _shift_invert(matrix, sigma)(b)
+    spread = np.linalg.norm(pivoted - expected)
+    assert np.linalg.norm(x - expected) <= max(1e-12 * np.linalg.norm(expected), 10.0 * spread)
+    scale = np.linalg.norm(shifted, 1)
+
+    def backward_error(y):
+        return np.linalg.norm(shifted @ y - b, 1) / (scale * np.linalg.norm(y, 1)
+                                                     + np.linalg.norm(b, 1))
+    assert backward_error(x) <= 10.0 * backward_error(expected)
+
+
+def test_singular_block_raises():
+    """An exactly singular channel-1 block, or Schur complement, is a
+    typed failure, never a solve that returns NaN."""
+    n, sigma = 64, complex(1.0, -0.3)
+    eye = np.eye(n)
+    rng = np.random.default_rng(5)
+    flat_channel_1 = np.block([[sigma * eye, eye], [eye, rng.standard_normal((n, n))]])
+    with pytest.raises(EigensolveFailure, match="channel-1 block"):
+        _shift_invert(flat_channel_1.astype(complex), sigma)
+    # A1 = I, S = A2 - H21 A1^-1 H12 = I - I
+    flat_schur = np.block([[(sigma + 1.0) * eye, eye], [eye, (sigma + 1.0) * eye]])
+    with pytest.raises(EigensolveFailure, match="Schur complement"):
+        _shift_invert(flat_schur, sigma)
+
+
+@pytest.mark.parametrize("r1", ["0", "x"])
+def test_block_factor_allocates_little_beyond_the_matrix(r1, window):
+    """The channel-block factors are made inside the matrix: at most
+    0.3 x its size is allocated (one n x n transient for a dense coupling,
+    a few vectors for a diagonal one), where copying the blocks out would
+    take about 0.75 x."""
+    sys = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1", r1=r1)
+    cfg = DiscretizationConfig(n=400)
+    matrix = build_hamiltonian(sys, cfg, 0.14, window).matrix
+    sigma = _box_disc(window, 0.14)[0]
+    _shift_invert(matrix.copy(), sigma)  # loads the LAPACK wrappers
+    tracemalloc.start()
+    try:
+        solve = _shift_invert(matrix, sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (800, 800)
+    assert peak <= 0.3 * matrix.nbytes
+    assert np.all(np.isfinite(solve(np.ones(800, dtype=complex))))
 
 
 def test_harmonic_block_eigenvalues():
@@ -277,14 +374,21 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
     h = 0.14
     expected = _dense_box(sys, cfg, h, window)
     with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        started = time.perf_counter()
         if case == "small_k_start":
             matrix = build_hamiltonian(sys, cfg, h, window).matrix
             vals, _ = _disc_eigenvalues(matrix, *_box_disc(window, h), k_start=2)
             found = _filter_window(vals, window, h)
         else:
             found = compute_resonances(sys, cfg, h, window)
+        wall = time.perf_counter() - started
     k, ncv = map(int, re.search(r"k=(\d+) ncv=(\d+)", caplog.messages[-1]).groups())
     assert ncv == max(2 * k + 1, 2 * solver.K_START + 1)
+    # the time split: factorisation, inside the operator, rest of ARPACK
+    split = [float(re.search(rf"{name}=(\S+)", caplog.messages[-1]).group(1))
+             for name in ("factor_s", "solve_s", "arpack_s")]
+    assert min(split) >= 0.0
+    assert sum(split) <= wall
     if case == "small_k_start":
         assert k == 32  # 2, 4, 8 and 16 fell short of the disc's 17
     assert found.size == expected.size

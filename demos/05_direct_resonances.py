@@ -35,7 +35,7 @@ cfg = DiscretizationConfig(n=200)
 # The discretized contour
 # ---------------------------------------------------------------------------
 ham = build_hamiltonian(sys_, cfg, h, window)
-print("matrix shape:", ham.matrix.shape, " (two channels, Dirichlet ends)")
+print("channel blocks:", ham.blocks[0].shape, "each, two channels (Dirichlet ends)")
 print("scaling starts at x =", round(ham.x_start_scaling, 6),
       " (exit point + 1)")
 imax = ham.z_nodes.imag.max()

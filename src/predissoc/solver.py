@@ -200,11 +200,14 @@ def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
 class HamiltonianMatrix:
     """Discretized, contour-deformed two-channel operator.
 
-    ``matrix`` is a dense array for Chebyshev collocation and a sparse CSC
-    array for the banded finite-difference scheme.
+    ``blocks = (H11, H12, H21, H22)`` are its n x n channel blocks, the
+    layout the shift-invert factor reads.  Chebyshev collocation gives
+    dense Fortran-ordered arrays, except that the coupling blocks are the
+    1-D vector h r0 of their diagonal when r1 is identically zero; the
+    banded finite-difference scheme gives sparse arrays.
     """
 
-    matrix: np.ndarray | scipy.sparse.csc_array
+    blocks: tuple
     x_nodes: np.ndarray
     z_nodes: np.ndarray
     contour_scale: np.ndarray
@@ -252,7 +255,7 @@ def _on_contour(name: str, expr, z: np.ndarray, cfg: DiscretizationConfig,
 
 def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
                       window: EnergyWindow | None = None) -> HamiltonianMatrix:
-    """Assemble the 2n x 2n complex-scaled matrix.
+    """Assemble the complex-scaled operator as its four n x n channel blocks.
 
     When ``cfg.x_start_scaling`` is unset it defaults to one unit beyond the
     exit point at the window's reference energy.  All coefficient functions
@@ -260,12 +263,13 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     matrices pick up 1/F' (first order) and 1/F'^2 together with the
     curvature term -F''/F'^3 (second order).
 
-    The dense (Chebyshev) matrix is written block by block into one zeroed
-    2n x 2n array, about 1.1 x its own size at peak: the kinetic block
-    once, with the F'' term only on the ramp rows where F'' is nonzero,
-    copied to the other channel; v1, v2 and h r0 on the diagonals; and the
-    r1 D1 coupling terms only when r1 is not identically zero.  Without r1
-    the matrix equals the block formula of the FD4 branch bit for bit.
+    The dense (Chebyshev) blocks are written in place, about 1.1 x their
+    own size at peak: the kinetic block once, with the F'' term only on
+    the ramp rows where F'' is nonzero, copied to the other channel; v1 and
+    v2 on the diagonals; and the coupling blocks, which are the vector h r0
+    when r1 is identically zero, else h (r0 + h r1 D1c) and
+    h (r0 - h D1c r1) in full.  Their entries equal the block formula of
+    the FD4 branch bit for bit without r1.
     """
     x_inf = _resolve_x_inf(sys, cfg, window)
     d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
@@ -277,14 +281,14 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
                       for name, expr in (("v1", sys.v1), ("v2", sys.v2),
                                          ("r0", sys.r0), ("r1", sys.r1)))
     build = _dense_blocks if isinstance(d1, np.ndarray) else _sparse_blocks
-    matrix = build(d1, d2, fprime, fsecond, v1, v2, r0, r1, h)
-    return HamiltonianMatrix(matrix=matrix, x_nodes=nodes, z_nodes=z,
+    blocks = build(d1, d2, fprime, fsecond, v1, v2, r0, r1, h)
+    return HamiltonianMatrix(blocks=blocks, x_nodes=nodes, z_nodes=z,
                              contour_scale=fprime, x_start_scaling=x_inf,
                              config=cfg, h=h)
 
 
 def _sparse_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
-    """The FD4 matrix as a CSC array."""
+    """The FD4 channel blocks as sparse arrays."""
     import scipy.sparse  # already loaded by _derivative_matrices
 
     d1c = (1.0 / fprime)[:, None] * d1
@@ -295,32 +299,29 @@ def _sparse_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
     h22 = -h * h * d2c + diag(v2)
     h12 = h * (r0d + (h * r1)[:, None] * d1c)
     h21 = h * (r0d - h * d1c * r1[None, :])
-    return scipy.sparse.block_array([[h11, h12], [h21, h22]], format="csc")
+    return h11, h12, h21, h22
 
 
 def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
-    """The Chebyshev matrix, built in place (see :func:`build_hamiltonian`)."""
-    n = fprime.size
-    matrix = np.zeros((2 * n, 2 * n), dtype=complex)
-    h11, h12 = matrix[:n, :n], matrix[:n, n:]
-    h21, h22 = matrix[n:, :n], matrix[n:, n:]
-    diagonal = np.diag_indices(n)
+    """The Chebyshev channel blocks, built in place (see
+    :func:`build_hamiltonian`)."""
+    diagonal = np.diag_indices(fprime.size)
 
     # -h^2 D2c, D2c = (1/F'^2) D2 - (F''/F'^3) D1
-    np.multiply((1.0 / fprime ** 2)[:, None], d2, out=h11)
+    h11 = np.multiply((1.0 / fprime ** 2)[:, None], d2, order="F")
     ramp = np.flatnonzero(fsecond)
     h11[ramp] -= (fsecond[ramp] / fprime[ramp] ** 3)[:, None] * d1[ramp]
     h11 *= -h * h
-    h22[...] = h11
+    h22 = h11.copy(order="F")
     h11[diagonal] += v1
     h22[diagonal] += v2
 
     # h (r0 + h r1 D1c) above and h (r0 - h D1c r1) below, D1c = (1/F') D1
     if not np.any(r1):
-        h12[diagonal] = h21[diagonal] = h * r0
-        return matrix
-    np.multiply((1.0 / fprime)[:, None], d1, out=h12)
-    np.multiply(h12, h, out=h21)
+        coupling = h * r0
+        return h11, coupling, coupling, h22
+    h12 = np.multiply((1.0 / fprime)[:, None], d1, order="F")
+    h21 = h12 * h
     h12 *= (h * r1)[:, None]
     h21 *= r1[None, :]
     np.negative(h21, out=h21)
@@ -328,33 +329,35 @@ def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
     h21[diagonal] += r0
     h12 *= h
     h21 *= h
-    return matrix
+    return h11, h12, h21, h22
 
 
-def _shift_invert(matrix, sigma: complex):
-    """Factor ``matrix - sigma`` once; returns x -> (matrix - sigma)^-1 x.
+def _shift_invert(blocks, sigma: complex):
+    """Factor H - sigma once; returns x -> (H - sigma)^-1 x for the operator
+    H = [[H11, H12], [H21, H22]] of the channel ``blocks``.
 
-    A sparse (FD4) matrix is left as it is and factored by ``splu``.  A
-    dense one is factored by channel blocks, in its own memory, and is
-    unusable afterwards.  Write H = [[H11, H12], [H21, H22]] by channel and
-    A1 = H11 - sigma, A2 = H22 - sigma.  Block elimination (Golub & Van
-    Loan, Matrix Computations, block LU) factors A1, forms
-    V = H21 A1^-1 and the Schur complement S = A2 - V H12, and factors S;
-    a solve is then
+    Sparse (FD4) blocks are stacked into one CSC matrix and factored by
+    ``splu``.  Dense blocks are factored by channel, in their own memory,
+    and are unusable afterwards.  With A1 = H11 - sigma and
+    A2 = H22 - sigma, block elimination (Golub & Van Loan, Matrix
+    Computations, block LU) factors A1, forms W = A1^-1 H12 and the Schur
+    complement S = A2 - H21 W, and factors S; a solve is then
 
-        x2 = S^-1 (b2 - V b1),    x1 = A1^-1 (b1 - H12 x2),
+        y1 = A1^-1 b1,    x2 = S^-1 (b2 - H21 y1),    x1 = y1 - W x2,
 
-    two n x n LU solves and one product with V, plus one with H12 when the
-    r1 D1 term makes the coupling dense (it is diagonal for r1 = 0).  Two
-    n x n factors replace one 2n x 2n factor, and a solve reads about 3/4
-    of the bytes.
+    two n x n LU solves and one product with W, plus one with H21 when the
+    r1 D1 term makes the coupling dense.  Every LU pivots by rows.  W is
+    formed over H12 when that block is dense; a diagonal coupling (a 1-D
+    block) makes W the one new n x n array, and S then scales W's rows.
+    Two n x n factors replace one 2n x 2n factor, and a solve reads about
+    3/4 of the bytes.
 
     Channel 1 is eliminated first because A1 stays far from singular: its
     spectrum is v1's real bound states, at least C0 h / 2 from a box centre
     sigma, while channel 2's rotated continuum crosses the disc.  An exactly
     singular A1 or S raises EigensolveFailure, as a singular sparse factor
     does.  Every matrix product runs on scipy's BLAS (see
-    :func:`_blas_apply`).  See :func:`_pack_blocks` for the memory layout.
+    :func:`_blas_apply`).
 
     The returned solve must not be shared between threads: concurrent
     solves with one dense factor can abort the interpreter, so each thread
@@ -363,108 +366,70 @@ def _shift_invert(matrix, sigma: complex):
     import scipy.linalg  # on first use, as in _disc_eigenvalues
     import scipy.sparse.linalg
 
-    if not isinstance(matrix, np.ndarray):
-        shifted = (matrix - sigma * scipy.sparse.eye_array(matrix.shape[0])).tocsc()
+    h11, h12, h21, h22 = blocks
+    n = h11.shape[0]
+    if not isinstance(h11, np.ndarray):
+        matrix = scipy.sparse.block_array([[h11, h12], [h21, h22]], format="csc")
+        shifted = (matrix - sigma * scipy.sparse.eye_array(2 * n)).tocsc()
         try:
             return scipy.sparse.linalg.splu(shifted).solve
         except RuntimeError as exc:  # exactly singular factor
             raise EigensolveFailure(f"shift-invert factorisation failed: {exc}") from exc
 
-    n = matrix.shape[0] // 2
-    a1, h12, v, a2, d12 = _pack_blocks(matrix)
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a1,))
-    gemv, gemm = scipy.linalg.get_blas_funcs(("gemv", "gemm"), (a1,))
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (h11,))
+    gemv, gemm = scipy.linalg.get_blas_funcs(("gemv", "gemm"), (h11,))
+    diagonal = np.diag_indices(n)
 
-    # each C-ordered block's transpose is the Fortran-ordered view LAPACK and
-    # BLAS work on uncopied: factors and products of X.T, with trans=1 where
-    # the block X itself is meant
     def factor(block, name):
-        block.reshape(-1)[::n + 1] -= sigma
-        lu, piv, info = getrf(block.T, overwrite_a=1)
+        block[diagonal] -= sigma
+        lu, piv, info = getrf(block, overwrite_a=1)
         if info != 0:
             raise EigensolveFailure(
                 f"shift-invert factorisation failed: {name} is exactly singular "
                 f"at sigma = {sigma:.6g}")
         return lu, piv
 
-    lu1, piv1 = factor(a1, "the channel-1 block")
-    # V^T = A1^-T H21^T, solved in place over H21
-    getrs(lu1, piv1, v.T, overwrite_b=1)
-    if d12 is None:  # S^T = A2^T - H12^T V^T
-        gemm(-1.0, h12.T, v.T, beta=1.0, c=a2.T, overwrite_c=1)
-    else:  # S = A2 - V diag(d12), with the free quarter h12 as scratch
-        np.multiply(v, d12, out=h12)
-        a2 -= h12
-    lu2, piv2 = factor(a2, "the Schur complement of the channel-1 block")
+    lu1, piv1 = factor(h11, "the channel-1 block")
+    if h12.ndim == 2:
+        w = h12
+    else:
+        w = np.zeros((n, n), dtype=complex, order="F")
+        w[diagonal] = h12
+    w, _ = getrs(lu1, piv1, w, overwrite_b=1)
+    # S = A2 - H21 W, over H22 (factor shifts it last)
+    if h21.ndim == 2:
+        h22 = gemm(-1.0, h21, w, beta=1.0, c=h22, overwrite_c=1)
+    else:  # 64 columns at a time, so no n x n transient is made
+        for j in range(0, n, 64):
+            h22[:, j:j + 64] -= h21[:, None] * w[:, j:j + 64]
+    lu2, piv2 = factor(h22, "the Schur complement of the channel-1 block")
 
     def solve(b):
         x = np.array(b, dtype=complex).reshape(-1)
         x1, x2 = x[:n], x[n:]
-        gemv(-1.0, v.T, x1, beta=1.0, y=x2, trans=1, overwrite_y=1)
-        getrs(lu2, piv2, x2, trans=1, overwrite_b=1)
-        if d12 is None:
-            gemv(-1.0, h12.T, x2, beta=1.0, y=x1, trans=1, overwrite_y=1)
+        getrs(lu1, piv1, x1, overwrite_b=1)
+        if h21.ndim == 2:
+            gemv(-1.0, h21, x1, beta=1.0, y=x2, overwrite_y=1)
         else:
-            x1 -= d12 * x2
-        getrs(lu1, piv1, x1, trans=1, overwrite_b=1)
+            x2 -= h21 * x1
+        getrs(lu2, piv2, x2, overwrite_b=1)
+        gemv(-1.0, w, x2, beta=1.0, y=x1, overwrite_y=1)
         return x
 
     return solve
 
 
-def _pack_blocks(matrix: np.ndarray):
-    """Lay the channel blocks of a dense 2n x 2n matrix out as four
-    contiguous n x n quarters of its own buffer, ``(H11, H12, H21, H22)``.
-
-    The blocks of a C-ordered matrix interleave row by row: row i holds a
-    row of H11 and one of H12 (a row of H21 and one of H22 below).  H11's
-    rows move up into the first quarter, in row ranges that double in size
-    so that no range overlaps its own source, and H22's rows move down into
-    the last quarter the same way from the end.  Coupling blocks that are
-    diagonal (r1 = 0) are first saved as vectors: H21 is rewritten as a
-    diagonal matrix and H12's diagonal ``d12`` is returned, its quarter
-    left free as scratch.  A dense coupling passes through one n x n
-    transient on its way to the middle quarters, and ``d12`` is None.
-    Nothing larger than that transient is allocated.
-    """
-    n = matrix.shape[0] // 2
-    q11, q12, q21, q22 = matrix.reshape(4, n, n)  # views: the build is C-ordered
-    h12, h21 = matrix[:n, n:], matrix[n:, :n]
-    d12, d21 = h12.diagonal().copy(), h21.diagonal().copy()
-    diagonal = (np.count_nonzero(h12) == np.count_nonzero(d12)
-                and np.count_nonzero(h21) == np.count_nonzero(d21))
-    moving = None if diagonal else h12.copy()
-    size = 1
-    while size < n:  # rows [size, 2 size) of H11 land wholly before their source
-        end = min(2 * size, n)
-        q11[size:end] = matrix[size:end, :n]
-        size = end
-    if not diagonal:
-        q12[...] = moving
-        moving[...] = h21
-    size = 1
-    while size < n:  # and rows [n - 2 size, n - size) of H22 wholly after theirs
-        start = max(n - 2 * size, 0)
-        q22[start:n - size] = matrix[n + start:2 * n - size, n:]
-        size = n - start
-    if diagonal:
-        q21.fill(0.0)
-        q21.reshape(-1)[::n + 1] = d21
-        return q11, q12, q21, q22, d12
-    q21[...] = moving
-    return q11, q12, q21, q22, None
-
-
-def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_START,
+def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_START,
                       vectors: bool = False):
-    """Every eigenvalue of ``matrix`` within ``radius`` of ``sigma``.
+    """Every eigenvalue within ``radius`` of ``sigma`` of the operator whose
+    channel ``blocks`` are those of :class:`HamiltonianMatrix`.
 
     Shift-invert Arnoldi (ARPACK) about sigma returns the k eigenvalues
     nearest it; k doubles from ``k_start`` until the farthest of them lies
     outside the disc, so the disc is complete.  Returns ``(vals, vecs)``:
     those k eigenvalues (the disc's and the few just beyond it) and, with
-    ``vectors``, their right eigenvectors as columns, else None.  A dense
-    matrix is consumed by the factorisation.  A disc too full for ARPACK,
+    ``vectors``, their right eigenvectors as columns, else None.  Dense
+    blocks are consumed by the factorisation.  A disc too full for ARPACK,
     whose k must stay below dim - 2, raises EigensolveFailure rather than
     return part of it.
 
@@ -475,20 +440,21 @@ def _disc_eigenvalues(matrix, sigma: complex, radius: float, k_start: int = K_ST
     operator solves.
 
     The factorisation (:func:`_shift_invert`) runs once per disc, before
-    ARPACK: a dense matrix by block elimination of channel 1, whose
-    shifted block is the far-from-singular one, with every product on
-    scipy's BLAS.  Each call makes its own factor, and no factor may be
-    shared between threads.  The ``eigensolve:`` DEBUG line splits the
-    time into ``factor_s`` (the factorisation), ``solve_s`` (inside the
-    operator) and ``arpack_s`` (the rest of the ``eigs`` calls).
+    ARPACK: dense blocks by block elimination of channel 1, whose shifted
+    block is the far-from-singular one, with row-pivoted LU factors and
+    every product on scipy's BLAS.  Each call makes its own factor, and
+    no factor may be shared between threads.  The ``eigensolve:`` DEBUG
+    line splits the time into ``factor_s`` (the factorisation),
+    ``solve_s`` (inside the operator) and ``arpack_s`` (the rest of the
+    ``eigs`` calls).
     """
     # imported on first use: the commands with no eigensolve (levels,
     # widths, validate) start faster without it
     import scipy.sparse.linalg
 
-    dim = matrix.shape[0]
+    dim = 2 * blocks[0].shape[0]
     started = time.perf_counter()
-    solve = _shift_invert(matrix, sigma)
+    solve = _shift_invert(blocks, sigma)
     factor_s = time.perf_counter() - started
     solves, solve_s, eigs_s = 0, 0.0, 0.0
 
@@ -564,7 +530,7 @@ def compute_resonances(sys: PotentialSystem, cfg: DiscretizationConfig, h: float
     and no eigenvectors.
     """
     ham = build_hamiltonian(sys, cfg, h, window)
-    vals, _ = _disc_eigenvalues(ham.matrix, *_box_disc(window, h))
+    vals, _ = _disc_eigenvalues(ham.blocks, *_box_disc(window, h))
     return _filter_window(vals, window, h)
 
 
@@ -689,7 +655,7 @@ def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     """
     E = complex(E)
     ham = build_hamiltonian(sys, cfg, h, window)
-    vals, vecs = _disc_eigenvalues(ham.matrix, E, 0.0, vectors=True)
+    vals, vecs = _disc_eigenvalues(ham.blocks, E, 0.0, vectors=True)
     return float(_drifts(sys, ham, vals, vecs, [E])[0])
 
 
@@ -775,26 +741,21 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     estimates, skipped = resonance_estimates(sys, h, window)
     for k, e_k, reason in skipped:
         logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
-    records = ComparisonRecords((ResonanceRecord(estimate=est) for est in estimates),
-                                skipped)
     if not estimates:
-        return records
+        return ComparisonRecords([], skipped)
 
     sigma, radius = _box_disc(window, h)
     k_start = K_START if _disc_hint is None else _disc_hint + K_HINT_PAD
     ham = build_hamiltonian(sys, cfg, h, window)
-    vals, vecs = _disc_eigenvalues(ham.matrix, sigma, radius, k_start, vectors=True)
-    records.disc_count = int(np.sum(np.abs(vals - sigma) <= radius))
+    vals, vecs = _disc_eigenvalues(ham.blocks, sigma, radius, k_start, vectors=True)
     candidates = _filter_window(vals, window, h)
-    if len(candidates) == 0:
-        return records
-    drifts = _drifts(sys, ham, vals, vecs, candidates)
-    stable = drifts <= stab_tol
-    stable_vals = candidates[stable]
-    stable_drifts = drifts[stable]
-
+    stable_vals = stable_drifts = candidates  # nothing to screen when empty
+    if len(candidates):
+        drifts = _drifts(sys, ham, vals, vecs, candidates)
+        stable = drifts <= stab_tol
+        stable_vals, stable_drifts = candidates[stable], drifts[stable]
     records = ComparisonRecords(match_resonances(estimates, stable_vals), skipped,
-                                records.disc_count)
+                                int(np.sum(np.abs(vals - sigma) <= radius)))
     matched_drifts = []
     for rec in records:
         if rec.computed is None:

@@ -81,7 +81,7 @@ def test_contour_profile_is_smooth():
 def test_hamiltonian_geometry(coupled, window):
     cfg = DiscretizationConfig(n=64)
     ham = build_hamiltonian(coupled, cfg, 0.1, window)
-    assert ham.matrix.shape == (128, 128)
+    assert [b.shape for b in ham.blocks] == [(64, 64), (64,), (64,), (64, 64)]
     assert np.all(np.diff(ham.x_nodes) > 0)
     inside = ham.x_nodes <= ham.x_start_scaling
     assert np.all(ham.z_nodes.imag[inside] == 0.0)
@@ -128,20 +128,26 @@ def test_cached_build_equals_cold_build(scheme, coupled, window):
     """A factorisation of one matrix leaves the cache intact: the next build,
     at another h, equals a build from an emptied cache bit for bit."""
     cfg = DiscretizationConfig(n=64, scheme=scheme)
-    first = build_hamiltonian(coupled, cfg, 0.14, window).matrix
-    before = first.copy()
-    _shift_invert(first, complex(1.0, -0.3))  # dense matrices are factored in place
+    first = build_hamiltonian(coupled, cfg, 0.14, window).blocks
+    before = _full(first)
+    _shift_invert(first, complex(1.0, -0.3))  # dense blocks are factored in place
     if scheme == "chebyshev_collocation":
-        assert not np.array_equal(first, before)
+        assert not np.array_equal(_full(first), before)
     hits = _derivative_matrices.cache_info().hits
-    warm = build_hamiltonian(coupled, cfg, 0.12, window).matrix
+    warm = build_hamiltonian(coupled, cfg, 0.12, window).blocks
     assert _derivative_matrices.cache_info().hits == hits + 1
     _derivative_matrices.cache_clear()
-    cold = build_hamiltonian(coupled, cfg, 0.12, window).matrix
-    if scheme == "chebyshev_collocation":
-        assert np.array_equal(warm, cold)
-    else:
-        assert np.array_equal(warm.toarray(), cold.toarray())
+    cold = build_hamiltonian(coupled, cfg, 0.12, window).blocks
+    assert np.array_equal(_full(warm), _full(cold))
+
+
+def _full(blocks):
+    """The 2n x 2n dense matrix of a HamiltonianMatrix's channel blocks,
+    a diagonal coupling given as its 1-D diagonal."""
+    if scipy.sparse.issparse(blocks[0]):
+        return scipy.sparse.block_array([list(blocks[:2]), list(blocks[2:])]).toarray()
+    h11, h12, h21, h22 = (b if b.ndim == 2 else np.diag(b) for b in blocks)
+    return np.block([[h11, h12], [h21, h22]])
 
 
 def _block_oracle(sys, ham):
@@ -177,31 +183,35 @@ _INSTANCES = {
 @pytest.mark.parametrize("h", [0.14, 0.2])
 def test_dense_build_equals_block_assembly(instance, r1, h):
     """The in-place Chebyshev build is the block formula entry for entry:
-    bit for bit without r1, to roundoff with it."""
+    bit for bit without r1, to roundoff with it.  Its n x n blocks are
+    Fortran-ordered, as LAPACK factors them, and a diagonal coupling is
+    kept as its diagonal."""
     v1, v2, window, cfg = _INSTANCES[instance]
     sys = PotentialSystem.from_strings(v1, v2, r0="1", r1=r1)
     ham = build_hamiltonian(sys, cfg, h, window)
+    assert all(b.flags.f_contiguous for b in ham.blocks if b.ndim == 2)
     expected = _block_oracle(sys, ham)
     if r1 == "0":
-        assert np.array_equal(ham.matrix, expected)
+        assert ham.blocks[1].ndim == ham.blocks[2].ndim == 1
+        assert np.array_equal(_full(ham.blocks), expected)
     else:
-        assert np.count_nonzero(ham.matrix[:cfg.n, cfg.n:]) > cfg.n  # r1 D1 is there
-        np.testing.assert_allclose(ham.matrix, expected, rtol=1e-14, atol=0)
+        assert np.count_nonzero(ham.blocks[1]) > cfg.n  # r1 D1 is there
+        np.testing.assert_allclose(_full(ham.blocks), expected, rtol=1e-14, atol=0)
 
 
 def test_dense_build_allocates_little_beyond_the_matrix(coupled, window):
-    """One Chebyshev build allocates at most 1.25 x the matrix it returns
+    """One Chebyshev build allocates at most 1.25 x the blocks it returns
     (a block-by-block np.block assembly takes about 2.8 x)."""
     cfg = DiscretizationConfig(n=400)
     build_hamiltonian(coupled, cfg, 0.14, window)  # fills the derivative cache
     tracemalloc.start()
     try:
-        matrix = build_hamiltonian(coupled, cfg, 0.14, window).matrix
+        blocks = build_hamiltonian(coupled, cfg, 0.14, window).blocks
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert matrix.shape == (800, 800)
-    assert peak <= 1.25 * matrix.nbytes
+    assert blocks[0].shape == (400, 400)
+    assert peak <= 1.25 * sum(b.nbytes for b in blocks)
 
 
 #: (instance, r0, r1, sigma): the box-disc centre of each instance with a
@@ -216,16 +226,16 @@ _SOLVE_CASES.append(("reference", "1", "0", "resonance"))
 @pytest.mark.parametrize("instance, r0, r1, at", _SOLVE_CASES)
 def test_block_solve_matches_full_lu(instance, r0, r1, at):
     """The channel-block solve of (H - sigma) x = b agrees with the full
-    2n x 2n LU solve it replaces (partial pivoting on the transpose, as the
-    dense path factored before), and its backward error
+    2n x 2n LU solve with row pivoting, and its backward error
     |(H - sigma) x - b| / (|H - sigma| |x| + |b|) is at most 10 x the
     full LU's.
 
     Agreement is measured against the full LU's own roundoff: at most
-    10 x the distance to the full LU of the untransposed matrix (another
-    pivot order), or 1e-12 relative where that is larger: the two full
-    LU solves differ by 1e-15 to 3e-14 relative at the box centres, and by
-    4e-4 at the resonance, where H - sigma is singular to roundoff."""
+    10 x the distance to the full LU of the transpose (column pivoting,
+    another pivot order), or 1e-12 relative where that is larger: the two
+    full LU solves differ by 1e-15 to 3e-14 relative at the box centres,
+    and by 4e-4 at the resonance, where H - sigma is singular to
+    roundoff."""
     v1, v2, window, cfg = _INSTANCES[instance]
     sys = PotentialSystem.from_strings(v1, v2, r0=r0, r1=r1)
     h = 0.14
@@ -233,13 +243,13 @@ def test_block_solve_matches_full_lu(instance, r0, r1, at):
     if at == "resonance":
         cfg = DiscretizationConfig(theta=0.10)
         sigma = 1.1820169263068003 - 9.117245620572684e-10j
-    matrix = build_hamiltonian(sys, cfg, h, window).matrix
-    shifted = matrix - sigma * np.eye(matrix.shape[0])
-    b = np.random.default_rng(3).standard_normal((matrix.shape[0], 2)) @ [1.0, 1j]
-    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted.T), b, trans=1)
-    pivoted = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted), b)
-    x = _shift_invert(matrix, sigma)(b)
-    spread = np.linalg.norm(pivoted - expected)
+    blocks = build_hamiltonian(sys, cfg, h, window).blocks
+    shifted = _full(blocks) - sigma * np.eye(2 * cfg.n)
+    b = np.random.default_rng(3).standard_normal((2 * cfg.n, 2)) @ [1.0, 1j]
+    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted), b)
+    transposed = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted.T), b, trans=1)
+    x = _shift_invert(blocks, sigma)(b)
+    spread = np.linalg.norm(transposed - expected)
     assert np.linalg.norm(x - expected) <= max(1e-12 * np.linalg.norm(expected), 10.0 * spread)
     scale = np.linalg.norm(shifted, 1)
 
@@ -253,37 +263,38 @@ def test_singular_block_raises():
     """An exactly singular channel-1 block, or Schur complement, is a
     typed failure, never a solve that returns NaN."""
     n, sigma = 64, complex(1.0, -0.3)
-    eye = np.eye(n)
-    rng = np.random.default_rng(5)
-    flat_channel_1 = np.block([[sigma * eye, eye], [eye, rng.standard_normal((n, n))]])
+    eye = np.eye(n, dtype=complex, order="F")
+    ones = np.ones(n, dtype=complex)
+    dense = np.asfortranarray(np.random.default_rng(5).standard_normal((n, n)), dtype=complex)
     with pytest.raises(EigensolveFailure, match="channel-1 block"):
-        _shift_invert(flat_channel_1.astype(complex), sigma)
-    # A1 = I, S = A2 - H21 A1^-1 H12 = I - I
-    flat_schur = np.block([[(sigma + 1.0) * eye, eye], [eye, (sigma + 1.0) * eye]])
-    with pytest.raises(EigensolveFailure, match="Schur complement"):
-        _shift_invert(flat_schur, sigma)
+        _shift_invert((sigma * eye, ones, ones, dense), sigma)
+    # A1 = I, S = A2 - H21 A1^-1 H12 = I - I, for a diagonal and a dense coupling
+    for h12, h21 in ((ones, ones), (eye.copy(order="F"), eye.copy(order="F"))):
+        with pytest.raises(EigensolveFailure, match="Schur complement"):
+            _shift_invert(((sigma + 1.0) * eye, h12, h21, (sigma + 1.0) * eye), sigma)
 
 
 @pytest.mark.parametrize("r1", ["0", "x"])
-def test_block_factor_allocates_little_beyond_the_matrix(r1, window):
-    """The channel-block factors are made inside the matrix: at most
-    0.3 x its size is allocated (one n x n transient for a dense coupling,
-    a few vectors for a diagonal one), where copying the blocks out would
-    take about 0.75 x."""
+def test_build_and_factor_allocate_less_than_the_full_matrix(r1, window):
+    """One Chebyshev build and its channel-block factor together allocate
+    less than the full 2n x 2n matrix M at its peak: at most 0.9 x M for a
+    diagonal coupling (H11, H22 and W, n x n each) and 1.15 x M for a
+    dense one (the four blocks, with W and S formed over H12 and H22).
+    Building M and factoring its blocks inside it took 1.09 x and 1.25 x."""
     sys = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1", r1=r1)
     cfg = DiscretizationConfig(n=400)
-    matrix = build_hamiltonian(sys, cfg, 0.14, window).matrix
     sigma = _box_disc(window, 0.14)[0]
-    _shift_invert(matrix.copy(), sigma)  # loads the LAPACK wrappers
+    # fills the derivative cache and loads the LAPACK wrappers
+    _shift_invert(build_hamiltonian(sys, cfg, 0.14, window).blocks, sigma)
     tracemalloc.start()
     try:
-        solve = _shift_invert(matrix, sigma)
+        solve = _shift_invert(build_hamiltonian(sys, cfg, 0.14, window).blocks, sigma)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert matrix.shape == (800, 800)
-    assert peak <= 0.3 * matrix.nbytes
-    assert np.all(np.isfinite(solve(np.ones(800, dtype=complex))))
+    full = (2 * cfg.n) ** 2 * np.dtype(complex).itemsize
+    assert peak <= {"0": 0.9, "x": 1.15}[r1] * full
+    assert np.all(np.isfinite(solve(np.ones(2 * cfg.n, dtype=complex))))
 
 
 def test_harmonic_block_eigenvalues():
@@ -291,8 +302,7 @@ def test_harmonic_block_eigenvalues():
     sys = PotentialSystem.from_strings("x^2", "-x")
     cfg = DiscretizationConfig(x_min=-8.0, x_max=8.0, n=300, theta=0.0)
     ham = build_hamiltonian(sys, cfg, 0.1)
-    block = ham.matrix[:300, :300]
-    vals = np.sort(np.linalg.eigvals(block).real)
+    vals = np.sort(np.linalg.eigvals(ham.blocks[0]).real)
     for k in range(5):
         assert vals[k] == pytest.approx((2 * k + 1) * 0.1, abs=1e-8)
 
@@ -301,7 +311,7 @@ def test_fd4_hermitian_at_theta_zero(window):
     """Real coupling and theta = 0 give a genuinely self-adjoint matrix."""
     sys = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1", r1="1")
     cfg = DiscretizationConfig(n=128, scheme="finite_difference_4", theta=0.0)
-    matrix = build_hamiltonian(sys, cfg, 0.1, window).matrix.toarray()
+    matrix = _full(build_hamiltonian(sys, cfg, 0.1, window).blocks)
     defect = np.linalg.norm(matrix - matrix.conj().T)
     assert defect <= 1e-10 * np.linalg.norm(matrix)
 
@@ -316,8 +326,8 @@ def test_coupling_blocks_discretize_formal_adjoint(window):
     u = np.exp(-((x - 0.5) ** 2))
     du = -2.0 * (x - 0.5) * u
     h = 0.1
-    upper = ham.matrix[:n, n:] @ u          # h (r0 u + h r1 u')
-    lower = ham.matrix[n:, :n] @ u          # h (r0 u - h (r1 u)')
+    upper = ham.blocks[1] @ u          # h (r0 u + h r1 u')
+    lower = ham.blocks[2] @ u          # h (r0 u - h (r1 u)')
     assert np.max(np.abs(upper - h * (u + h * x * du))) <= 1e-8
     assert np.max(np.abs(lower - h * (u - h * (u + x * du)))) <= 1e-8
 
@@ -342,9 +352,7 @@ SCHEMES = ("chebyshev_collocation", "finite_difference_4")
 
 def _dense_box(sys, cfg, h, window):
     """The resonance box by brute force: every eigenvalue, then the filter."""
-    matrix = build_hamiltonian(sys, cfg, h, window).matrix
-    if scipy.sparse.issparse(matrix):
-        matrix = matrix.toarray()
+    matrix = _full(build_hamiltonian(sys, cfg, h, window).blocks)
     return _filter_window(scipy.linalg.eigvals(matrix), window, h)
 
 
@@ -376,8 +384,8 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
     with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
         started = time.perf_counter()
         if case == "small_k_start":
-            matrix = build_hamiltonian(sys, cfg, h, window).matrix
-            vals, _ = _disc_eigenvalues(matrix, *_box_disc(window, h), k_start=2)
+            blocks = build_hamiltonian(sys, cfg, h, window).blocks
+            vals, _ = _disc_eigenvalues(blocks, *_box_disc(window, h), k_start=2)
             found = _filter_window(vals, window, h)
         else:
             found = compute_resonances(sys, cfg, h, window)
@@ -425,10 +433,6 @@ def test_theta_stability_separates_resonance_from_continuum(coupled, window):
     assert theta_stability(coupled, cfg, 0.14, continuum, window) >= 1e-3
 
 
-def _dense(matrix):
-    return matrix.toarray() if scipy.sparse.issparse(matrix) else matrix.copy()
-
-
 #: the reference instance's couplings, and varying ones with a derivative
 #: coupling r1 != 0, which bring in every term of dH/dtheta
 COUPLINGS = {"reference": ("1", "0"), "varying": ("1 + 0.1*x", "0.3*x")}
@@ -443,7 +447,7 @@ def test_left_eigenvector_is_weighted_conjugate(scheme, coupling, window):
     sys = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0=r0, r1=r1)
     cfg = DiscretizationConfig(n=128, scheme=scheme)
     ham = build_hamiltonian(sys, cfg, 0.14, window)
-    vals, left, right = scipy.linalg.eig(_dense(ham.matrix), left=True)
+    vals, left, right = scipy.linalg.eig(_full(ham.blocks), left=True)
     box = _filter_window(vals, window, 0.14)
     assert box.size >= 5
     weight = _left_weights(ham)
@@ -471,11 +475,11 @@ def test_predicted_drift_matches_finite_drift(scheme, coupling, window):
     def dense_at(factor):
         scaled = dataclasses.replace(cfg, theta=factor * cfg.theta,
                                      x_start_scaling=ham.x_start_scaling)
-        return scipy.linalg.eigvals(_dense(build_hamiltonian(coupled, scaled, h).matrix))
+        return scipy.linalg.eigvals(_full(build_hamiltonian(coupled, scaled, h).blocks))
 
     before, after = dense_at(1.0), dense_at(1.2)
     below, above = dense_at(1.0 - 1e-3), dense_at(1.0 + 1e-3)
-    vals, vecs = _disc_eigenvalues(ham.matrix, *_box_disc(window, h), vectors=True)
+    vals, vecs = _disc_eigenvalues(ham.blocks, *_box_disc(window, h), vectors=True)
     candidates = _filter_window(vals, window, h)
     predicted = _drifts(coupled, ham, vals, vecs, candidates)
     checked = 0
@@ -507,13 +511,26 @@ def test_compare_solves_each_disc_once(coupled, window, monkeypatch):
 
     cfg = DiscretizationConfig(n=200)
     sigma, radius = _box_disc(window, 0.14)
-    dense = scipy.linalg.eigvals(build_hamiltonian(coupled, cfg, 0.14, window).matrix)
+    dense = scipy.linalg.eigvals(_full(build_hamiltonian(coupled, cfg, 0.14, window).blocks))
     for name in calls:
         monkeypatch.setattr(solver, name, counting(name))
     records = compare_with_direct(coupled, window, cfg, 0.14)
     assert calls == {"build_hamiltonian": 1, "_shift_invert": 1}
     assert any(rec.accepted for rec in records)
     assert records.disc_count == np.sum(np.abs(dense - sigma) <= radius)
+
+
+def test_compare_with_an_empty_box_leaves_every_record_unmatched(coupled):
+    """A box that no eigenvalue reaches (Im > -1e-20 h) still gives one
+    record per estimate, each unmatched and unscreened, and the disc count
+    of its one solve."""
+    window = EnergyWindow(1.0, 0.2, 1e-20)
+    records = compare_with_direct(coupled, window, DiscretizationConfig(n=200), 0.14)
+    assert [rec.estimate.k for rec in records] == [2, 3]
+    for rec in records:
+        assert rec.computed is None and not rec.accepted
+        assert math.isnan(rec.theta_stability) and math.isnan(rec.abs_dev_re)
+    assert records.disc_count > 0
 
 
 def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatch):

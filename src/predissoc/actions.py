@@ -40,8 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BarrierViolation, EmptyInterval
-from .potentials import PotentialSystem, _raise_first, _rows, _unrow
-from .turning_points import barrier_points, find_well_endpoints
+from .potentials import PotentialSystem
+from .turning_points import _raise_first, _rows, _unrow, barrier_points, find_well_endpoints
 
 __all__ = [
     "PhaseIntegrals",

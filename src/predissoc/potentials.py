@@ -14,15 +14,14 @@ configuration can be diagnosed in one pass.
 
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import CrossingMismatch, EvalDomainError, PredissocError
+from .errors import CrossingMismatch, PredissocError
 from .expressions import AnalyticExpr, differentiate, parse_expression
+from .turning_points import DEFAULT_X_RANGE, _exit_root, _scan_grid, find_well_endpoints
 
 __all__ = [
     "PotentialSystem",
@@ -34,13 +33,6 @@ __all__ = [
 ]
 
 CROSSING_RTOL = 1e-9
-#: points of each fixed root-scan grid
-GRID_POINTS = 2000
-#: a root is final once its bracket or its Newton step is this small
-ROOT_XTOL = 1e-12
-#: real interval of every turning-point scan, and the finite proxy for the
-#: x -> +-infinity limit checks
-DEFAULT_X_RANGE = (-20.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -180,109 +172,6 @@ class ValidationReport:
         }
 
 
-def _scan_brackets(vals, xs):
-    """Brackets of the roots of sampled functions, one function per row.
-
-    ``vals`` has shape (K, len(xs)).  Returns arrays (rows, lo, hi), ordered
-    by row and left to right within a row.  A sign change between
-    neighbours brackets that pair; an exact zero at ``xs[i]`` (the last
-    sample excepted) brackets ``(xs[i-1], xs[i+1])``, clamped at the left
-    end, and suppresses the pair test at ``i``.
-    """
-    left, right = vals[:, :-1], vals[:, 1:]
-    zero = left == 0.0
-    with np.errstate(over="ignore"):  # an overflowed product keeps its sign
-        rows, idx = np.nonzero(zero | (left * right < 0))
-    lo = np.where(zero[rows, idx], xs[np.maximum(idx - 1, 0)], xs[idx])
-    return rows, lo, xs[idx + 1]
-
-
-def _refine_root(v, dv, level, lo, hi):
-    """Roots of v(x) = level[i] in the sign-change brackets [lo[i], hi[i]].
-
-    All rows are solved together, each with the same arithmetic: Newton
-    from the bracket midpoint with the exact derivative dv; each iterate
-    shrinks the bracket, and a step that would leave it (or a zero slope)
-    is replaced by bisection.  A row stops once a step or its bracket is
-    within ROOT_XTOL, or at an exact zero; later sweeps evaluate only the
-    rows still running.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    lo_positive = np.real(v(lo)) - level > 0
-    x = 0.5 * (lo + hi)
-    roots = x.copy()
-    rows = np.arange(x.size)
-    for _ in range(200):
-        fx = np.real(v(x)) - level
-        moves_lo = (fx > 0) == lo_positive
-        lo = np.where(moves_lo, x, lo)
-        hi = np.where(moves_lo, hi, x)
-        d = np.real(dv(x))
-        # a zero slope gives an infinite or NaN step and an overflowed step
-        # is infinite: neither lies in the bracket, so both bisect
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cand = x - fx / d
-        cand = np.where((lo <= cand) & (cand <= hi), cand, 0.5 * (lo + hi))
-        hit = fx == 0.0
-        roots[rows] = np.where(hit, x, cand)
-        running = ~(hit | (np.abs(cand - x) <= ROOT_XTOL) | (hi - lo <= ROOT_XTOL))
-        if not running.all():
-            if not running.any():
-                break
-            cand, lo, hi, level = cand[running], lo[running], hi[running], level[running]
-            lo_positive, rows = lo_positive[running], rows[running]
-        x = cand
-    return roots
-
-
-def _rows(E):
-    """(E as a 1-D float array of rows, whether E was a scalar)."""
-    return np.atleast_1d(np.asarray(E, dtype=float)), np.ndim(E) == 0
-
-
-def _unrow(values, scalar):
-    """Per-row results back in the caller's shape: a scalar call gets a float."""
-    return float(values[0]) if scalar else values
-
-
-def _raise_first(checks):
-    """Raise the error of the first row that fails any of ``checks``.
-
-    ``checks`` lists (failed, error) pairs in the order one row is checked:
-    ``failed`` is a boolean mask over the rows and ``error(i)`` builds row
-    i's exception, so the row raises the error of its first failed check.
-    """
-    failed = np.array([mask for mask, _ in checks])
-    bad = np.flatnonzero(failed.any(axis=0))
-    if bad.size:
-        i = bad[0]
-        raise next(error(i) for mask, error in checks if mask[i])
-
-
-@lru_cache(maxsize=32)
-def _scan_grid(expr: AnalyticExpr, part: str = "full"):
-    """The fixed scan grid and the real values of ``expr`` on it, read-only.
-
-    ``part`` selects the GRID_POINTS-point grid: "full" spans
-    DEFAULT_X_RANGE = [x_min, x_max], "left" is [x_min, 0) and "right"
-    (0, x_max].  Scans at different energies subtract E from the same
-    cached values.  A value that is not finite raises EvalDomainError.
-    """
-    x_min, x_max = DEFAULT_X_RANGE
-    if part == "full":
-        xs = np.linspace(x_min, x_max, GRID_POINTS)
-    elif part == "left":
-        xs = np.linspace(x_min, 0.0, GRID_POINTS)[:-1]
-    else:
-        xs = np.linspace(0.0, x_max, GRID_POINTS)[1:]
-    xs.flags.writeable = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.real(expr(xs))
-    if not np.all(np.isfinite(vals)):
-        raise EvalDomainError(f"{expr} is not finite on [{x_min!r}, {x_max!r}]")
-    return xs, np.broadcast_to(vals, xs.shape)  # a read-only view
-
-
 def validate_assumptions(sys: PotentialSystem, window: EnergyWindow) -> ValidationReport:
     """Check the geometric hypotheses at the reference energy E' = e_ref.
 
@@ -293,8 +182,6 @@ def validate_assumptions(sys: PotentialSystem, window: EnergyWindow) -> Validati
     search that raises marks the dependent clauses False rather than
     raising.
     """
-    from .turning_points import _exit_root, find_well_endpoints  # imports this module
-
     ep = window.e_ref
     x_lo, x_hi = DEFAULT_X_RANGE
     _, v1g = _scan_grid(sys.v1)

@@ -33,14 +33,8 @@ import numpy as np
 
 from .actions import action, action_and_derivative, agmon_distance, phase_integrals
 from .errors import DegenerateEnergy, NewtonDivergence, PredissocError
-from .potentials import (
-    CrossingData,
-    EnergyWindow,
-    PotentialSystem,
-    _scan_grid,
-    crossing_data,
-)
-from .turning_points import ENERGY_MARGIN
+from .potentials import CrossingData, EnergyWindow, PotentialSystem, crossing_data
+from .turning_points import ENERGY_MARGIN, _bracketed_newton, _scan_grid
 
 __all__ = [
     "ResonanceEstimate",
@@ -55,8 +49,6 @@ __all__ = [
     "quantization_residual",
     "solve_quantization",
 ]
-
-LEVEL_TOL = 1e-13
 
 
 def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
@@ -80,38 +72,20 @@ def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
 def _solve_levels(sys, targets, lo, hi, a_lo, a_hi):
     """Invert the (strictly increasing) action: A(e_i) = targets[i] on [lo, hi].
 
-    All rows run one Newton loop, each with its own bracket and the same
-    arithmetic: bracketed Newton using A' as the exact derivative, with
-    bisection fallback whenever a step leaves the bracket, started at the
-    linear interpolation of A over [lo, hi].  Each sweep takes A and A' of
-    every row still running from one call.  Returns arrays (e, A'(e)); a
-    row's slope is the one of its final step, taken at the returned e.
+    All rows run the one root kernel (``turning_points._bracketed_newton``)
+    with A' as the exact derivative, started at the linear interpolation of
+    A over [lo, hi]; each sweep takes A and A' of every row still running
+    from one call.  Returns arrays (e, A'), each row's A' taken at its last
+    evaluated iterate, within ROOT_XTOL of e.
     """
     targets = np.asarray(targets, dtype=float)
     e = np.minimum(np.maximum(lo + (hi - lo) * (targets - a_lo) / (a_hi - a_lo), lo), hi)
-    blo, bhi = np.full_like(e, lo), np.full_like(e, hi)
-    levels, slopes = e.copy(), np.empty_like(e)
-    rows = np.arange(e.size)
-    sweeps = 0
-    while rows.size:
-        if sweeps == 80:
-            raise NewtonDivergence(
-                f"level solve stalled at e={float(e[0])!r} (target action {float(targets[0])!r})"
-            )
-        sweeps += 1
-        a_val, slope = action_and_derivative(sys, e)
-        levels[rows], slopes[rows] = e, slope
-        res = a_val - targets
-        converged = np.abs(res) <= LEVEL_TOL * np.maximum(1.0, np.abs(targets))
-        above = res > 0
-        bhi = np.where(above, np.minimum(bhi, e), bhi)
-        blo = np.where(above, blo, np.maximum(blo, e))
-        cand = e - res / slope
-        cand = np.where((blo <= cand) & (cand <= bhi), cand, 0.5 * (blo + bhi))
-        running = ~converged & (cand != e)
-        e, blo, bhi = cand[running], blo[running], bhi[running]
-        targets, rows = targets[running], rows[running]
-    return levels, slopes
+
+    def fdf(x, rows):
+        a_val, slope = action_and_derivative(sys, x)
+        return a_val - targets[rows], slope
+    return _bracketed_newton(fdf, e, np.full_like(e, lo), np.full_like(e, hi),
+                             np.zeros(e.shape, bool))
 
 
 def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
@@ -124,7 +98,7 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
     together (see ``_solve_levels``); when that raises, they are solved one
     at a time in k order, so the first level that fails raises its own
     error.  The private ``_with_slope`` makes each entry (k, e_k, A'(e_k)),
-    the slope from the level solve.
+    the slope from the level solve, at its last iterate.
     """
     range_lo, range_hi = _well_energy_range(sys)
     lo = max(window.lo, range_lo)
@@ -385,7 +359,8 @@ def solve_quantization(sys: PotentialSystem, h: float, k: int) -> RefinedResonan
         raise NewtonDivergence(
             f"level k={k} has no Bohr-Sommerfeld solution in ({lo!r}, {hi!r})"
         )
-    e_k, a_prime = (float(q[0]) for q in _solve_levels(sys, [target], lo, hi, a_lo, a_hi))
+    e_k = float(_solve_levels(sys, [target], lo, hi, a_lo, a_hi)[0][0])
+    a_prime = action_and_derivative(sys, e_k)[1]
     hf = -width_leading(sys, h, e_k, a_prime)[0] * a_prime / h
     if not hf < 1.0:
         raise NewtonDivergence(f"level k={k}: hF = {hf!r} >= 1, the "

@@ -1,4 +1,8 @@
-"""Real turning points at a given energy.
+"""Real roots: the one bracketed-Newton kernel and the turning points.
+
+Every real root in the package is found by :func:`_bracketed_newton`: the
+turning points a, b, c here, from brackets found on a fixed scan grid, and
+the Bohr-Sommerfeld levels of :mod:`predissoc.spectrum`.
 
 At a real energy E inside the window, channel 1 has a classically allowed
 well [a, b] and both channels have barrier endpoints adjacent to the
@@ -13,19 +17,23 @@ error of the first row that fails.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .errors import BracketFailure, DegenerateEnergy, NoExit, NoWell
-from .potentials import (
-    DEFAULT_X_RANGE,
-    PotentialSystem,
-    _raise_first,
-    _refine_root,
-    _rows,
-    _scan_brackets,
-    _scan_grid,
-    _unrow,
+from .errors import (
+    BracketFailure,
+    DegenerateEnergy,
+    EvalDomainError,
+    NewtonDivergence,
+    NoExit,
+    NoWell,
 )
+
+if TYPE_CHECKING:
+    from .expressions import AnalyticExpr
+    from .potentials import PotentialSystem
 
 __all__ = [
     "find_well_endpoints",
@@ -33,10 +41,129 @@ __all__ = [
     "barrier_points",
 ]
 
+#: points of each fixed root-scan grid
+GRID_POINTS = 2000
+#: a root is final once its bracket or its Newton step is this small
+ROOT_XTOL = 1e-12
+#: Newton sweeps after which a row still running raises NewtonDivergence
+MAX_SWEEPS = 200
+#: real interval of every turning-point scan, and the finite proxy for the
+#: x -> +-infinity limit checks
+DEFAULT_X_RANGE = (-20.0, 20.0)
 RESIDUAL_TOL = 1e-11
 #: energies closer than this to the well bottom or the crossing value are
 #: rejected; the asymptotics degenerate there
 ENERGY_MARGIN = 1e-6
+
+
+def _rows(E):
+    """(E as a 1-D float array of rows, whether E was a scalar)."""
+    return np.atleast_1d(np.asarray(E, dtype=float)), np.ndim(E) == 0
+
+
+def _unrow(values, scalar):
+    """Per-row results back in the caller's shape: a scalar call gets a float."""
+    return float(values[0]) if scalar else values
+
+
+def _raise_first(checks):
+    """Raise the error of the first row that fails any of ``checks``.
+
+    ``checks`` lists (failed, error) pairs in the order one row is checked:
+    ``failed`` is a boolean mask over the rows and ``error(i)`` builds row
+    i's exception, so the row raises the error of its first failed check.
+    """
+    failed = np.array([mask for mask, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        i = bad[0]
+        raise next(error(i) for mask, error in checks if mask[i])
+
+
+@lru_cache(maxsize=32)
+def _scan_grid(expr: AnalyticExpr, part: str = "full"):
+    """The fixed scan grid and the real values of ``expr`` on it, read-only.
+
+    ``part`` selects the grid: "full" is GRID_POINTS points spanning
+    DEFAULT_X_RANGE = [x_min, x_max], "left" GRID_POINTS points on
+    [x_min, 0] and "right" on [0, x_max].  Scans at different energies
+    subtract E from the same cached values.  A value that is not finite
+    raises EvalDomainError.
+    """
+    x_min, x_max = DEFAULT_X_RANGE
+    bounds = {"full": (x_min, x_max), "left": (x_min, 0.0), "right": (0.0, x_max)}[part]
+    xs = np.linspace(*bounds, GRID_POINTS)
+    xs.flags.writeable = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.real(expr(xs))
+    if not np.all(np.isfinite(vals)):
+        raise EvalDomainError(f"{expr} is not finite on [{x_min!r}, {x_max!r}]")
+    return xs, np.broadcast_to(vals, xs.shape)  # a read-only view
+
+
+def _scan_brackets(vals, xs):
+    """Brackets of the roots of sampled functions, one function per row.
+
+    ``vals`` has shape (K, len(xs)).  Returns arrays (rows, lo, hi), ordered
+    by row and left to right within a row.  A sign change between
+    neighbours brackets that pair; an exact zero at ``xs[i]`` (the last
+    sample excepted) brackets ``(xs[i-1], xs[i+1])``, clamped at the left
+    end, and suppresses the pair test at ``i``.
+    """
+    left, right = vals[:, :-1], vals[:, 1:]
+    zero = left == 0.0
+    with np.errstate(over="ignore"):  # an overflowed product keeps its sign
+        rows, idx = np.nonzero(zero | (left * right < 0))
+    lo = np.where(zero[rows, idx], xs[np.maximum(idx - 1, 0)], xs[idx])
+    return rows, lo, xs[idx + 1]
+
+
+def _bracketed_newton(fdf, x, lo, hi, lo_positive):
+    """Roots of many functions, one per row, by one bracketed-Newton loop.
+
+    Row i starts at ``x[i]`` inside its sign-change bracket [lo[i], hi[i]],
+    at whose lo end the function is positive where ``lo_positive[i]``.
+    ``fdf(x, rows)`` gives the values and slopes of the rows ``rows``
+    (indices into the inputs) at their iterates ``x``.  All rows are solved
+    with the same arithmetic: each iterate shrinks its bracket, and a Newton
+    step that would leave it (or a zero slope) is replaced by bisection.  A
+    row stops once a step or its bracket is within ROOT_XTOL, or at an exact
+    zero; each sweep evaluates only the rows still running, and a row still
+    running after MAX_SWEEPS raises NewtonDivergence.  Returns (roots,
+    slopes), each row's slope taken at its last evaluated iterate.
+    """
+    roots = np.array(x, dtype=float)
+    x, slopes = roots.copy(), np.empty_like(roots)
+    rows = np.arange(x.size)
+    for _ in range(MAX_SWEEPS):
+        if not rows.size:
+            return roots, slopes
+        fx, d = fdf(x, rows)
+        slopes[rows] = d
+        moves_lo = (fx > 0) == lo_positive
+        lo = np.where(moves_lo, x, lo)
+        hi = np.where(moves_lo, hi, x)
+        # a zero slope gives an infinite or NaN step and an overflowed step
+        # is infinite: neither lies in the bracket, so both bisect
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cand = x - fx / d
+        cand = np.where((lo <= cand) & (cand <= hi), cand, 0.5 * (lo + hi))
+        hit = fx == 0.0
+        roots[rows] = np.where(hit, x, cand)
+        running = ~(hit | (np.abs(cand - x) <= ROOT_XTOL) | (hi - lo <= ROOT_XTOL))
+        x, lo, hi, lo_positive, rows = (q[running] for q in (cand, lo, hi, lo_positive, rows))
+    raise NewtonDivergence(f"root search still running after {MAX_SWEEPS} sweeps "
+                           f"at x={float(x[0])!r}")
+
+
+def _refine_root(v, dv, level, lo, hi):
+    """Roots of v(x) = level[i] in the sign-change brackets [lo[i], hi[i]],
+    by the kernel from each bracket midpoint with the exact derivative dv."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+    def fdf(x, rows):
+        return np.real(v(x)) - level[rows], np.real(dv(x))
+    return _bracketed_newton(fdf, 0.5 * (lo + hi), lo, hi, np.real(v(lo)) - level > 0)[0]
 
 
 def find_well_endpoints(sys: PotentialSystem, E):
@@ -86,7 +213,11 @@ def _exit_root(sys: PotentialSystem, E, falling: bool = False):
     with ``falling``, v2 must decrease through it (else NoExit)."""
     energies, scalar = _rows(E)
     xs, v2g = _scan_grid(sys.v2, "right")
-    rows, lo, hi = _scan_brackets(v2g - energies[:, None], xs)
+    vals = v2g - energies[:, None]
+    rows, lo, hi = _scan_brackets(vals, xs)
+    # an exact zero at the crossing x = 0 brackets (0, xs[1]) but is no c > 0
+    keep = (hi != xs[1]) | (vals[rows, 0] != 0.0)
+    rows, lo, hi = rows[keep], lo[keep], hi[keep]
     counts = np.bincount(rows, minlength=energies.size)
     good = counts == 1
     one = good[rows]

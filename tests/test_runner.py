@@ -1,5 +1,6 @@
 """Config parsing, the h-scan helpers, and the file-producing commands."""
 
+import csv
 import dataclasses
 import json
 import logging
@@ -361,6 +362,52 @@ def test_scan_reports_insufficient_data(tmp_path, capsys):
     assert fit["slope"] is None and fit["r_squared"] is None
     assert fit["n_accepted"] == 0
     assert fit["s_target"] == pytest.approx(1.5475994211066793, rel=1e-12)
+
+
+SHALLOW_SCAN = '''command = scan
+[potential]
+v1 = "2 - 2*exp(-((x+4)/3)^2)" ; v2 = "1.6619733691878678 - 3*tanh(x)"
+r0 = "1" ; r1 = "0"
+
+[window]
+e_ref = 1.3 ; half_width = 0.2
+
+[numerics]
+scheme = chebyshev ; n = 200 ; theta = 0.25 ; domain = [-11.0, 14.0]
+
+[scan]
+e_star = 1.3 ; k_min = 6 ; k_max = 8
+'''
+
+
+def test_scan_pins_levels_from_the_cli(tmp_path, capsys):
+    """``scan`` with k_min/k_max pins level k at E* for each k: one row per
+    k at the h of pin_level_h, all accepted, and a width-law slope near
+    -2 S(E*)."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SHALLOW_SCAN + f"\n[output]\nout_dir = {tmp_path}\n")
+    assert main([str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("scan: slope ")
+    with open(tmp_path / "scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    h_pinned = pin_level_h(parse_config(SHALLOW_SCAN).system(), 1.3, [6, 7, 8])
+    assert [(int(r["k"]), float(r["h"])) for r in rows] == list(zip([6, 7, 8], h_pinned))
+    assert all(r["accepted"] == "true" for r in rows)
+    fit = json.loads((tmp_path / "scan_fit.json").read_text())
+    assert fit["n_accepted"] == 3
+    assert fit["slope"] == pytest.approx(-2.0 * fit["s_target"], rel=0.1)
+
+
+def test_widths_reports_a_skipped_level(tmp_path, capsys):
+    """k = 1 at h = 0.14 lies below the floor of the exit channel: ``widths``
+    names it on stderr with its reason and writes the rows of k = 2 and 3."""
+    code, out = _run(BASE.replace("e_ref = 1.0 ; half_width = 0.2",
+                                  "e_ref = 0.85 ; half_width = 0.4"), tmp_path, "widths")
+    assert code == 0
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("widths: skipped k=1 at e_k=0.560085: NoExit: ")
+    rows = (out / "widths.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "3"]
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -17,10 +17,12 @@ from predissoc import (
     EnergyWindow,
     PotentialSystem,
     ResonanceEstimate,
+    RunConfig,
     build_hamiltonian,
     compare_with_direct,
     compute_resonances,
     match_resonances,
+    run_command,
     theta_stability,
 )
 from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
@@ -121,6 +123,23 @@ def test_quadrature_weight_cache_is_read_only(scheme):
         assert np.sum(weight) == pytest.approx(20.0 * (1.0 - 1.0 / 65 ** 2), rel=1e-14)
     else:
         assert np.all(weight == 1.0)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_quadrature_weights_integrate_polynomials(n):
+    """Clenshaw-Curtis on [-1, 1] is exact to degree N = n + 1, and its end
+    weights multiply (1 - t^2) = 0, so the interior weights integrate
+    (1 - t^2) T_j(t) exactly for j <= N - 2.  The Chebyshev basis, unlike
+    t^j, gives (1 - t^2) T_(N-2) a T_N part of -1/4, which only the even-N
+    term of the weights (n = 65) integrates."""
+    cheb = np.polynomial.chebyshev
+    weight = _quadrature_weights("chebyshev_collocation", n, -1.0, 1.0)
+    angle = np.pi * np.arange(1, n + 1) / (n + 1)
+    for j in range(n):
+        integrand = cheb.chebmul(np.eye(j + 1)[j], [0.5, 0.0, -0.5])
+        exact = np.diff(cheb.chebval([-1.0, 1.0], cheb.chebint(integrand)))[0]
+        got = np.sum(weight * np.sin(angle) ** 2 * np.cos(j * angle))
+        assert got == pytest.approx(exact, abs=1e-14)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -531,6 +550,24 @@ def test_compare_with_an_empty_box_leaves_every_record_unmatched(coupled):
         assert rec.computed is None and not rec.accepted
         assert math.isnan(rec.theta_stability) and math.isnan(rec.abs_dev_re)
     assert records.disc_count > 0
+
+
+def test_compare_without_levels_solves_nothing(coupled, tmp_path, monkeypatch):
+    """A window that holds no level (1.0 +- 0.01 at h = 0.14) gives no
+    records and no disc count without an eigensolve, and ``compare`` writes
+    the header of compare.csv only."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve without a level")
+    monkeypatch.setattr(solver, "_disc_eigenvalues", no_solve)
+    window = EnergyWindow(1.0, 0.01)
+    records = compare_with_direct(coupled, window, DiscretizationConfig(n=200), 0.14)
+    assert records == [] and records.skipped == [] and records.disc_count is None
+    cfg = RunConfig(v1=V1_WELL, v2=V2_TAIL, r0="1", e_ref=1.0, half_width=0.01, h=0.14,
+                    n=200, out_dir=str(tmp_path))
+    assert run_command(cfg, "compare") == 0
+    assert (tmp_path / "compare.csv").read_text() == (
+        "k,h,e_k,S,width_formula,re_direct,width_direct,"
+        "abs_dev_re,rel_dev_im,theta_stability,accepted\n")
 
 
 def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatch):

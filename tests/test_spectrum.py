@@ -227,6 +227,17 @@ def test_batched_estimates_equal_one_level_at_a_time(name, h, centre, half_width
     assert {k: (e_k, reason) for k, e_k, reason in skipped} == failed
 
 
+def test_level_just_below_the_crossing_keeps_its_width(shallow):
+    """k = 44 at h = 0.05 sits 0.023 below the crossing value, with its exit
+    point c ~ 0.0077 inside the first scan step from x = 0: it gets a width
+    like the levels below it and is not skipped."""
+    estimates, skipped = resonance_estimates(shallow, 0.05, EnergyWindow(1.5, 0.2))
+    assert skipped == []
+    last = estimates[-1]
+    assert last.k == 44 and last.e_k == pytest.approx(1.638999, abs=1e-6)
+    assert last.width < 0 and last.s_at_ek > 0
+
+
 def test_failed_agmon_pass_skips_only_its_level(coupled):
     """k = 1 at h = 0.14 lies below the floor of the exit channel (~0.7634):
     its Agmon pass fails, so that level is skipped with the error its own

@@ -14,8 +14,15 @@ from predissoc.errors import (
     NoExit,
     NoWell,
 )
-from predissoc.potentials import _refine_root, _scan_brackets, _scan_grid
-from predissoc.turning_points import RESIDUAL_TOL
+from predissoc import EnergyWindow, bohr_sommerfeld_levels, turning_points
+from predissoc.errors import NewtonDivergence
+from predissoc.turning_points import (
+    RESIDUAL_TOL,
+    _bracketed_newton,
+    _refine_root,
+    _scan_brackets,
+    _scan_grid,
+)
 
 from conftest import V1_SHALLOW, V1_WELL, V2_SHALLOW, V2_TAIL
 
@@ -34,6 +41,31 @@ def test_exit_point_closed_form(coupled):
     c = find_exit_point(coupled, 1.0)
     assert c == pytest.approx(math.atanh(0.9633687222225316 / 1.2), abs=1e-10)
     assert abs(coupled.v2(c) - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("gap", [0.03, 0.01, 0.002])
+def test_points_within_one_grid_step_of_the_crossing(shallow, gap):
+    """An exit point c < 0.01 and a barrier point b > -0.01 lie between the
+    crossing x = 0 and the first scan node beyond it, and are still found:
+    v2 = E' - 3 tanh(x) gives c = atanh((E' - E)/3) and v1 = 2 -
+    2 exp(-((x+4)/3)^2) gives b = 3 sqrt(-ln(1 - E/2)) - 4."""
+    E = float(shallow.v2(0.0)) - gap
+    c = math.atanh(gap / 3.0)
+    assert find_exit_point(shallow, E) == pytest.approx(c, abs=1e-12)
+    b, c_barrier = barrier_points(shallow, E)
+    assert b == pytest.approx(3.0 * math.sqrt(-math.log(1.0 - E / 2.0)) - 4.0, abs=1e-12)
+    assert c_barrier == pytest.approx(c, abs=1e-12)
+    if gap == 0.002:
+        assert -0.01 < b < 0.0 < c < 0.01
+
+
+def test_no_exit_point_at_the_crossing_value(shallow):
+    """At E = v2(0) the only zero of v2 - E on [0, 20] is the crossing
+    itself, which is no exit point c > 0."""
+    E = float(shallow.v2(0.0))
+    with pytest.raises(NoExit) as info:
+        find_exit_point(shallow, E)
+    assert str(info.value) == f"v2 - E has no sign change on (0, 20.0] at E={E!r}"
 
 
 def test_well_monotonicity_in_energy(coupled):
@@ -177,6 +209,26 @@ def test_root_kernel_on_every_bracket(model, energies):
             assert _refine_root(v, dv, levels[rows][i:i + 1], lo[i:i + 1], hi[i:i + 1])[0] == root
             checked += 1
     assert checked == 3 * len(energies)  # two well roots and one exit root each
+
+
+def test_root_kernel_runs_only_while_rows_run(coupled, monkeypatch):
+    """No rows cost no evaluation, and a row still running after MAX_SWEEPS
+    raises NewtonDivergence, so a level the solve misses gets a typed error."""
+    calls = []
+
+    def bisect_only(x, rows):  # a zero slope makes every step bisect
+        calls.append(rows.size)
+        return x - 0.3, np.zeros_like(x)
+    empty = np.empty(0)
+    roots, slopes = _bracketed_newton(bisect_only, empty, empty, empty, empty.astype(bool))
+    assert calls == [] and roots.size == slopes.size == 0
+    one = np.ones(1)
+    assert _bracketed_newton(bisect_only, 0.5 * one, 0 * one, one, one < 0)[0] == pytest.approx(0.3)
+    monkeypatch.setattr(turning_points, "MAX_SWEEPS", 3)
+    with pytest.raises(NewtonDivergence, match="after 3 sweeps"):
+        _bracketed_newton(bisect_only, 0.5 * one, 0 * one, one, one < 0)
+    with pytest.raises(NewtonDivergence, match="after 3 sweeps"):
+        bohr_sommerfeld_levels(coupled, 0.1, EnergyWindow(1.0, 0.2))
 
 
 _INSTANCES = {

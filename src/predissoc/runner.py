@@ -33,7 +33,7 @@ import numpy as np
 from .actions import action, agmon_distance
 from .errors import ConfigError, InsufficientData, InvalidAngle, PredissocError
 from .potentials import EnergyWindow, PotentialSystem, validate_assumptions
-from .solver import STAB_TOL, DiscretizationConfig, compare_with_direct, compute_resonances
+from .solver import DiscretizationConfig, compare_with_direct, compute_resonances
 from .spectrum import bohr_sommerfeld_levels, resonance_estimates
 
 __all__ = [
@@ -74,9 +74,6 @@ class RunConfig:
     n: int = DiscretizationConfig.n
     theta: float = DiscretizationConfig.theta
     domain: tuple[float, float] = (DiscretizationConfig.x_min, DiscretizationConfig.x_max)
-    x_start_scaling: float | None = None
-    smoothing_width: float = DiscretizationConfig.smoothing_width
-    stab_tol: float = STAB_TOL
     e_star: float | None = None
     k_min: int | None = None
     k_max: int | None = None
@@ -94,8 +91,6 @@ class RunConfig:
         return DiscretizationConfig(
             x_min=self.domain[0], x_max=self.domain[1], n=self.n,
             scheme=self.scheme, theta=self.theta,
-            x_start_scaling=self.x_start_scaling,
-            smoothing_width=self.smoothing_width,
         )
 
 
@@ -200,9 +195,6 @@ _KEYS = {
     ("numerics", "theta"): _as_float,
     ("numerics", "domain"): _as_domain,
     ("numerics", "h"): _positive(_as_float),
-    ("numerics", "x_start_scaling"): _as_float,
-    ("numerics", "smoothing_width"): _as_float,
-    ("numerics", "stab_tol"): _as_float,
     ("scan", "e_star"): _as_float,
     ("scan", "k_min"): _as_int,
     ("scan", "k_max"): _as_int,
@@ -275,6 +267,9 @@ def _check_scan_inputs(cfg: RunConfig, lines=None) -> None:
     if cfg.h_grid is not None:
         count, key = len(cfg.h_grid), "h_grid"
     elif cfg.k_min is not None and cfg.k_max is not None:
+        if cfg.k_min < 0:  # no level below k = 0: its pinned h is negative
+            raise ConfigError(f"k_min must be >= 0, got {cfg.k_min}",
+                              (lines or {}).get(("scan", "k_min")))
         count, key = cfg.k_max - cfg.k_min + 1, "k_max"
     else:
         raise ConfigError("scan requires either h_grid or k_min/k_max")
@@ -287,9 +282,13 @@ def pin_level_h(sys: PotentialSystem, e_star: float, k_range) -> list[float]:
     k_range; descending in h (ascending in k).
 
     Inverts the quantization condition in h: h_k = A(E*) / ((k+1/2) pi).
+    A level k < 0 does not exist, and raises ValueError.
     """
+    ks = sorted(k_range)
+    if ks and ks[0] < 0:
+        raise ValueError(f"level index k = {ks[0]} is negative")
     a_star = action(sys, e_star)
-    return [a_star / ((k + 0.5) * math.pi) for k in sorted(k_range)]
+    return [a_star / ((k + 0.5) * math.pi) for k in ks]
 
 
 @dataclass
@@ -350,8 +349,7 @@ def fit_width_slope(scan: ScanResult) -> tuple[float, float, float]:
 
 def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
              half_width: float, disc: DiscretizationConfig,
-             c0_im: float = EnergyWindow.im_depth_coeff, stab_tol: float = STAB_TOL,
-             ks=None) -> ScanResult:
+             c0_im: float = EnergyWindow.im_depth_coeff, ks=None) -> ScanResult:
     """Track the level nearest e_star across the given h values.
 
     For each h the full comparison pipeline runs inside the window centered
@@ -363,8 +361,7 @@ def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
     rows = []
     disc_count = None  # each h's eigensolve is sized from the previous h's disc
     for idx, h in enumerate(h_values):
-        records = compare_with_direct(sys, window, disc, h, stab_tol=stab_tol,
-                                      _disc_hint=disc_count)
+        records = compare_with_direct(sys, window, disc, h, _disc_hint=disc_count)
         disc_count = records.disc_count
         if ks is not None:
             rec = next((r for r in records if r.estimate.k == ks[idx]), None)
@@ -489,8 +486,7 @@ def _cmd_refine(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_compare(cfg: RunConfig, out: Path) -> int:
     records = compare_with_direct(cfg.system(), cfg.window(),
-                                  cfg.discretization(), cfg.h,
-                                  stab_tol=cfg.stab_tol)
+                                  cfg.discretization(), cfg.h)
     rows = []
     for rec in records:
         est = rec.estimate
@@ -518,8 +514,7 @@ def _cmd_scan(cfg: RunConfig, out: Path) -> int:
         ks = list(range(cfg.k_min, cfg.k_max + 1))
         h_values = pin_level_h(sys_, cfg.e_star, ks)
     scan = run_scan(sys_, cfg.e_star, h_values, half_width=cfg.half_width,
-                    disc=cfg.discretization(), c0_im=cfg.c0_im,
-                    stab_tol=cfg.stab_tol, ks=ks)
+                    disc=cfg.discretization(), c0_im=cfg.c0_im, ks=ks)
     _write_csv(out / "scan.csv", [f.name for f in fields(ScanRow)],
                [astuple(r) for r in scan.rows])
     _write_json(out / "scan_fit.json", {

@@ -7,12 +7,12 @@ The operator
 
 is discretized on an interval with Dirichlet ends, after exterior complex
 scaling of the right half-line: x is replaced by F(x) = x + i theta f(x)
-where f vanishes identically left of ``x_start_scaling``, ramps up through
-a cubic smoothstep of the configured width, and is exactly x - x_start
-beyond the ramp.  Resonances appear as complex eigenvalues of the scaled
-matrix that are insensitive to the scaling angle; the rotated continuum
-sweeps past them as theta changes, which is what the stability filter
-exploits when pairing eigenvalues with semiclassical estimates.
+where f vanishes identically left of x_start, one unit past the exit point,
+ramps up through a cubic smoothstep of width ``RAMP_WIDTH``, and is exactly
+x - x_start beyond the ramp.  Resonances appear as complex eigenvalues of
+the scaled matrix that are insensitive to the scaling angle; the rotated
+continuum sweeps past them as theta changes, which is what the stability
+filter exploits when pairing eigenvalues with semiclassical estimates.
 
 That insensitivity is measured from one eigensolve: the scaled operator is
 complex-symmetric under the bilinear form (u, v) = integral of u v dz, so
@@ -60,9 +60,13 @@ SCHEMES = ("chebyshev_collocation", "finite_difference_4")
 #: anything below this is still treated as a resonance candidate.
 IM_ROUNDOFF_GUARD = 1e-9
 
-#: Default of the largest predicted theta-drift (see ``_drifts``) of an
-#: eigenvalue that the stability screen keeps as a resonance.
+#: The largest predicted theta-drift (see ``_drifts``) of an eigenvalue
+#: that the stability screen keeps as a resonance.
 STAB_TOL = 1e-6
+
+#: Width of the contour's smoothstep ramp.  Resonances depend on neither it
+#: nor the scaling start (Simon, Phys. Lett. A 71, 211 (1979)).
+RAMP_WIDTH = 3.0
 
 #: Eigenvalues asked of the first shift-invert solve of a disc whose count
 #: is unknown; the solve doubles this until it reaches past the disc.  The
@@ -92,8 +96,6 @@ class DiscretizationConfig:
     n: int = 400
     scheme: str = "chebyshev_collocation"
     theta: float = 0.15
-    x_start_scaling: float | None = None
-    smoothing_width: float = 3.0
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -106,26 +108,19 @@ class DiscretizationConfig:
             raise InvalidAngle(
                 f"scaling angle {self.theta!r} outside [0, pi/4)"
             )
-        if self.smoothing_width <= 0.0:
-            raise ValueError("smoothing_width must be positive")
-        if self.x_start_scaling is not None:
-            x_inf = self.x_start_scaling
-            if not (0.0 < x_inf and x_inf + self.smoothing_width <= self.x_max):
-                raise ValueError(
-                    "scaling region [x_start_scaling, x_start_scaling + width] "
-                    "must lie inside (0, x_max]"
-                )
 
 
-def _contour_parts(x: np.ndarray, x_inf: float, width: float):
+def _contour_parts(x: np.ndarray, x_inf: float):
     """(f, f', f'') of the ramp profile at the nodes, all piecewise analytic.
 
     The slope is the cubic smoothstep: f' = 3u^2 - 2u^3 with
-    u = (x - x_inf)/width on the ramp, so f' climbs monotonically from 0
-    to 1 and f'' vanishes at both ramp edges (the profile is C^2 on all of
-    the axis).  Integrating, f = (x - x_inf)(u^2 - u^3/2) on the ramp and
-    f = x - x_inf - width/2 exactly beyond it.
+    u = (x - x_inf)/width on the ramp of width RAMP_WIDTH, so f' climbs
+    monotonically from 0 to 1 and f'' vanishes at both ramp edges (the
+    profile is C^2 on all of the axis).  Integrating,
+    f = (x - x_inf)(u^2 - u^3/2) on the ramp and f = x - x_inf - width/2
+    exactly beyond it.
     """
+    width = RAMP_WIDTH
     f = np.zeros_like(x)
     fp = np.zeros_like(x)
     fpp = np.zeros_like(x)
@@ -218,17 +213,13 @@ class HamiltonianMatrix:
 
 def _resolve_x_inf(sys: PotentialSystem, cfg: DiscretizationConfig,
                    window: EnergyWindow | None) -> float:
-    if cfg.x_start_scaling is not None:
-        return cfg.x_start_scaling
     if cfg.theta == 0.0:
         return cfg.x_max  # no scaling region needed on an unrotated contour
     if window is None:
-        raise ValueError(
-            "x_start_scaling not set and no energy window given to derive it"
-        )
+        raise ValueError("a rotated contour needs a window to place its scaling start")
     c = float(np.real(find_exit_point(sys, window.e_ref)))
     x_inf = c + 1.0
-    if x_inf + cfg.smoothing_width > cfg.x_max:
+    if x_inf + RAMP_WIDTH > cfg.x_max:
         # valid for DiscretizationConfig, too short for this window: the
         # interval is a configuration choice, so the error is one too
         raise ConfigError(
@@ -257,11 +248,11 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
                       window: EnergyWindow | None = None) -> HamiltonianMatrix:
     """Assemble the complex-scaled operator as its four n x n channel blocks.
 
-    When ``cfg.x_start_scaling`` is unset it defaults to one unit beyond the
-    exit point at the window's reference energy.  All coefficient functions
-    are evaluated on the deformed contour z = x + i theta f(x); derivative
-    matrices pick up 1/F' (first order) and 1/F'^2 together with the
-    curvature term -F''/F'^3 (second order).
+    The scaling starts one unit beyond the exit point at the window's
+    reference energy (``window`` may be omitted at theta = 0 only).  All
+    coefficient functions are evaluated on the deformed contour
+    z = x + i theta f(x); derivative matrices pick up 1/F' (first order)
+    and 1/F'^2 together with the curvature term -F''/F'^3 (second order).
 
     The dense (Chebyshev) blocks are written in place, about 1.1 x their
     own size at peak: the kinetic block once, with the F'' term only on
@@ -273,7 +264,7 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     """
     x_inf = _resolve_x_inf(sys, cfg, window)
     d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
-    f, fp, fpp = _contour_parts(nodes, x_inf, cfg.smoothing_width)
+    f, fp, fpp = _contour_parts(nodes, x_inf)
     fprime = 1.0 + 1j * cfg.theta * fp
     fsecond = 1j * cfg.theta * fpp
     z = nodes + 1j * cfg.theta * f
@@ -593,7 +584,7 @@ def _theta_derivative(sys: PotentialSystem, ham: HamiltonianMatrix,
     """
     cfg, h = ham.config, ham.h
     d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
-    f, fp, fpp = _contour_parts(nodes, ham.x_start_scaling, cfg.smoothing_width)
+    f, fp, fpp = _contour_parts(nodes, ham.x_start_scaling)
     z, fprime = ham.z_nodes, ham.contour_scale
     fsecond = 1j * cfg.theta * fpp
     n = nodes.size
@@ -644,14 +635,15 @@ def _drifts(sys: PotentialSystem, ham: HamiltonianMatrix, vals: np.ndarray,
 
 
 def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
-                    E: complex, window: EnergyWindow | None = None) -> float:
+                    E: complex, window: EnergyWindow) -> float:
     """How far the eigenvalue nearest E moves when theta grows by 20 %,
     to first order: |d lambda/d theta| 0.2 theta.
 
     Small values (<< local spacing) certify E as a genuine resonance of the
     unscaled problem.  One solve takes the few eigenvalues nearest E (a
     disc of radius 0 about E) with their eigenvectors; the derivative
-    follows from the eigenvector (see the module docstring).
+    follows from the eigenvector (see the module docstring).  ``window``
+    places the scaling start, as in :func:`build_hamiltonian`.
     """
     E = complex(E)
     ham = build_hamiltonian(sys, cfg, h, window)
@@ -722,13 +714,13 @@ def match_resonances(estimates: list[ResonanceEstimate],
 
 def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
                         cfg: DiscretizationConfig, h: float,
-                        stab_tol: float = STAB_TOL, _disc_hint: int | None = None
-                        ) -> ComparisonRecords:
+                        _disc_hint: int | None = None) -> ComparisonRecords:
     """Full pipeline: estimates, direct eigenvalues, stability, matching.
 
     Eigenvalues in the window are screened for theta-stability first, so
     rotated-continuum points (which can sit closer in real part than the
-    true resonance) never enter the pairing.  A record is accepted when it
+    true resonance) never enter the pairing; an eigenvalue is stable when
+    its drift is at most ``STAB_TOL``.  A record is accepted when it
     matched a stable eigenvalue whose magnitude of imaginary part clears
     the eigensolver noise floor, taken as 100 x the largest matched drift.
     Levels whose estimate failed are logged and kept in ``skipped``.
@@ -752,7 +744,7 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     stable_vals = stable_drifts = candidates  # nothing to screen when empty
     if len(candidates):
         drifts = _drifts(sys, ham, vals, vecs, candidates)
-        stable = drifts <= stab_tol
+        stable = drifts <= STAB_TOL
         stable_vals, stable_drifts = candidates[stable], drifts[stable]
     records = ComparisonRecords(match_resonances(estimates, stable_vals), skipped,
                                 int(np.sum(np.abs(vals - sigma) <= radius)))
@@ -767,7 +759,7 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     for rec in records:
         rec.accepted = (
             rec.computed is not None
-            and rec.theta_stability <= stab_tol
+            and rec.theta_stability <= STAB_TOL
             and abs(rec.computed.imag) >= noise_floor
             and math.isfinite(rec.rel_dev_im)
         )

@@ -272,9 +272,17 @@ def barrier_points(sys: PotentialSystem, E):
     b_bad = ~good | (slope <= 0)
     n_ok = int(np.argmax(b_bad)) if b_bad.any() else b.size
     c = find_exit_point(sys, energies[:n_ok]) if n_ok else None
+
+    def no_rise(i):
+        e, top = float(energies[i]), float(np.real(sys.v1(0.0)))
+        if e >= top:  # v1 < E up to the crossing: the last root is the well's wall
+            return BracketFailure(
+                f"no barrier point b < 0 at E={e!r}: E is at or above v1(0) = {top!r}")
+        return BracketFailure(f"v1 does not rise through E at b={float(b[i])!r}")
+
     _raise_first([
         (~good, lambda i: NoWell(
             f"v1 - E has no sign change on ({DEFAULT_X_RANGE[0]}, 0) at E={float(energies[i])!r}")),
-        (slope <= 0, lambda i: BracketFailure(f"v1 does not rise through E at b={float(b[i])!r}")),
+        (slope <= 0, no_rise),
     ])
     return _unrow(b, scalar), _unrow(c, scalar)

@@ -116,9 +116,6 @@ KEY_SAMPLES = {
     ("numerics", "theta"): ("0.2", 0.2),
     ("numerics", "domain"): ("[-9.0, 11.0]", (-9.0, 11.0)),
     ("numerics", "h"): ("0.1", 0.1),
-    ("numerics", "x_start_scaling"): ("6.0", 6.0),
-    ("numerics", "smoothing_width"): ("2.0", 2.0),
-    ("numerics", "stab_tol"): ("1e-8", 1e-8),
     ("scan", "e_star"): ("1.3", 1.3),
     ("scan", "k_min"): ("6", 6),
     ("scan", "k_max"): ("12", 12),
@@ -143,13 +140,29 @@ def test_every_key_sets_its_field(place):
     assert getattr(parse_config(text), key) == expected
 
 
+def test_readme_key_table_lists_every_key():
+    """The config table under "Batch runs" in the README names exactly the
+    keys of the parser's table, so adding or removing a key cannot leave
+    the documentation stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Batch runs\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if not line.startswith("| ") or cells[:2] == ["section", "key"]:
+            continue
+        place = None if cells[0] == "top level" else cells[0].strip("`[]")
+        documented |= {(place, key) for key in re.findall(r"`(\w+)`", cells[1])}
+    assert documented == set(_KEYS)
+
+
 @pytest.mark.parametrize("mutate, pattern", [
     (("n = 200", "n = 10"), "at least 64 interior grid points"),
     (("half_width = 0.2", "half_width = -0.2"), "half_width must be positive"),
     (("c0_im = 5.0", "c0_im = 0"), "im_depth_coeff must be positive"),
     (("domain = [-8.0, 12.0]", "domain = [1.0, 5.0]"), "crossing point"),
-    (("theta = 0.15", "theta = 0.15 ; smoothing_width = 0"),
-     "smoothing_width must be positive"),
+    (("theta = 0.15", "theta = 0.15 ; smoothing_width = 3.0"),
+     r"line \d+: unknown key 'smoothing_width' in \[numerics\]"),
     (("theta = 0.15", "theta = 0.9"), "scaling angle 0.9 outside"),
     (("h = 0.14", "h = 0"), r"line \d+: h must be positive"),
     (("h = 0.14", "h = -0.1"), r"line \d+: h must be positive"),
@@ -158,9 +171,14 @@ def test_every_key_sets_its_field(place):
     (("e_ref = 1.0", "e_ref = nan"), r"line \d+: non-finite number 'nan'"),
     (("h = 0.14", "h = 0.14\n[scan]\nh_grid = [0.14, 0.0, 0.12]"),
      r"line \d+: h_grid must be positive"),
+    (("h = 0.14", "h = 0.14 ; x_start_scaling = 6.0"),
+     r"line \d+: unknown key 'x_start_scaling' in \[numerics\]"),
+    (("h = 0.14", "h = 0.14 ; stab_tol = 1e-6"),
+     r"line \d+: unknown key 'stab_tol' in \[numerics\]"),
 ])
 def test_out_of_range_values_are_config_errors(mutate, pattern, tmp_path, capsys):
-    """Out-of-range and non-finite values exit 1 with one JSON record."""
+    """Out-of-range and non-finite values exit 1 with one JSON record, as
+    do the removed complex-scaling keys, now unknown."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE.replace(*mutate) + f"\n[output]\nout_dir = {tmp_path}\n")
     assert main([str(cfg), "levels"]) == 1
@@ -396,6 +414,26 @@ def test_scan_pins_levels_from_the_cli(tmp_path, capsys):
     fit = json.loads((tmp_path / "scan_fit.json").read_text())
     assert fit["n_accepted"] == 3
     assert fit["slope"] == pytest.approx(-2.0 * fit["s_target"], rel=0.1)
+
+
+def test_negative_k_min_is_a_config_error(tmp_path, capsys):
+    """No level lies below k = 0, and pin_level_h would give it h < 0:
+    k_min < 0 exits 1 naming k_min, whether it comes from the file or from
+    a config edited in code, and pin_level_h refuses it."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SHALLOW_SCAN.replace("k_min = 6 ; k_max = 8", "k_min = -2 ; k_max = 2")
+                   + f"\n[output]\nout_dir = {tmp_path}\n")
+    assert main([str(cfg)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert re.fullmatch(r"line \d+: k_min must be >= 0, got -2", record["message"])
+    edited = dataclasses.replace(parse_config(SHALLOW_SCAN), k_min=-2, k_max=2,
+                                 out_dir=str(tmp_path))
+    assert run_command(edited) == 1
+    assert "k_min must be >= 0, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+    with pytest.raises(ValueError, match="k = -1 is negative"):
+        pin_level_h(edited.system(), 1.3, [1, 0, -1])
 
 
 def test_widths_reports_a_skipped_level(tmp_path, capsys):

@@ -28,6 +28,7 @@ from predissoc import (
 from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
 from predissoc import solver
 from predissoc.solver import (
+    RAMP_WIDTH,
     SCHEMES,
     _box_disc,
     _contour_parts,
@@ -56,19 +57,15 @@ def test_config_validation():
         DiscretizationConfig(theta=0.8)  # past pi/4
     with pytest.raises(InvalidAngle):
         DiscretizationConfig(theta=-0.1)
-    with pytest.raises(ValueError):
-        DiscretizationConfig(smoothing_width=0.0)
-    with pytest.raises(ValueError):
-        DiscretizationConfig(x_start_scaling=11.0)  # ramp would cross x_max
 
 
 def test_contour_profile_is_smooth():
     xs = np.linspace(0.0, 10.0, 100001)
-    f, fp, fpp = _contour_parts(xs, 2.0, 3.0)
+    f, fp, fpp = _contour_parts(xs, 2.0)
     assert np.all(f[xs <= 2.0] == 0.0)
     # beyond the ramp the profile is exactly linear with unit slope
-    tail = xs >= 5.0
-    assert np.allclose(f[tail], xs[tail] - 2.0 - 1.5, rtol=0, atol=1e-14)
+    tail = xs >= 2.0 + RAMP_WIDTH
+    assert np.allclose(f[tail], xs[tail] - 2.0 - RAMP_WIDTH / 2.0, rtol=0, atol=1e-14)
     assert np.all(fp[tail] == 1.0)
     # the slope is a monotone smoothstep, so f' stays within [0, 1]
     assert fp.min() >= 0.0 and fp.max() <= 1.0
@@ -87,9 +84,8 @@ def test_hamiltonian_geometry(coupled, window):
     assert np.all(np.diff(ham.x_nodes) > 0)
     inside = ham.x_nodes <= ham.x_start_scaling
     assert np.all(ham.z_nodes.imag[inside] == 0.0)
-    tail = ham.x_nodes >= ham.x_start_scaling + cfg.smoothing_width
-    expected = cfg.theta * (ham.x_nodes[tail] - ham.x_start_scaling
-                            - cfg.smoothing_width / 2.0)
+    tail = ham.x_nodes >= ham.x_start_scaling + RAMP_WIDTH
+    expected = cfg.theta * (ham.x_nodes[tail] - ham.x_start_scaling - RAMP_WIDTH / 2.0)
     assert np.allclose(ham.z_nodes.imag[tail], expected, rtol=1e-14)
     assert ham.x_start_scaling == pytest.approx(2.1064593698639587, abs=1e-9)
 
@@ -174,7 +170,7 @@ def _block_oracle(sys, ham):
     np.diag and np.block, each coupling term written out in full."""
     cfg, h = ham.config, ham.h
     d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
-    _, fp, fpp = _contour_parts(nodes, ham.x_start_scaling, cfg.smoothing_width)
+    _, fp, fpp = _contour_parts(nodes, ham.x_start_scaling)
     fprime = 1.0 + 1j * cfg.theta * fp
     fsecond = 1j * cfg.theta * fpp
     d1c = (1.0 / fprime)[:, None] * d1
@@ -279,8 +275,8 @@ def test_block_solve_matches_full_lu(instance, r0, r1, at):
 
 
 def test_singular_block_raises():
-    """An exactly singular channel-1 block, or Schur complement, is a
-    typed failure, never a solve that returns NaN."""
+    """An exactly singular channel-1 block, Schur complement or sparse
+    (FD4) factor is a typed failure, never a solve that returns NaN."""
     n, sigma = 64, complex(1.0, -0.3)
     eye = np.eye(n, dtype=complex, order="F")
     ones = np.ones(n, dtype=complex)
@@ -291,6 +287,9 @@ def test_singular_block_raises():
     for h12, h21 in ((ones, ones), (eye.copy(order="F"), eye.copy(order="F"))):
         with pytest.raises(EigensolveFailure, match="Schur complement"):
             _shift_invert(((sigma + 1.0) * eye, h12, h21, (sigma + 1.0) * eye), sigma)
+    zero = scipy.sparse.csr_array((4, 4), dtype=complex)
+    with pytest.raises(EigensolveFailure, match="exactly singular"):
+        _shift_invert((zero, zero, zero, zero), 0.0)
 
 
 @pytest.mark.parametrize("r1", ["0", "x"])
@@ -396,8 +395,9 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
     elif case == "decoupled_theta_zero":
         sys, cfg = decoupled, DiscretizationConfig(n=200, scheme=scheme, theta=0.0)
     else:
-        sys, cfg = coupled, DiscretizationConfig(n=200, scheme=scheme, x_start_scaling=3.0)
-        window = EnergyWindow(-1.0, 0.2, 5.0)
+        # a box that no eigenvalue reaches (Im > -1e-20 h)
+        sys, cfg = coupled, DiscretizationConfig(n=200, scheme=scheme)
+        window = EnergyWindow(1.0, 0.2, 1e-20)
     h = 0.14
     expected = _dense_box(sys, cfg, h, window)
     with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
@@ -429,17 +429,17 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
 def test_box_too_full_for_arpack_raises(coupled):
     """A disc holding all of a small matrix's spectrum (128 eigenvalues,
     ARPACK returns at most 125) is refused, never returned in part."""
-    cfg = DiscretizationConfig(n=64, scheme="finite_difference_4", x_start_scaling=3.0)
-    everything = EnergyWindow(2.5, 5.0, 20.0)
+    cfg = DiscretizationConfig(n=64, scheme="finite_difference_4")
+    everything = EnergyWindow(1.0, 10.0, 20.0)
     with pytest.raises(EigensolveFailure):
         compute_resonances(coupled, cfg, 0.14, everything)
 
 
 def test_evaluation_failure_on_contour():
-    sys = PotentialSystem.from_strings("exp(x^4)", "1")
-    cfg = DiscretizationConfig(x_start_scaling=3.0, n=64)
+    sys = PotentialSystem.from_strings("exp(x^4)", "1 - x")
+    cfg = DiscretizationConfig(n=64)
     with pytest.raises(ContourEvaluationError):
-        build_hamiltonian(sys, cfg, 0.1)
+        build_hamiltonian(sys, cfg, 0.1, EnergyWindow(0.5, 0.2))
 
 
 def test_theta_stability_separates_resonance_from_continuum(coupled, window):
@@ -491,10 +491,9 @@ def test_predicted_drift_matches_finite_drift(scheme, coupling, window):
     cfg = DiscretizationConfig(n=200, scheme=scheme)
     ham = build_hamiltonian(coupled, cfg, h, window)
 
-    def dense_at(factor):
-        scaled = dataclasses.replace(cfg, theta=factor * cfg.theta,
-                                     x_start_scaling=ham.x_start_scaling)
-        return scipy.linalg.eigvals(_full(build_hamiltonian(coupled, scaled, h).blocks))
+    def dense_at(factor):  # the derived scaling start does not depend on theta
+        scaled = dataclasses.replace(cfg, theta=factor * cfg.theta)
+        return scipy.linalg.eigvals(_full(build_hamiltonian(coupled, scaled, h, window).blocks))
 
     before, after = dense_at(1.0), dense_at(1.2)
     below, above = dense_at(1.0 - 1e-3), dense_at(1.0 + 1e-3)

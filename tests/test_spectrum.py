@@ -112,6 +112,10 @@ def test_width_coupling_square_scaling():
 def test_width_degenerate_energy_raises(coupled):
     with pytest.raises(DegenerateEnergy):
         width_leading(coupled, 0.1, 1.96336871)
+    # v2 rising faster than v1 through the crossing: v1'(0) - v2'(0) < 0
+    steep = PotentialSystem.from_strings(V1_WELL, "1.9633687222225316 + 5*x", r0="1")
+    with pytest.raises(DegenerateEnergy, match=r"slope gap .* not positive"):
+        width_leading(steep, 0.14, 1.0)
 
 
 def test_estimates_compose_width_leading(coupled, window):

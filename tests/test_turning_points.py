@@ -110,6 +110,20 @@ def test_barrier_points_on_barrier_only_model():
     assert c == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.01])
+@pytest.mark.parametrize("fixture", ["coupled", "shallow"])
+def test_no_barrier_point_at_or_above_the_crossing_value(fixture, offset, request):
+    """At E >= v1(0), v1 < E up to the crossing, so no b < 0 exists; the
+    error says so instead of naming the well's left endpoint as b."""
+    sys_ = request.getfixturevalue(fixture)
+    top = float(sys_.v1(0.0))
+    E = top + offset
+    with pytest.raises(BracketFailure) as info:
+        barrier_points(sys_, E)
+    assert str(info.value) == (
+        f"no barrier point b < 0 at E={E!r}: E is at or above v1(0) = {top!r}")
+
+
 def test_real_energy_returns_real_points(coupled):
     a, b = find_well_endpoints(coupled, 1.0)
     c = find_exit_point(coupled, 1.0)

@@ -529,15 +529,16 @@ def _cmd_scan(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-#: command -> (handler, whether it needs h)
+#: command -> (handler, whether it needs h, whether it needs theta > 0: the
+#: stability screen of compare and scan measures drift under rotation)
 _HANDLERS = {
-    "validate": (_cmd_validate, False),
-    "levels": (_cmd_levels, True),
-    "widths": (_cmd_widths, True),
-    "direct": (_cmd_direct, True),
-    "refine": (_cmd_refine, True),
-    "compare": (_cmd_compare, True),
-    "scan": (_cmd_scan, False),
+    "validate": (_cmd_validate, False, False),
+    "levels": (_cmd_levels, True, False),
+    "widths": (_cmd_widths, True, False),
+    "direct": (_cmd_direct, True, False),
+    "refine": (_cmd_refine, True, False),
+    "compare": (_cmd_compare, True, True),
+    "scan": (_cmd_scan, False, True),
 }
 
 
@@ -559,12 +560,14 @@ def run_command(cfg: RunConfig, command: str | None = None) -> int:
             raise ConfigError("no command given (config key or argument)")
         if cmd not in _HANDLERS:
             raise ConfigError(f"unknown command {cmd!r}")
-        handler, needs_h = _HANDLERS[cmd]
+        handler, needs_h, needs_rotation = _HANDLERS[cmd]
         if needs_h:  # checked here too, for configs built or edited in code
             if cfg.h is None:
                 raise ConfigError(f"{cmd} requires h under [numerics]")
             if not (math.isfinite(cfg.h) and cfg.h > 0):
                 raise ConfigError(f"h must be finite and > 0, got {cfg.h!r}")
+        if needs_rotation and not cfg.theta > 0:
+            raise ConfigError(f"{cmd} requires theta > 0, got {cfg.theta!r}")
         return handler(cfg, Path(cfg.out_dir))
     except ConfigError as exc:
         _emit_error(exc)

@@ -151,9 +151,14 @@ def _cheb_matrix(n_total: int):
 
 @lru_cache(maxsize=4)
 def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
-    """Interior-node first/second derivative matrices and the (ascending)
-    nodes, with Dirichlet conditions imposed by dropping the endpoint rows
-    and columns.
+    """Interior-node first/second derivative matrices, the (ascending)
+    nodes and their quadrature weights W, with Dirichlet conditions imposed
+    by dropping the endpoint rows and columns.
+
+    W is the W of :func:`_left_weights`: 1 on the FD4 grid, whose D2 is
+    symmetric and D1 skew-symmetric, and the Clenshaw-Curtis weights of
+    the interior Chebyshev points cos(pi j / N), N = n + 1 (Trefethen,
+    Spectral Methods in MATLAB, ch. 12).
 
     Cached per grid, as they depend on neither h nor theta: every
     assembly of a scan shares one set.  Their values are read-only.
@@ -169,7 +174,15 @@ def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
         nodes = x_min + (xi[1:-1] + 1.0) / scale
         d1 = d_full[1:-1, 1:-1] * scale
         d2 = d2_full[1:-1, 1:-1] * scale * scale
-        frozen = (d1, d2, nodes)
+        big_n = n + 1
+        angle = np.pi * np.arange(1, big_n) / big_n
+        k = np.arange(1, (big_n - 1) // 2 + 1)[:, None]
+        # summed elementwise: a numpy matrix product would wake numpy's BLAS
+        weight = 1.0 - np.sum(2.0 / (4.0 * k * k - 1.0) * np.cos(2.0 * k * angle), axis=0)
+        if big_n % 2 == 0:
+            weight -= np.cos(big_n * angle) / (big_n * big_n - 1.0)
+        weight *= (x_max - x_min) / big_n
+        frozen = (d1, d2, nodes, weight)
     else:
         # fourth-order central differences on a uniform interior grid, stored
         # as sparse diagonals; rows near the Dirichlet ends are plain
@@ -179,16 +192,17 @@ def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
 
         dx = (x_max - x_min) / (n + 1)
         nodes = x_min + dx * np.arange(1, n + 1)
+        weight = np.ones(n)
         shape = (n, n)
         d1 = scipy.sparse.diags_array([1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0],
                                       offsets=(-2, -1, 1, 2), shape=shape)
         d2 = scipy.sparse.diags_array([-1.0 / 12.0, 4.0 / 3.0, -2.5, 4.0 / 3.0, -1.0 / 12.0],
                                       offsets=(-2, -1, 0, 1, 2), shape=shape)
         d1, d2 = (d1 / dx).tocsr(), (d2 / (dx * dx)).tocsr()
-        frozen = (d1.data, d2.data, nodes)
+        frozen = (d1.data, d2.data, nodes, weight)
     for arr in frozen:
         arr.flags.writeable = False
-    return d1, d2, nodes
+    return d1, d2, nodes, weight
 
 
 @dataclass(frozen=True)
@@ -263,7 +277,7 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     the FD4 branch bit for bit without r1.
     """
     x_inf = _resolve_x_inf(sys, cfg, window)
-    d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
+    d1, d2, nodes, _ = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
     f, fp, fpp = _contour_parts(nodes, x_inf)
     fprime = 1.0 + 1j * cfg.theta * fp
     fsecond = 1j * cfg.theta * fpp
@@ -503,11 +517,12 @@ def _box_disc(window: EnergyWindow, h: float) -> tuple[complex, float]:
 
 
 def _filter_window(vals: np.ndarray, window: EnergyWindow, h: float) -> np.ndarray:
-    keep = ((vals.real >= window.lo) & (vals.real <= window.hi)
-            & (vals.imag > -window.im_depth_coeff * h)
-            & (vals.imag <= IM_ROUNDOFF_GUARD))
-    out = vals[keep]
-    return out[np.argsort(out.real)]
+    """Indices into ``vals`` of its eigenvalues in the resonance box (see
+    :func:`compute_resonances`), ordered by real part."""
+    box = np.flatnonzero((vals.real >= window.lo) & (vals.real <= window.hi)
+                         & (vals.imag > -window.im_depth_coeff * h)
+                         & (vals.imag <= IM_ROUNDOFF_GUARD))
+    return box[np.argsort(vals[box].real)]
 
 
 def compute_resonances(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
@@ -522,39 +537,16 @@ def compute_resonances(sys: PotentialSystem, cfg: DiscretizationConfig, h: float
     """
     ham = build_hamiltonian(sys, cfg, h, window)
     vals, _ = _disc_eigenvalues(ham.blocks, *_box_disc(window, h))
-    return _filter_window(vals, window, h)
-
-
-@lru_cache(maxsize=4)
-def _quadrature_weights(scheme: str, n: int, x_min: float, x_max: float) -> np.ndarray:
-    """W of :func:`_left_weights` on one grid: 1 on the FD4 grid, whose D2
-    is symmetric and D1 skew-symmetric, and the Clenshaw-Curtis weights of
-    the interior Chebyshev points cos(pi j / N), N = n + 1 (Trefethen,
-    Spectral Methods in MATLAB, ch. 12).
-
-    Cached per grid, as :func:`_derivative_matrices` is; read-only.
-    """
-    weight = np.ones(n)
-    if scheme == "chebyshev_collocation":
-        big_n = n + 1
-        angle = np.pi * np.arange(1, big_n) / big_n
-        k = np.arange(1, (big_n - 1) // 2 + 1)[:, None]
-        # summed elementwise: a numpy matrix product would wake numpy's BLAS
-        weight -= np.sum(2.0 / (4.0 * k * k - 1.0) * np.cos(2.0 * k * angle), axis=0)
-        if big_n % 2 == 0:
-            weight -= np.cos(big_n * angle) / (big_n * big_n - 1.0)
-        weight *= (x_max - x_min) / big_n
-    weight.flags.writeable = False
-    return weight
+    return vals[_filter_window(vals, window, h)]
 
 
 def _left_weights(ham: HamiltonianMatrix) -> np.ndarray:
     """Weights w for which y = conj(w x) is the left eigenvector of an
     eigenpair (lambda, x) of ``ham``: W F' on each channel, with the grid's
-    quadrature weights W (:func:`_quadrature_weights`).
+    quadrature weights W (:func:`_derivative_matrices`).
     """
     cfg = ham.config
-    weight = _quadrature_weights(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max) * ham.contour_scale
+    weight = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)[3] * ham.contour_scale
     return np.concatenate([weight, weight])
 
 
@@ -583,7 +575,7 @@ def _theta_derivative(sys: PotentialSystem, ham: HamiltonianMatrix,
     F'' = i theta f'', whose theta-derivatives are i f, i f' and i f''.
     """
     cfg, h = ham.config, ham.h
-    d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
+    d1, d2, nodes, _ = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
     f, fp, fpp = _contour_parts(nodes, ham.x_start_scaling)
     z, fprime = ham.z_nodes, ham.contour_scale
     fsecond = 1j * cfg.theta * fpp
@@ -614,24 +606,18 @@ def _theta_derivative(sys: PotentialSystem, ham: HamiltonianMatrix,
     return np.concatenate([top, bottom])
 
 
-def _drifts(sys: PotentialSystem, ham: HamiltonianMatrix, vals: np.ndarray,
-            vecs: np.ndarray, anchors) -> np.ndarray:
+def _drifts(sys: PotentialSystem, ham: HamiltonianMatrix, x: np.ndarray) -> np.ndarray:
     """Predicted drift under theta -> 1.2 theta, |d lambda/d theta| 0.2 theta,
-    of the eigenvalue nearest each anchor, from the eigenpairs of ``ham``.
+    of the eigenvalue of each right eigenvector of ``ham`` in the columns
+    of ``x``.
 
     With the left eigenvector y = conj(w x) of :func:`_left_weights`,
     y^H v = sum(w x v) is a bilinear sum with no conjugation.
     """
-    cfg = ham.config
-    if cfg.theta <= 0.0:
-        raise InvalidAngle("stability testing requires a positive scaling angle")
-    anchors = np.asarray(anchors, dtype=complex)
-    nearest = np.argmin(np.abs(vals[None, :] - anchors[:, None]), axis=1)
-    x = vecs[:, nearest]
     weight = _left_weights(ham)[:, None]
     rate = (np.sum(weight * x * _theta_derivative(sys, ham, x), axis=0)
             / np.sum(weight * x * x, axis=0))
-    return np.abs(rate) * 0.2 * cfg.theta
+    return np.abs(rate) * 0.2 * ham.config.theta
 
 
 def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
@@ -643,12 +629,16 @@ def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     unscaled problem.  One solve takes the few eigenvalues nearest E (a
     disc of radius 0 about E) with their eigenvectors; the derivative
     follows from the eigenvector (see the module docstring).  ``window``
-    places the scaling start, as in :func:`build_hamiltonian`.
+    places the scaling start, as in :func:`build_hamiltonian`.  theta = 0
+    raises InvalidAngle before any work.
     """
+    if cfg.theta <= 0.0:
+        raise InvalidAngle("stability testing requires a positive scaling angle")
     E = complex(E)
     ham = build_hamiltonian(sys, cfg, h, window)
     vals, vecs = _disc_eigenvalues(ham.blocks, E, 0.0, vectors=True)
-    return float(_drifts(sys, ham, vals, vecs, [E])[0])
+    nearest = int(np.argmin(np.abs(vals - E)))
+    return float(_drifts(sys, ham, vecs[:, [nearest]])[0])
 
 
 @dataclass
@@ -728,8 +718,11 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     One solve of the box disc gives the eigenvalues and, for the stability
     screen, their eigenvectors.  The records' ``disc_count`` is the number
     of eigenvalues in that disc; ``_disc_hint``, such a count from a
-    neighbouring disc (the previous h of a scan), sizes the solve.
+    neighbouring disc (the previous h of a scan), sizes the solve.  theta = 0
+    raises InvalidAngle before any work.
     """
+    if cfg.theta <= 0.0:
+        raise InvalidAngle("stability testing requires a positive scaling angle")
     estimates, skipped = resonance_estimates(sys, h, window)
     for k, e_k, reason in skipped:
         logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
@@ -740,27 +733,19 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     k_start = K_START if _disc_hint is None else _disc_hint + K_HINT_PAD
     ham = build_hamiltonian(sys, cfg, h, window)
     vals, vecs = _disc_eigenvalues(ham.blocks, sigma, radius, k_start, vectors=True)
-    candidates = _filter_window(vals, window, h)
-    stable_vals = stable_drifts = candidates  # nothing to screen when empty
-    if len(candidates):
-        drifts = _drifts(sys, ham, vals, vecs, candidates)
-        stable = drifts <= STAB_TOL
-        stable_vals, stable_drifts = candidates[stable], drifts[stable]
-    records = ComparisonRecords(match_resonances(estimates, stable_vals), skipped,
+    box = _filter_window(vals, window, h)
+    drifts = _drifts(sys, ham, vecs[:, box]) if box.size else np.empty(0)
+    stable = drifts <= STAB_TOL
+    box, drifts = box[stable], drifts[stable]
+    records = ComparisonRecords(match_resonances(estimates, vals[box]), skipped,
                                 int(np.sum(np.abs(vals - sigma) <= radius)))
-    matched_drifts = []
-    for rec in records:
-        if rec.computed is None:
-            continue
-        j = int(np.argmin(np.abs(stable_vals - rec.computed)))
-        rec.theta_stability = float(stable_drifts[j])
-        matched_drifts.append(rec.theta_stability)
-    noise_floor = 100.0 * max(matched_drifts) if matched_drifts else 0.0
-    for rec in records:
-        rec.accepted = (
-            rec.computed is not None
-            and rec.theta_stability <= STAB_TOL
-            and abs(rec.computed.imag) >= noise_floor
-            and math.isfinite(rec.rel_dev_im)
-        )
+    # each matched eigenvalue is one of vals[box]; built in reverse, so of
+    # two equal eigenvalues the first gives the drift
+    drift_of = dict(zip(vals[box][::-1], drifts[::-1]))
+    matched = [rec for rec in records if rec.computed is not None]
+    for rec in matched:
+        rec.theta_stability = float(drift_of[rec.computed])
+    noise_floor = 100.0 * max((rec.theta_stability for rec in matched), default=0.0)
+    for rec in matched:
+        rec.accepted = abs(rec.computed.imag) >= noise_floor and math.isfinite(rec.rel_dev_im)
     return records

@@ -486,6 +486,24 @@ def test_domain_too_short_for_the_ramp_is_a_config_error(tmp_path, capsys):
     assert "leaves no room for the ramp before x_max = 3.0" in record["message"]
 
 
+@pytest.mark.parametrize("command", ["compare", "scan"])
+def test_compare_and_scan_at_theta_zero_are_config_errors(command, tmp_path, capsys):
+    """The stability screen of compare and scan measures drift under
+    rotation, so theta = 0 exits 1 naming theta, before any solve and
+    with no output; direct keeps theta = 0 for the Hermitian check."""
+    text = SHALLOW_SCAN if command == "scan" else "command = compare\n" + BASE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(re.sub(r"theta = 0\.\d+", "theta = 0.0", text)
+                   + f"\n[output]\nout_dir = {tmp_path}\n")
+    assert main([str(cfg)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "ConfigError",
+                      "message": f"{command} requires theta > 0, got 0.0"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    if command == "compare":
+        assert main([str(cfg), "direct"]) == 0
+
+
 def test_no_command_given(tmp_path, capsys):
     cfg = parse_config(BASE)
     cfg.out_dir = str(tmp_path)

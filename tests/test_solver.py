@@ -22,6 +22,7 @@ from predissoc import (
     compare_with_direct,
     compute_resonances,
     match_resonances,
+    resonance_estimates,
     run_command,
     theta_stability,
 )
@@ -38,7 +39,6 @@ from predissoc.solver import (
     _on_contour,
     _filter_window,
     _left_weights,
-    _quadrature_weights,
     _shift_invert,
 )
 
@@ -100,19 +100,16 @@ def test_scaling_region_requires_room(coupled, window):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_derivative_matrix_cache_is_read_only(scheme):
-    d1, d2, nodes = _derivative_matrices(scheme, 64, -8.0, 12.0)
-    for arr in (nodes, *(m if isinstance(m, np.ndarray) else m.data for m in (d1, d2))):
+    """One cache per grid holds D1, D2, the nodes and the quadrature
+    weights W, all read-only."""
+    d1, d2, nodes, weight = _derivative_matrices(scheme, 64, -8.0, 12.0)
+    for arr in (nodes, weight,
+                *(m if isinstance(m, np.ndarray) else m.data for m in (d1, d2))):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert _derivative_matrices(scheme, 64, -8.0, 12.0)[0] is d1
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_quadrature_weight_cache_is_read_only(scheme):
-    weight = _quadrature_weights(scheme, 64, -8.0, 12.0)
-    assert not weight.flags.writeable
-    assert _quadrature_weights(scheme, 64, -8.0, 12.0) is weight
+    again = _derivative_matrices(scheme, 64, -8.0, 12.0)
+    assert again[0] is d1 and again[3] is weight
     if scheme == "chebyshev_collocation":
         # Clenshaw-Curtis integrates 1 exactly: the interior weights are the
         # length less the two end weights, L / (2 N^2) each for odd N = n + 1
@@ -129,7 +126,7 @@ def test_quadrature_weights_integrate_polynomials(n):
     t^j, gives (1 - t^2) T_(N-2) a T_N part of -1/4, which only the even-N
     term of the weights (n = 65) integrates."""
     cheb = np.polynomial.chebyshev
-    weight = _quadrature_weights("chebyshev_collocation", n, -1.0, 1.0)
+    weight = _derivative_matrices("chebyshev_collocation", n, -1.0, 1.0)[3]
     angle = np.pi * np.arange(1, n + 1) / (n + 1)
     for j in range(n):
         integrand = cheb.chebmul(np.eye(j + 1)[j], [0.5, 0.0, -0.5])
@@ -169,7 +166,7 @@ def _block_oracle(sys, ham):
     """The Chebyshev matrix of ``ham`` assembled from whole blocks with
     np.diag and np.block, each coupling term written out in full."""
     cfg, h = ham.config, ham.h
-    d1, d2, nodes = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
+    d1, d2, nodes, _ = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
     _, fp, fpp = _contour_parts(nodes, ham.x_start_scaling)
     fprime = 1.0 + 1j * cfg.theta * fp
     fsecond = 1j * cfg.theta * fpp
@@ -370,8 +367,8 @@ SCHEMES = ("chebyshev_collocation", "finite_difference_4")
 
 def _dense_box(sys, cfg, h, window):
     """The resonance box by brute force: every eigenvalue, then the filter."""
-    matrix = _full(build_hamiltonian(sys, cfg, h, window).blocks)
-    return _filter_window(scipy.linalg.eigvals(matrix), window, h)
+    vals = scipy.linalg.eigvals(_full(build_hamiltonian(sys, cfg, h, window).blocks))
+    return vals[_filter_window(vals, window, h)]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -405,7 +402,7 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
         if case == "small_k_start":
             blocks = build_hamiltonian(sys, cfg, h, window).blocks
             vals, _ = _disc_eigenvalues(blocks, *_box_disc(window, h), k_start=2)
-            found = _filter_window(vals, window, h)
+            found = vals[_filter_window(vals, window, h)]
         else:
             found = compute_resonances(sys, cfg, h, window)
         wall = time.perf_counter() - started
@@ -470,8 +467,7 @@ def test_left_eigenvector_is_weighted_conjugate(scheme, coupling, window):
     box = _filter_window(vals, window, 0.14)
     assert box.size >= 5
     weight = _left_weights(ham)
-    for lam in box:
-        j = int(np.argmin(np.abs(vals - lam)))
+    for j in box:
         y = np.conj(weight * right[:, j])
         cos = abs(np.vdot(y, left[:, j])) / (np.linalg.norm(y) * np.linalg.norm(left[:, j]))
         assert cos >= 1.0 - 1e-6
@@ -498,10 +494,10 @@ def test_predicted_drift_matches_finite_drift(scheme, coupling, window):
     before, after = dense_at(1.0), dense_at(1.2)
     below, above = dense_at(1.0 - 1e-3), dense_at(1.0 + 1e-3)
     vals, vecs = _disc_eigenvalues(ham.blocks, *_box_disc(window, h), vectors=True)
-    candidates = _filter_window(vals, window, h)
-    predicted = _drifts(coupled, ham, vals, vecs, candidates)
+    box = _filter_window(vals, window, h)
+    predicted = _drifts(coupled, ham, vecs[:, box])
     checked = 0
-    for lam, drift in zip(candidates, predicted):
+    for lam, drift in zip(vals[box], predicted):
         lam0 = before[np.argmin(np.abs(before - lam))]
         finite = np.min(np.abs(after - lam0))
         if finite > 1e-10:
@@ -551,6 +547,43 @@ def test_compare_with_an_empty_box_leaves_every_record_unmatched(coupled):
     assert records.disc_count > 0
 
 
+def test_each_record_carries_the_drift_of_its_own_eigenvalue(coupled, window, monkeypatch):
+    """Each matched record's theta_stability is the drift of its own
+    eigenvector's column.  The fake drifts are distinct, of order 1e-15,
+    except above STAB_TOL for the column nearest e_3 in real part, a
+    continuum point that k = 3 would otherwise claim: that column is never
+    matched, k = 3 takes the resonance, and the 100 x floor of the matched
+    drifts rejects k = 2, whose |Im| is about 5.6e-14."""
+    cfg, h = DiscretizationConfig(n=200), 0.14
+    full = _full(build_hamiltonian(coupled, cfg, h, window).blocks)
+    e_3 = {est.k: est.e_k for est in resonance_estimates(coupled, h, window)[0]}[3]
+    columns = {}  # the eigenvalue of each screened column -> its fake drift
+
+    def fake_drifts(sys, ham, x):
+        lam = np.sum(x.conj() * (full @ x), axis=0) / np.sum(abs(x) ** 2, axis=0)
+        drifts = 1e-16 * np.arange(1.0, x.shape[1] + 1.0)
+        drifts[np.argmin(np.abs(lam.real - e_3))] = 10.0 * solver.STAB_TOL
+        columns.update(zip(lam, drifts))
+        return drifts
+
+    monkeypatch.setattr(solver, "_drifts", fake_drifts)
+    records = compare_with_direct(coupled, window, cfg, h)
+    lam, drift = np.array(list(columns)), np.array(list(columns.values()))
+    assert lam.size >= 3 and np.sum(drift > solver.STAB_TOL) == 1
+    matched = {rec.estimate.k: rec for rec in records if rec.computed is not None}
+    assert sorted(matched) == [2, 3]
+    assert matched[3].computed == pytest.approx(1.1820169263068003 - 9.117e-10j, abs=1e-8)
+    for rec in matched.values():
+        j = np.argmin(np.abs(lam - rec.computed))
+        assert abs(lam[j] - rec.computed) <= 1e-8
+        assert rec.theta_stability == drift[j] <= solver.STAB_TOL
+    floor = 100.0 * max(rec.theta_stability for rec in matched.values())
+    for rec in records:
+        assert rec.accepted == (rec.computed is not None and abs(rec.computed.imag) >= floor
+                                and math.isfinite(rec.rel_dev_im))
+    assert not matched[2].accepted and matched[3].accepted
+
+
 def test_compare_without_levels_solves_nothing(coupled, tmp_path, monkeypatch):
     """A window that holds no level (1.0 +- 0.01 at h = 0.14) gives no
     records and no disc count without an eigensolve, and ``compare`` writes
@@ -585,10 +618,27 @@ def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatc
     assert requested == [False, False]
 
 
-def test_theta_stability_requires_rotation(coupled, window):
+def _no_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the angle check")
+    for name in ("resonance_estimates", "build_hamiltonian", "_disc_eigenvalues"):
+        monkeypatch.setattr(solver, name, no_work)
+
+
+def test_theta_stability_requires_rotation(coupled, window, monkeypatch):
+    _no_work(monkeypatch)
     cfg = DiscretizationConfig(theta=0.0)
     with pytest.raises(InvalidAngle):
         theta_stability(coupled, cfg, 0.14, 1.18 - 1e-9j, window)
+
+
+def test_compare_requires_rotation_before_any_work(coupled, window, monkeypatch):
+    """At theta = 0 there is no drift to screen by: compare_with_direct
+    raises InvalidAngle before any estimate, assembly or eigensolve, even
+    for a window that holds levels."""
+    _no_work(monkeypatch)
+    with pytest.raises(InvalidAngle):
+        compare_with_direct(coupled, window, DiscretizationConfig(theta=0.0), 0.14)
 
 
 def test_grid_refinement_converged(coupled, window):

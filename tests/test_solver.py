@@ -102,14 +102,22 @@ def test_scaling_region_requires_room(coupled, window):
 def test_derivative_matrix_cache_is_read_only(scheme):
     """One cache per grid holds D1, D2, the nodes and the quadrature
     weights W, all read-only."""
-    d1, d2, nodes, weight = _derivative_matrices(scheme, 64, -8.0, 12.0)
-    for arr in (nodes, weight,
-                *(m if isinstance(m, np.ndarray) else m.data for m in (d1, d2))):
+    d1, d2, nodes, _ = _derivative_matrices(scheme, 64, -8.0, 12.0)
+    for arr in (nodes, *(m if isinstance(m, np.ndarray) else m.data for m in (d1, d2))):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    again = _derivative_matrices(scheme, 64, -8.0, 12.0)
-    assert again[0] is d1 and again[3] is weight
+    assert _derivative_matrices(scheme, 64, -8.0, 12.0)[0] is d1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_quadrature_weight_cache_is_read_only(scheme):
+    """The quadrature weights W are the fourth array of the grid cache."""
+    weight = _derivative_matrices(scheme, 64, -8.0, 12.0)[3]
+    assert not weight.flags.writeable
+    with pytest.raises(ValueError):
+        weight[0] = 0.0
+    assert _derivative_matrices(scheme, 64, -8.0, 12.0)[3] is weight
     if scheme == "chebyshev_collocation":
         # Clenshaw-Curtis integrates 1 exactly: the interior weights are the
         # length less the two end weights, L / (2 N^2) each for odd N = n + 1

@@ -16,9 +16,9 @@ h ~ 0.13.
 
 from predissoc import (
     DiscretizationConfig,
+    EnergyWindow,
     PotentialSystem,
     agmon_distance,
-    pin_level_h,
     run_scan,
 )
 
@@ -33,12 +33,9 @@ print("target slope -2 S(E*) =", -2 * agmon_distance(sys_, e_star))
 # ---------------------------------------------------------------------------
 # Pin level k at E* for k = 6..10 and run the comparison at each h
 # ---------------------------------------------------------------------------
-ks = list(range(6, 11))
-h_values = pin_level_h(sys_, e_star, ks)
-print("\npinned h values:", [round(h, 6) for h in h_values])
-
 disc = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=300, theta=0.25)
-scan = run_scan(sys_, e_star, h_values, half_width=0.2, disc=disc, ks=ks)
+scan = run_scan(sys_, EnergyWindow(e_star, 0.2), disc, range(6, 11))
+print("\npinned h values:", [round(row.h, 6) for row in scan.rows])
 
 print(f"\n{'h':>10} {'k':>3} {'width formula':>15} {'width direct':>15} "
       f"{'ratio':>8} {'ok':>4}")

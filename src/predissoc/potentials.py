@@ -76,11 +76,6 @@ class PotentialSystem:
             enforce_crossing=enforce_crossing,
         )
 
-    def potential(self, which: int) -> AnalyticExpr:
-        if which not in (1, 2):
-            raise ValueError(f"channel index must be 1 or 2, got {which}")
-        return self.v1 if which == 1 else self.v2
-
 
 @dataclass(frozen=True)
 class EnergyWindow:
@@ -107,9 +102,6 @@ class EnergyWindow:
     @property
     def hi(self) -> float:
         return self.e_ref + self.half_width
-
-    def contains(self, e: float) -> bool:
-        return self.lo <= e <= self.hi
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,6 @@ class RunConfig:
     e_star: float | None = None
     k_min: int | None = None
     k_max: int | None = None
-    h_grid: list[float] | None = None
     out_dir: str = "."
     command: str | None = None
 
@@ -170,14 +169,11 @@ def _as_domain(token: str, key: str, lineno: int) -> tuple[float, float]:
     return dom[0], dom[1]
 
 
-def _positive(convert):
-    """``convert`` with every resulting number required to be > 0."""
-    def check(token: str, key: str, lineno: int):
-        value = convert(token, key, lineno)
-        if any(v <= 0.0 for v in np.atleast_1d(value)):
-            raise ConfigError(f"{key} must be positive", lineno)
-        return value
-    return check
+def _as_positive(token: str, key: str, lineno: int) -> float:
+    value = _as_float(token, key, lineno)
+    if value <= 0.0:
+        raise ConfigError(f"{key} must be positive", lineno)
+    return value
 
 
 #: (section, key) -> converter; section None is the top level.  Each key
@@ -194,11 +190,10 @@ _KEYS = {
     ("numerics", "n"): _as_int,
     ("numerics", "theta"): _as_float,
     ("numerics", "domain"): _as_domain,
-    ("numerics", "h"): _positive(_as_float),
+    ("numerics", "h"): _as_positive,
     ("scan", "e_star"): _as_float,
     ("scan", "k_min"): _as_int,
     ("scan", "k_max"): _as_int,
-    ("scan", "h_grid"): _positive(_as_list),
     ("output", "out_dir"): _as_word,
     (None, "command"): _one_of({c: c for c in COMMANDS}, "command"),
 }
@@ -264,17 +259,13 @@ def parse_config(text: str) -> RunConfig:
 def _check_scan_inputs(cfg: RunConfig, lines=None) -> None:
     if cfg.e_star is None:
         raise ConfigError("scan requires e_star")
-    if cfg.h_grid is not None:
-        count, key = len(cfg.h_grid), "h_grid"
-    elif cfg.k_min is not None and cfg.k_max is not None:
-        if cfg.k_min < 0:  # no level below k = 0: its pinned h is negative
-            raise ConfigError(f"k_min must be >= 0, got {cfg.k_min}",
-                              (lines or {}).get(("scan", "k_min")))
-        count, key = cfg.k_max - cfg.k_min + 1, "k_max"
-    else:
-        raise ConfigError("scan requires either h_grid or k_min/k_max")
-    if count < 3:
-        raise ConfigError("scan requires ≥3 h values", (lines or {}).get(("scan", key)))
+    if cfg.k_min is None or cfg.k_max is None:
+        raise ConfigError("scan requires k_min and k_max")
+    if cfg.k_min < 0:  # no level below k = 0: its pinned h is negative
+        raise ConfigError(f"k_min must be >= 0, got {cfg.k_min}",
+                          (lines or {}).get(("scan", "k_min")))
+    if cfg.k_max - cfg.k_min + 1 < 3:
+        raise ConfigError("scan requires ≥3 h values", (lines or {}).get(("scan", "k_max")))
 
 
 def pin_level_h(sys: PotentialSystem, e_star: float, k_range) -> list[float]:
@@ -347,26 +338,24 @@ def fit_width_slope(scan: ScanResult) -> tuple[float, float, float]:
     return float(slope), float(intercept), r_squared
 
 
-def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
-             half_width: float, disc: DiscretizationConfig,
-             c0_im: float = EnergyWindow.im_depth_coeff, ks=None) -> ScanResult:
-    """Track the level nearest e_star across the given h values.
+def run_scan(sys: PotentialSystem, window: EnergyWindow,
+             disc: DiscretizationConfig, ks) -> ScanResult:
+    """Pin each level k of ``ks`` at E* = ``window.e_ref`` and compare it there.
 
-    For each h the full comparison pipeline runs inside the window centered
-    at e_star; the row records the formula width, the matched direct
+    For each k, in ascending order (so descending in h), h comes from
+    :func:`pin_level_h` and the full comparison pipeline runs inside
+    ``window``; the row records level k's formula width, the matched direct
     eigenvalue and its stability.  The width-law slope is fitted when
     enough rows were accepted (and left NaN otherwise).
     """
-    window = EnergyWindow(e_star, half_width, c0_im)
+    e_star = window.e_ref
+    ks = sorted(ks)
     rows = []
     disc_count = None  # each h's eigensolve is sized from the previous h's disc
-    for idx, h in enumerate(h_values):
+    for k, h in zip(ks, pin_level_h(sys, e_star, ks)):
         records = compare_with_direct(sys, window, disc, h, _disc_hint=disc_count)
         disc_count = records.disc_count
-        if ks is not None:
-            rec = next((r for r in records if r.estimate.k == ks[idx]), None)
-        else:
-            rec = min(records, key=lambda r: abs(r.estimate.e_k - e_star), default=None)
+        rec = next((r for r in records if r.estimate.k == k), None)
         if rec is None:
             continue
         lam = rec.computed
@@ -378,7 +367,6 @@ def run_scan(sys: PotentialSystem, e_star: float, h_values, *,
             theta_stability=rec.theta_stability,
             accepted=rec.accepted,
         ))
-    rows.sort(key=lambda r: -r.h)
     scan = ScanResult(rows=rows, s_target=agmon_distance(sys, e_star),
                       e_star=e_star)
     try:
@@ -507,14 +495,8 @@ def _cmd_compare(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_scan(cfg: RunConfig, out: Path) -> int:
     _check_scan_inputs(cfg)
-    sys_ = cfg.system()
-    if cfg.h_grid is not None:
-        h_values, ks = list(cfg.h_grid), None
-    else:
-        ks = list(range(cfg.k_min, cfg.k_max + 1))
-        h_values = pin_level_h(sys_, cfg.e_star, ks)
-    scan = run_scan(sys_, cfg.e_star, h_values, half_width=cfg.half_width,
-                    disc=cfg.discretization(), c0_im=cfg.c0_im, ks=ks)
+    scan = run_scan(cfg.system(), EnergyWindow(cfg.e_star, cfg.half_width, cfg.c0_im),
+                    cfg.discretization(), range(cfg.k_min, cfg.k_max + 1))
     _write_csv(out / "scan.csv", [f.name for f in fields(ScanRow)],
                [astuple(r) for r in scan.rows])
     _write_json(out / "scan_fit.json", {
@@ -588,8 +570,8 @@ def main(argv=None) -> int:
                         help="override the command set in the config")
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(Path(args.config).read_text())
-    except OSError as exc:
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         _emit_error(ConfigError(f"cannot read config: {exc}"))
         return 1
     except ConfigError as exc:

@@ -24,7 +24,6 @@ from predissoc import (
     differentiate,
     parse_expression,
     phase_integrals,
-    pin_level_h,
     quantization_residual,
     run_scan,
     solve_quantization,
@@ -48,10 +47,8 @@ def shallow_scan():
     """
     sys_ = PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW, r0="1", r1="0")
     disc = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=400, theta=0.25)
-    ks = list(range(6, 13))
-    h_values = pin_level_h(sys_, 1.3, ks)
     t0 = time.perf_counter()
-    scan = run_scan(sys_, 1.3, h_values, half_width=0.2, disc=disc, ks=ks)
+    scan = run_scan(sys_, EnergyWindow(1.3, 0.2), disc, range(6, 13))
     elapsed = time.perf_counter() - t0
     return {"sys": sys_, "disc": disc, "scan": scan, "elapsed": elapsed}
 

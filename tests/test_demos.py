@@ -1,4 +1,5 @@
-"""Smoke test of the demo scripts: each runs to completion, warning-free."""
+"""Smoke test of the demo scripts (each runs to completion, warning-free)
+and of the README's examples."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from predissoc import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -27,3 +30,20 @@ def test_demo_runs_cleanly(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def _readme_block(heading, lang):
+    """The first ``lang`` code block under the README's ``## heading``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_examples_run():
+    """The README's Quickstart code runs and its Batch-runs config parses,
+    so a change to a public signature cannot leave either stale."""
+    namespace = {}
+    exec(compile(_readme_block("Quickstart", "python"), "README.md", "exec"), namespace)
+    assert len(namespace["records"]) == 2
+    cfg = parse_config(_readme_block("Batch runs", "ini"))
+    assert cfg.command == "compare" and cfg.h == 0.14

@@ -4,7 +4,6 @@ import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 from predissoc import (
@@ -43,8 +42,6 @@ def test_energy_window_geometry():
     win = EnergyWindow(1.0, 0.2, 5.0)
     assert win.lo == 0.8
     assert win.hi == 1.2
-    assert win.contains(0.8) and win.contains(1.2) and win.contains(1.0)
-    assert not win.contains(1.2000001)
     with pytest.raises(ValueError):
         EnergyWindow(1.0, 0.0)
     with pytest.raises(ValueError):
@@ -123,16 +120,3 @@ def test_validation_report_serializes(coupled, window):
     assert payload["passed"] is True
     round_trip = json.loads(json.dumps(payload))
     assert round_trip["clauses"] == {k: bool(v) for k, v in report.clauses.items()}
-
-
-def test_eval_potential_dispatch(coupled):
-    xs = np.linspace(-3.0, 3.0, 13)
-    assert np.array_equal(coupled.potential(1)(xs), coupled.v1(xs))
-    assert np.array_equal(coupled.potential(2)(xs), coupled.v2(xs))
-    with pytest.raises(ValueError):
-        coupled.potential(3)
-
-
-def test_channel_index_guard(coupled):
-    with pytest.raises(ValueError):
-        coupled.potential(0)

@@ -16,6 +16,8 @@ import pytest
 
 import predissoc
 from predissoc import (
+    DiscretizationConfig,
+    EnergyWindow,
     RunConfig,
     ScanResult,
     ScanRow,
@@ -24,6 +26,7 @@ from predissoc import (
     parse_config,
     pin_level_h,
     run_command,
+    run_scan,
 )
 from predissoc import spectrum
 from predissoc.errors import BarrierViolation, ConfigError, InsufficientData
@@ -119,7 +122,6 @@ KEY_SAMPLES = {
     ("scan", "e_star"): ("1.3", 1.3),
     ("scan", "k_min"): ("6", 6),
     ("scan", "k_max"): ("12", 12),
-    ("scan", "h_grid"): ("[0.1, 0.12, 0.14]", [0.1, 0.12, 0.14]),
     ("output", "out_dir"): ('"runs/a b"', "runs/a b"),
     (None, "command"): ("levels", "levels"),
 }
@@ -170,7 +172,7 @@ def test_readme_key_table_lists_every_key():
     (("e_ref = 1.0", "e_ref = inf"), r"line \d+: non-finite number 'inf'"),
     (("e_ref = 1.0", "e_ref = nan"), r"line \d+: non-finite number 'nan'"),
     (("h = 0.14", "h = 0.14\n[scan]\nh_grid = [0.14, 0.0, 0.12]"),
-     r"line \d+: h_grid must be positive"),
+     r"line \d+: unknown key 'h_grid' in \[scan\]"),
     (("h = 0.14", "h = 0.14 ; x_start_scaling = 6.0"),
      r"line \d+: unknown key 'x_start_scaling' in \[numerics\]"),
     (("h = 0.14", "h = 0.14 ; stab_tol = 1e-6"),
@@ -178,7 +180,7 @@ def test_readme_key_table_lists_every_key():
 ])
 def test_out_of_range_values_are_config_errors(mutate, pattern, tmp_path, capsys):
     """Out-of-range and non-finite values exit 1 with one JSON record, as
-    do the removed complex-scaling keys, now unknown."""
+    do the removed keys (h_grid and the complex-scaling ones), now unknown."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE.replace(*mutate) + f"\n[output]\nout_dir = {tmp_path}\n")
     assert main([str(cfg), "levels"]) == 1
@@ -210,10 +212,8 @@ def test_parse_scan_prerequisites():
     with pytest.raises(ConfigError, match="scan requires e_star"):
         parse_config(head + "k_min = 6 ; k_max = 12\n")
     with pytest.raises(ConfigError, match="3 h values"):
-        parse_config(head + "e_star = 1.0 ; h_grid = [0.1, 0.2]\n")
-    with pytest.raises(ConfigError, match="3 h values"):
         parse_config(head + "e_star = 1.0 ; k_min = 6 ; k_max = 7\n")
-    with pytest.raises(ConfigError, match="either h_grid or k_min/k_max"):
+    with pytest.raises(ConfigError, match="scan requires k_min and k_max"):
         parse_config(head + "e_star = 1.0\n")
     # a valid scan block parses
     cfg = parse_config(head + "e_star = 1.0 ; k_min = 6 ; k_max = 12\n")
@@ -364,7 +364,7 @@ def test_scan_reports_insufficient_data(tmp_path, capsys):
     """With the coupling off every width sits at the noise floor: the scan
     must still write its table, null out the fit, and exit with code 2."""
     text = "command = scan\n" + BASE.replace('r0 = "1"', 'r0 = "0"') + (
-        "\n[scan]\ne_star = 1.0 ; h_grid = [0.14, 0.13, 0.12]\n"
+        "\n[scan]\ne_star = 1.0 ; k_min = 3 ; k_max = 5\n"
     )
     cfg = parse_config(text)
     cfg.out_dir = str(tmp_path)
@@ -414,6 +414,17 @@ def test_scan_pins_levels_from_the_cli(tmp_path, capsys):
     fit = json.loads((tmp_path / "scan_fit.json").read_text())
     assert fit["n_accepted"] == 3
     assert fit["slope"] == pytest.approx(-2.0 * fit["s_target"], rel=0.1)
+
+
+def test_run_scan_pins_each_k_in_ascending_order(shallow):
+    """run_scan orders ks itself: each row is level k at the h that pins it
+    at E*, whatever order the caller gives, and no level is dropped."""
+    disc = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=200, theta=0.25)
+    window = EnergyWindow(1.3, 0.2)
+    scan = run_scan(shallow, window, disc, [8, 6, 7])
+    h_pinned = pin_level_h(shallow, 1.3, [6, 7, 8])
+    assert [(r.k, r.h) for r in scan.rows] == list(zip([6, 7, 8], h_pinned))
+    assert scan.rows == run_scan(shallow, window, disc, [6, 7, 8]).rows
 
 
 def test_negative_k_min_is_a_config_error(tmp_path, capsys):
@@ -559,3 +570,16 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main([str(good), "levels"]) == 0
     assert (tmp_path / "run" / "levels.csv").exists()
     assert not (tmp_path / "run" / "widths.csv").exists()
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    """A config file with bytes that are not UTF-8 exits 1 with one JSON
+    record, like a file that cannot be read, not with a traceback."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b'command = levels\n[potential]\nv1 = "x^2" \xff\n')
+    assert main([str(bad)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("cannot read config: ")
+    assert "utf-8" in record["message"]

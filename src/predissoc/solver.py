@@ -19,6 +19,10 @@ complex-symmetric under the bilinear form (u, v) = integral of u v dz, so
 the left eigenvector of an eigenpair (lambda, x) is conj(W F' x), with W
 the grid's quadrature weights, and first-order perturbation theory gives
 d lambda / d theta = y^H (dH/dtheta) x / y^H x.
+
+Chebyshev collocation gives four dense n x n channel blocks; the
+finite-difference scheme gives one band over the channel-interleaved
+unknowns u1_0, u2_0, u1_1, u2_1, ..., built from its ``STENCILS`` row.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ __all__ = [
 ]
 
 SCHEMES = ("chebyshev_collocation", "finite_difference_4")
+
+#: Central-difference stencils of the finite-difference schemes: the D1 and
+#: D2 weights at grid offsets -p..p, in units of 1/dx and 1/dx^2.
+STENCILS = {
+    "finite_difference_4": ((1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0),
+                            (-1.0 / 12.0, 4.0 / 3.0, -2.5, 4.0 / 3.0, -1.0 / 12.0)),
+}
 
 #: Eigenvalues may creep slightly above the real axis through roundoff;
 #: anything below this is still treated as a resonance candidate.
@@ -151,14 +162,20 @@ def _cheb_matrix(n_total: int):
 
 @lru_cache(maxsize=4)
 def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
-    """Interior-node first/second derivative matrices, the (ascending)
-    nodes and their quadrature weights W, with Dirichlet conditions imposed
-    by dropping the endpoint rows and columns.
+    """Interior-node first/second derivatives, the (ascending) nodes and
+    their quadrature weights W, with Dirichlet conditions imposed by
+    dropping the endpoint rows and columns.
 
-    W is the W of :func:`_left_weights`: 1 on the FD4 grid, whose D2 is
-    symmetric and D1 skew-symmetric, and the Clenshaw-Curtis weights of
-    the interior Chebyshev points cos(pi j / N), N = n + 1 (Trefethen,
-    Spectral Methods in MATLAB, ch. 12).
+    The Chebyshev derivatives are dense n x n matrices.  A finite-difference
+    scheme's are its ``STENCILS`` rows scaled by 1/dx and 1/dx^2 on the
+    uniform interior grid; rows near the Dirichlet ends are plain
+    truncations of the infinite stencil, which keeps D1 exactly
+    skew-symmetric and D2 exactly symmetric.
+
+    W is the W of :func:`_left_weights`: 1 on the finite-difference grid,
+    and the Clenshaw-Curtis weights of the interior Chebyshev points
+    cos(pi j / N), N = n + 1 (Trefethen, Spectral Methods in MATLAB,
+    ch. 12).
 
     Cached per grid, as they depend on neither h nor theta: every
     assembly of a scan shares one set.  Their values are read-only.
@@ -182,25 +199,13 @@ def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
         if big_n % 2 == 0:
             weight -= np.cos(big_n * angle) / (big_n * big_n - 1.0)
         weight *= (x_max - x_min) / big_n
-        frozen = (d1, d2, nodes, weight)
     else:
-        # fourth-order central differences on a uniform interior grid, stored
-        # as sparse diagonals; rows near the Dirichlet ends are plain
-        # truncations of the infinite stencil, which keeps D1 exactly
-        # skew-symmetric and D2 exactly symmetric
-        import scipy.sparse  # on first use, as in _disc_eigenvalues
-
         dx = (x_max - x_min) / (n + 1)
         nodes = x_min + dx * np.arange(1, n + 1)
         weight = np.ones(n)
-        shape = (n, n)
-        d1 = scipy.sparse.diags_array([1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0],
-                                      offsets=(-2, -1, 1, 2), shape=shape)
-        d2 = scipy.sparse.diags_array([-1.0 / 12.0, 4.0 / 3.0, -2.5, 4.0 / 3.0, -1.0 / 12.0],
-                                      offsets=(-2, -1, 0, 1, 2), shape=shape)
-        d1, d2 = (d1 / dx).tocsr(), (d2 / (dx * dx)).tocsr()
-        frozen = (d1.data, d2.data, nodes, weight)
-    for arr in frozen:
+        d1, d2 = STENCILS[scheme]
+        d1, d2 = np.array(d1) / dx, np.array(d2) / (dx * dx)
+    for arr in (d1, d2, nodes, weight):
         arr.flags.writeable = False
     return d1, d2, nodes, weight
 
@@ -209,14 +214,15 @@ def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
 class HamiltonianMatrix:
     """Discretized, contour-deformed two-channel operator.
 
-    ``blocks = (H11, H12, H21, H22)`` are its n x n channel blocks, the
-    layout the shift-invert factor reads.  Chebyshev collocation gives
-    dense Fortran-ordered arrays, except that the coupling blocks are the
-    1-D vector h r0 of their diagonal when r1 is identically zero; the
-    banded finite-difference scheme gives sparse arrays.
+    ``blocks`` is the operator in the layout the shift-invert factor reads.
+    Chebyshev collocation gives the tuple ``(H11, H12, H21, H22)`` of its
+    n x n channel blocks, dense Fortran-ordered arrays, except that the
+    coupling blocks are the 1-D vector h r0 of their diagonal when r1 is
+    identically zero.  The finite-difference scheme gives one array, the
+    channel-interleaved band (see :func:`_band`).
     """
 
-    blocks: tuple
+    blocks: tuple | np.ndarray
     x_nodes: np.ndarray
     z_nodes: np.ndarray
     contour_scale: np.ndarray
@@ -260,7 +266,8 @@ def _on_contour(name: str, expr, z: np.ndarray, cfg: DiscretizationConfig,
 
 def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
                       window: EnergyWindow | None = None) -> HamiltonianMatrix:
-    """Assemble the complex-scaled operator as its four n x n channel blocks.
+    """Assemble the complex-scaled operator: four n x n channel blocks
+    (Chebyshev) or one channel-interleaved band (finite differences).
 
     The scaling starts one unit beyond the exit point at the window's
     reference energy (``window`` may be omitted at theta = 0 only).  All
@@ -273,8 +280,7 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     the ramp rows where F'' is nonzero, copied to the other channel; v1 and
     v2 on the diagonals; and the coupling blocks, which are the vector h r0
     when r1 is identically zero, else h (r0 + h r1 D1c) and
-    h (r0 - h D1c r1) in full.  Their entries equal the block formula of
-    the FD4 branch bit for bit without r1.
+    h (r0 - h D1c r1) in full.
     """
     x_inf = _resolve_x_inf(sys, cfg, window)
     d1, d2, nodes, _ = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
@@ -285,26 +291,49 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     v1, v2, r0, r1 = (_on_contour(name, expr, z, cfg, x_inf)
                       for name, expr in (("v1", sys.v1), ("v2", sys.v2),
                                          ("r0", sys.r0), ("r1", sys.r1)))
-    build = _dense_blocks if isinstance(d1, np.ndarray) else _sparse_blocks
+    build = _dense_blocks if d1.ndim == 2 else _band
     blocks = build(d1, d2, fprime, fsecond, v1, v2, r0, r1, h)
     return HamiltonianMatrix(blocks=blocks, x_nodes=nodes, z_nodes=z,
                              contour_scale=fprime, x_start_scaling=x_inf,
                              config=cfg, h=h)
 
 
-def _sparse_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
-    """The FD4 channel blocks as sparse arrays."""
-    import scipy.sparse  # already loaded by _derivative_matrices
+def _band(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
+    """The finite-difference operator as one channel-interleaved band.
 
-    d1c = (1.0 / fprime)[:, None] * d1
-    d2c = (1.0 / fprime ** 2)[:, None] * d2 - (fsecond / fprime ** 3)[:, None] * d1
-    diag = scipy.sparse.diags_array
-    r0d = diag(r0)
-    h11 = -h * h * d2c + diag(v1)
-    h22 = -h * h * d2c + diag(v2)
-    h12 = h * (r0d + (h * r1)[:, None] * d1c)
-    h21 = h * (r0d - h * d1c * r1[None, :])
-    return h11, h12, h21, h22
+    Unknown 2i + a is channel a + 1 at node i.  With the stencils d1, d2 of
+    half-width p, grid row i couples to i + s for |s| <= p, so row 2i + a
+    reaches columns up to q = 2p + 1 away.  Returns the (2q + 1, 2n) array
+    B with B[q + d, r] = H[r, r + d]; entries whose column falls outside
+    the matrix are zero.  The channel blocks are
+
+        H11 = -h^2 D2c + v1,    H12 = h (r0 + h r1 D1c),
+        H21 = h (r0 - h D1c r1),    H22 = -h^2 D2c + v2,
+
+    with D1c = (1/F') D1 and D2c = (1/F'^2) D2 - (F''/F'^3) D1, D1 and D2
+    the stencils truncated at the Dirichlet ends.
+    """
+    n, p = fprime.size, d1.size // 2
+    q = 2 * p + 1
+    # row p + s of each (2p + 1, n) array below holds stencil entry s of
+    # every grid row i, zero where i + s runs past a Dirichlet end
+    inside = np.lib.stride_tricks.sliding_window_view(np.pad(np.ones(n), p), n)
+    d1_rows, d2_rows = d1[:, None] * inside, d2[:, None] * inside
+    kinetic = -h * h * (d2_rows * (1.0 / fprime ** 2) - d1_rows * (fsecond / fprime ** 3))
+    d1c = (1.0 / fprime) * d1_rows
+    r1_next = np.lib.stride_tricks.sliding_window_view(np.pad(r1, p), n)  # r1 at node i + s
+    h12 = (h * r1) * d1c
+    h21 = -(h * d1c) * r1_next
+    h12[p] += r0
+    h21[p] += r0
+    band = np.zeros((2 * q + 1, n, 2), dtype=complex)  # [q + d, i, a]
+    band[1:2 * q:2, :, 0] = kinetic  # H11 at d = 2s on channel-1 rows
+    band[1:2 * q:2, :, 1] = kinetic  # H22 at d = 2s on channel-2 rows
+    band[q, :, 0] += v1
+    band[q, :, 1] += v2
+    band[2:2 * q + 1:2, :, 0] = h * h12  # H12 at d = 2s + 1
+    band[0:2 * q - 1:2, :, 1] = h * h21  # H21 at d = 2s - 1
+    return band.reshape(2 * q + 1, 2 * n)
 
 
 def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
@@ -337,15 +366,49 @@ def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
     return h11, h12, h21, h22
 
 
-def _shift_invert(blocks, sigma: complex):
-    """Factor H - sigma once; returns x -> (H - sigma)^-1 x for the operator
-    H = [[H11, H12], [H21, H22]] of the channel ``blocks``.
+@lru_cache(maxsize=8)
+def _band_pattern(stored: tuple, width: int, dim: int):
+    """``(take, indices, indptr, diagonal)``: the CSC pattern of the
+    matrix held in a (width, dim) band B of :func:`_band`, of which only
+    the ``stored`` entries of the flattened (width, 2) table of band rows
+    by channel are nonzero.  ``take`` indexes the flattened B, column by
+    column with ascending rows (H[r, c] = B[q + c - r, r], q = width // 2),
+    and ``diagonal`` locates the main diagonal in the data.  The zeros
+    outside ``stored`` (with r1 identically zero, all of the odd diagonals
+    but the r0 halves of d = +-1) never reach the factor.  Cached per grid
+    size and stored set; read-only.
+    """
+    q = width // 2
+    table = np.isin(np.arange(2 * width), stored).reshape(width, 2)
+    offsets = np.arange(q, -q - 1, -1)  # c - r, falling so that rows ascend
+    row = np.arange(dim)[:, None] - offsets
+    inside = (row >= 0) & (row < dim) & table[q + offsets, row % 2]
+    take = ((q + offsets) * dim + row)[inside]
+    indices = row[inside].astype(np.intc)
+    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))]).astype(np.intc)
+    diagonal = np.flatnonzero(np.broadcast_to(offsets == 0, row.shape)[inside])
+    for arr in (take, indices, indptr, diagonal):
+        arr.flags.writeable = False
+    return take, indices, indptr, diagonal
 
-    Sparse (FD4) blocks are stacked into one CSC matrix and factored by
-    ``splu``.  Dense blocks are factored by channel, in their own memory,
-    and are unusable afterwards.  With A1 = H11 - sigma and
-    A2 = H22 - sigma, block elimination (Golub & Van Loan, Matrix
-    Computations, block LU) factors A1, forms W = A1^-1 H12 and the Schur
+
+def _shift_invert(blocks, sigma: complex):
+    """Factor H - sigma once; returns ``(solve, fill)``, the map
+    x -> (H - sigma)^-1 x and the band factor's fill, nnz(L) + nnz(U) as
+    SuperLU stores them, or None for dense blocks.
+
+    The finite-difference band (:func:`_band`) is gathered into a CSC
+    matrix through its cached :func:`_band_pattern` and factored by
+    ``splu`` in its natural order: a band LU with row pivoting keeps L
+    within the band and U within twice its upper half-width, so no
+    fill-reducing ordering is needed (Golub & Van Loan, Matrix
+    Computations, banded LU).  Its solve works in the band's
+    channel-interleaved order.
+
+    Dense channel blocks H = [[H11, H12], [H21, H22]] are factored by
+    channel, in their own memory, and are unusable afterwards.  With
+    A1 = H11 - sigma and A2 = H22 - sigma, block elimination (Golub & Van
+    Loan, block LU) factors A1, forms W = A1^-1 H12 and the Schur
     complement S = A2 - H21 W, and factors S; a solve is then
 
         y1 = A1^-1 b1,    x2 = S^-1 (b2 - H21 y1),    x1 = y1 - W x2,
@@ -360,9 +423,8 @@ def _shift_invert(blocks, sigma: complex):
     Channel 1 is eliminated first because A1 stays far from singular: its
     spectrum is v1's real bound states, at least C0 h / 2 from a box centre
     sigma, while channel 2's rotated continuum crosses the disc.  An exactly
-    singular A1 or S raises EigensolveFailure, as a singular sparse factor
-    does.  Every matrix product runs on scipy's BLAS (see
-    :func:`_blas_apply`).
+    singular A1, S or band factor raises EigensolveFailure.  Every matrix
+    product runs on scipy's BLAS (see :func:`_blas_apply`).
 
     The returned solve must not be shared between threads: concurrent
     solves with one dense factor can abort the interpreter, so each thread
@@ -371,16 +433,24 @@ def _shift_invert(blocks, sigma: complex):
     import scipy.linalg  # on first use, as in _disc_eigenvalues
     import scipy.sparse.linalg
 
-    h11, h12, h21, h22 = blocks
-    n = h11.shape[0]
-    if not isinstance(h11, np.ndarray):
-        matrix = scipy.sparse.block_array([[h11, h12], [h21, h22]], format="csc")
-        shifted = (matrix - sigma * scipy.sparse.eye_array(2 * n)).tocsc()
+    if isinstance(blocks, np.ndarray):
+        width, dim = blocks.shape
+        # band row by channel (a strided reduction over a (width, n, 2) view is slower)
+        stored = np.stack([np.any(blocks[:, a::2], axis=1) for a in (0, 1)], axis=1)
+        stored[width // 2] = True  # the shift lands on the main diagonal
+        take, indices, indptr, diagonal = _band_pattern(tuple(np.flatnonzero(stored)),
+                                                        width, dim)
+        data = blocks.take(take)
+        data[diagonal] -= sigma
+        shifted = scipy.sparse.csc_array((data, indices, indptr), shape=(dim, dim))
         try:
-            return scipy.sparse.linalg.splu(shifted).solve
+            lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL")
         except RuntimeError as exc:  # exactly singular factor
             raise EigensolveFailure(f"shift-invert factorisation failed: {exc}") from exc
+        return lu.solve, lu.nnz
 
+    h11, h12, h21, h22 = blocks
+    n = h11.shape[0]
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (h11,))
     gemv, gemm = scipy.linalg.get_blas_funcs(("gemv", "gemm"), (h11,))
     diagonal = np.diag_indices(n)
@@ -421,20 +491,21 @@ def _shift_invert(blocks, sigma: complex):
         gemv(-1.0, w, x2, beta=1.0, y=x1, overwrite_y=1)
         return x
 
-    return solve
+    return solve, None
 
 
 def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_START,
                       vectors: bool = False):
     """Every eigenvalue within ``radius`` of ``sigma`` of the operator whose
-    channel ``blocks`` are those of :class:`HamiltonianMatrix`.
+    ``blocks`` are those of :class:`HamiltonianMatrix`.
 
     Shift-invert Arnoldi (ARPACK) about sigma returns the k eigenvalues
     nearest it; k doubles from ``k_start`` until the farthest of them lies
     outside the disc, so the disc is complete.  Returns ``(vals, vecs)``:
     those k eigenvalues (the disc's and the few just beyond it) and, with
-    ``vectors``, their right eigenvectors as columns, else None.  Dense
-    blocks are consumed by the factorisation.  A disc too full for ARPACK,
+    ``vectors``, their right eigenvectors as columns in channel order
+    (channel 1 over channel 2), else None.  Dense blocks are consumed by
+    the factorisation.  A disc too full for ARPACK,
     whose k must stay below dim - 2, raises EigensolveFailure rather than
     return part of it.
 
@@ -445,21 +516,26 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
     operator solves.
 
     The factorisation (:func:`_shift_invert`) runs once per disc, before
-    ARPACK: dense blocks by block elimination of channel 1, whose shifted
-    block is the far-from-singular one, with row-pivoted LU factors and
-    every product on scipy's BLAS.  Each call makes its own factor, and
-    no factor may be shared between threads.  The ``eigensolve:`` DEBUG
-    line splits the time into ``factor_s`` (the factorisation),
-    ``solve_s`` (inside the operator) and ``arpack_s`` (the rest of the
-    ``eigs`` calls).
+    ARPACK: a finite-difference band by ``splu`` in its natural order,
+    dense blocks by block elimination of channel 1, whose shifted block is
+    the far-from-singular one, with row-pivoted LU factors and every
+    product on scipy's BLAS.  Each call makes its own factor, and no factor
+    may be shared between threads.  ARPACK runs in the band's
+    channel-interleaved order: the start vector is interleaved once and the
+    eigenvectors de-interleaved once, so no operator solve permutes.  The
+    ``eigensolve:`` DEBUG line splits the time into ``factor_s`` (the
+    factorisation), ``solve_s`` (inside the operator) and ``arpack_s`` (the
+    rest of the ``eigs`` calls), and for a band gives the factor's ``fill``,
+    nnz(L) + nnz(U).
     """
     # imported on first use: the commands with no eigensolve (levels,
     # widths, validate) start faster without it
     import scipy.sparse.linalg
 
-    dim = 2 * blocks[0].shape[0]
+    banded = isinstance(blocks, np.ndarray)
+    dim = blocks.shape[1] if banded else 2 * blocks[0].shape[0]
     started = time.perf_counter()
-    solve = _shift_invert(blocks, sigma)
+    solve, fill = _shift_invert(blocks, sigma)
     factor_s = time.perf_counter() - started
     solves, solve_s, eigs_s = 0, 0.0, 0.0
 
@@ -476,6 +552,8 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
     # a fixed random start vector: deterministic, and with no symmetry that
     # could hide an eigenvector from the Krylov space
     v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    if banded:
+        v0 = v0.reshape(2, -1).T.ravel()
     k_cap = dim - 3  # ARPACK needs k < dim - 1; k = dim - 2 and up is refused
     k = min(k_start, k_cap)
     while True:
@@ -501,11 +579,14 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
                 f"the disc |E - ({sigma:.6g})| <= {radius:.6g} holds more than "
                 f"{k_cap} eigenvalues, the most ARPACK returns for a {dim} x {dim} matrix")
         k = min(2 * k, k_cap)
+    if banded and vectors:
+        vecs = vecs.reshape(-1, 2, vecs.shape[1]).transpose(1, 0, 2).reshape(dim, -1)
     dist = np.abs(vals - sigma)
     logger.debug("eigensolve: dim=%d sigma=%.6g%+.6gj radius=%.3g k=%d ncv=%d in disc=%d "
-                 "margin=%.3g operator solves=%d factor_s=%.6f solve_s=%.6f arpack_s=%.6f",
+                 "margin=%.3g operator solves=%d factor_s=%.6f solve_s=%.6f arpack_s=%.6f%s",
                  dim, sigma.real, sigma.imag, radius, k, ncv, int(np.sum(dist <= radius)),
-                 dist.max() - radius, solves, factor_s, solve_s, eigs_s - solve_s)
+                 dist.max() - radius, solves, factor_s, solve_s, eigs_s - solve_s,
+                 "" if fill is None else f" fill={fill}")
     return vals, vecs
 
 
@@ -551,14 +632,22 @@ def _left_weights(ham: HamiltonianMatrix) -> np.ndarray:
 
 
 def _blas_apply(d, block: np.ndarray) -> np.ndarray:
-    """d @ block for a real derivative matrix d and a complex block.
+    """D @ block for a real derivative D (:func:`_derivative_matrices`)
+    and a complex n x m block.
 
-    Dense products run on scipy's BLAS, which the LU factorisations use:
-    numpy loads an OpenBLAS of its own, and its thread pool contends with
-    scipy's when a numpy product runs between two factorisations.
+    A stencil row (1-D d) is applied as its truncated stencil, by shifted
+    slices.  Dense products run on scipy's BLAS, which the LU
+    factorisations use: numpy loads an OpenBLAS of its own, and its thread
+    pool contends with scipy's when a numpy product runs between two
+    factorisations.
     """
-    if not isinstance(d, np.ndarray):
-        return d @ block
+    if d.ndim == 1:
+        p = d.size // 2
+        out = d[p] * block
+        for s in range(1, p + 1):
+            out[:-s] += d[p + s] * block[s:]
+            out[s:] += d[p - s] * block[:-s]
+        return out
     import scipy.linalg  # loaded by the eigensolve that gave the block
 
     parts = np.asfortranarray(np.concatenate([block.real, block.imag], axis=1))

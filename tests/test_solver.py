@@ -10,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from predissoc import (
     DiscretizationConfig,
@@ -162,19 +161,42 @@ def test_cached_build_equals_cold_build(scheme, coupled, window):
 
 
 def _full(blocks):
-    """The 2n x 2n dense matrix of a HamiltonianMatrix's channel blocks,
-    a diagonal coupling given as its 1-D diagonal."""
-    if scipy.sparse.issparse(blocks[0]):
-        return scipy.sparse.block_array([list(blocks[:2]), list(blocks[2:])]).toarray()
+    """The 2n x 2n dense matrix, channel 1 over channel 2, of a
+    HamiltonianMatrix's channel blocks (a diagonal coupling given as its
+    1-D diagonal) or of its channel-interleaved band."""
+    if isinstance(blocks, np.ndarray):
+        width, dim = blocks.shape
+        q = width // 2
+        interleaved = np.zeros((dim, dim), dtype=complex)
+        for d in range(-q, q + 1):
+            rows = np.arange(max(0, -d), min(dim, dim - d))
+            interleaved[rows, rows + d] = blocks[q + d, rows]
+        order = np.r_[0:dim:2, 1:dim:2]
+        return interleaved[np.ix_(order, order)]
     h11, h12, h21, h22 = (b if b.ndim == 2 else np.diag(b) for b in blocks)
     return np.block([[h11, h12], [h21, h22]])
 
 
+def _fd4_matrices(cfg):
+    """Dense FD4 first and second derivative matrices on the uniform
+    interior grid, the infinite stencils truncated at the Dirichlet ends."""
+    dx = (cfg.x_max - cfg.x_min) / (cfg.n + 1)
+    d1 = sum(c * np.eye(cfg.n, k=s) for s, c in
+             zip((-2, -1, 1, 2), (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)))
+    d2 = sum(c * np.eye(cfg.n, k=s) for s, c in
+             zip((-2, -1, 0, 1, 2), (-1.0 / 12.0, 4.0 / 3.0, -2.5, 4.0 / 3.0, -1.0 / 12.0)))
+    return d1 / dx, d2 / (dx * dx)
+
+
 def _block_oracle(sys, ham):
-    """The Chebyshev matrix of ``ham`` assembled from whole blocks with
-    np.diag and np.block, each coupling term written out in full."""
+    """The matrix of ``ham`` assembled from whole blocks with np.diag and
+    np.block, each coupling term written out in full: the Chebyshev
+    derivative matrices of the grid cache, or dense FD4 matrices built
+    here."""
     cfg, h = ham.config, ham.h
     d1, d2, nodes, _ = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
+    if cfg.scheme == "finite_difference_4":
+        d1, d2 = _fd4_matrices(cfg)
     _, fp, fpp = _contour_parts(nodes, ham.x_start_scaling)
     fprime = 1.0 + 1j * cfg.theta * fp
     fsecond = 1j * cfg.theta * fpp
@@ -217,6 +239,28 @@ def test_dense_build_equals_block_assembly(instance, r1, h):
     else:
         assert np.count_nonzero(ham.blocks[1]) > cfg.n  # r1 D1 is there
         np.testing.assert_allclose(_full(ham.blocks), expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("r1", ["0", "x"])
+@pytest.mark.parametrize("theta", [0.0, 0.15])
+def test_band_equals_block_assembly(r1, theta, window):
+    """The FD4 band is the block formula of a dense assembly, to 1e-13
+    relative, over the channel-interleaved unknowns u1_0, u2_0, u1_1, ...:
+    a half-width of 2 p + 1 = 5 holds the five-point stencil and the
+    r0/r1 coupling, and no entry past the matrix edge is set.  Without r1
+    the odd diagonals past +-1 are empty."""
+    sys = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1", r1=r1)
+    cfg = DiscretizationConfig(n=100, scheme="finite_difference_4", theta=theta)
+    ham = build_hamiltonian(sys, cfg, 0.14, window)
+    band = ham.blocks
+    assert band.shape == (11, 2 * cfg.n)
+    expected = _block_oracle(sys, ham)
+    got = _full(band)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    for d in range(1, 6):
+        assert not np.any(band[5 + d, 2 * cfg.n - d:]) and not np.any(band[5 - d, :d])
+    odd_outer = band[[0, 2, 8, 10]]
+    assert np.any(odd_outer) == (r1 == "x")
 
 
 def test_dense_build_allocates_little_beyond_the_matrix(coupled, window):
@@ -268,7 +312,7 @@ def test_block_solve_matches_full_lu(instance, r0, r1, at):
     b = np.random.default_rng(3).standard_normal((2 * cfg.n, 2)) @ [1.0, 1j]
     expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted), b)
     transposed = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted.T), b, trans=1)
-    x = _shift_invert(blocks, sigma)(b)
+    x = _shift_invert(blocks, sigma)[0](b)
     spread = np.linalg.norm(transposed - expected)
     assert np.linalg.norm(x - expected) <= max(1e-12 * np.linalg.norm(expected), 10.0 * spread)
     scale = np.linalg.norm(shifted, 1)
@@ -280,8 +324,8 @@ def test_block_solve_matches_full_lu(instance, r0, r1, at):
 
 
 def test_singular_block_raises():
-    """An exactly singular channel-1 block, Schur complement or sparse
-    (FD4) factor is a typed failure, never a solve that returns NaN."""
+    """An exactly singular channel-1 block, Schur complement or FD4 band
+    factor is a typed failure, never a solve that returns NaN."""
     n, sigma = 64, complex(1.0, -0.3)
     eye = np.eye(n, dtype=complex, order="F")
     ones = np.ones(n, dtype=complex)
@@ -292,9 +336,14 @@ def test_singular_block_raises():
     for h12, h21 in ((ones, ones), (eye.copy(order="F"), eye.copy(order="F"))):
         with pytest.raises(EigensolveFailure, match="Schur complement"):
             _shift_invert(((sigma + 1.0) * eye, h12, h21, (sigma + 1.0) * eye), sigma)
-    zero = scipy.sparse.csr_array((4, 4), dtype=complex)
+    # a zero band, and sigma on the diagonal of a band shifted by sigma
+    zero = np.zeros((11, 2 * n), dtype=complex)
     with pytest.raises(EigensolveFailure, match="exactly singular"):
-        _shift_invert((zero, zero, zero, zero), 0.0)
+        _shift_invert(zero, 0.0)
+    band = zero.copy()
+    band[5] = sigma
+    with pytest.raises(EigensolveFailure, match="exactly singular"):
+        _shift_invert(band, sigma)
 
 
 @pytest.mark.parametrize("r1", ["0", "x"])
@@ -311,7 +360,7 @@ def test_build_and_factor_allocate_less_than_the_full_matrix(r1, window):
     _shift_invert(build_hamiltonian(sys, cfg, 0.14, window).blocks, sigma)
     tracemalloc.start()
     try:
-        solve = _shift_invert(build_hamiltonian(sys, cfg, 0.14, window).blocks, sigma)
+        solve, _ = _shift_invert(build_hamiltonian(sys, cfg, 0.14, window).blocks, sigma)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -421,6 +470,13 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
              for name in ("factor_s", "solve_s", "arpack_s")]
     assert min(split) >= 0.0
     assert sum(split) <= wall
+    # the band factor's fill nnz(L) + nnz(U): a row-pivoted band LU keeps
+    # L within the 5 subdiagonals and U within 10 superdiagonals
+    fill = re.search(r"fill=(\d+)", caplog.messages[-1])
+    if scheme == "chebyshev_collocation":
+        assert fill is None
+    else:
+        assert 2 * cfg.n <= int(fill.group(1)) <= 17 * 2 * cfg.n
     if case == "small_k_start":
         assert k == 32  # 2, 4, 8 and 16 fell short of the disc's 17
     assert found.size == expected.size

@@ -33,7 +33,8 @@ import numpy as np
 from .actions import action, agmon_distance
 from .errors import ConfigError, InsufficientData, InvalidAngle, PredissocError
 from .potentials import EnergyWindow, PotentialSystem, validate_assumptions
-from .solver import DiscretizationConfig, compare_with_direct, compute_resonances
+from .solver import (DiscretizationConfig, compare_level, compare_with_direct,
+                     compute_resonances)
 from .spectrum import bohr_sommerfeld_levels, resonance_estimates
 
 __all__ = [
@@ -343,24 +344,22 @@ def run_scan(sys: PotentialSystem, window: EnergyWindow,
     """Pin each level k of ``ks`` at E* = ``window.e_ref`` and compare it there.
 
     For each k, in ascending order (so descending in h), h comes from
-    :func:`pin_level_h` and the full comparison pipeline runs inside
-    ``window``; the row records level k's formula width, the matched direct
-    eigenvalue and its stability.  The width-law slope is fitted when
-    enough rows were accepted (and left NaN otherwise).
+    :func:`pin_level_h` and :func:`compare_level` solves for level k alone,
+    inside ``window``; the row records level k's formula width, the matched
+    direct eigenvalue and its stability.  A level whose estimate failed has
+    no row.  The width-law slope is fitted when enough rows were accepted
+    (and left NaN otherwise).
     """
     e_star = window.e_ref
     ks = sorted(ks)
     rows = []
-    disc_count = None  # each h's eigensolve is sized from the previous h's disc
     for k, h in zip(ks, pin_level_h(sys, e_star, ks)):
-        records = compare_with_direct(sys, window, disc, h, _disc_hint=disc_count)
-        disc_count = records.disc_count
-        rec = next((r for r in records if r.estimate.k == k), None)
+        rec = compare_level(sys, window, disc, h, k)
         if rec is None:
             continue
         lam = rec.computed
         rows.append(ScanRow(
-            h=h, k=rec.estimate.k, e_k=rec.estimate.e_k,
+            h=h, k=k, e_k=rec.estimate.e_k,
             width_formula=rec.estimate.width,
             width_direct=lam.imag if lam is not None else math.nan,
             re_direct=lam.real if lam is not None else math.nan,

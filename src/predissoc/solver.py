@@ -56,6 +56,7 @@ __all__ = [
     "theta_stability",
     "match_resonances",
     "compare_with_direct",
+    "compare_level",
 ]
 
 SCHEMES = ("chebyshev_collocation", "finite_difference_4")
@@ -79,21 +80,10 @@ STAB_TOL = 1e-6
 #: nor the scaling start (Simon, Phys. Lett. A 71, 211 (1979)).
 RAMP_WIDTH = 3.0
 
-#: Eigenvalues asked of the first shift-invert solve of a disc whose count
-#: is unknown; the solve doubles this until it reaches past the disc.  The
-#: reference box disc holds about 17 eigenvalues, the scan boxes 3 to 9.
+#: Eigenvalues asked of the first shift-invert solve of a box disc, whose
+#: count is unknown; the solve doubles this until it reaches past the disc.
+#: The reference box disc holds about 17 eigenvalues, the scan boxes 3 to 9.
 K_START = 24
-
-#: A solve given the disc count of a neighbouring disc (the previous h of a
-#: scan) asks for that count plus this many instead.  With the NCV_FLOOR
-#: Krylov space, the seven scan_shallow discs take 717, 697 and 703
-#: operator solves in all at pads 4, 3 and 2 (795 at 8).
-K_HINT_PAD = 3
-
-#: The least Krylov dimension of any solve: the 2k + 1 of a cold solve's
-#: first k.  A hinted solve asks for fewer eigenvalues than K_START but
-#: keeps this much room, which saves more restarts than it costs.
-NCV_FLOOR = 2 * K_START + 1
 
 logger = logging.getLogger("predissoc.solver")
 
@@ -420,10 +410,14 @@ def _shift_invert(blocks, sigma: complex):
     Two n x n factors replace one 2n x 2n factor, and a solve reads about
     3/4 of the bytes.
 
-    Channel 1 is eliminated first because A1 stays far from singular: its
-    spectrum is v1's real bound states, at least C0 h / 2 from a box centre
-    sigma, while channel 2's rotated continuum crosses the disc.  An exactly
-    singular A1, S or band factor raises EigensolveFailure.  Every matrix
+    Channel 1 is eliminated first because at a box centre sigma A1 stays
+    far from singular: its spectrum is v1's real bound states, at least
+    C0 h / 2 away, while channel 2's rotated continuum crosses the disc.
+    At the real level shift of :func:`compare_level`, A1 lies O(h^2) from a
+    bound state (condition number 4e8 on the acceptance scan); with a
+    diagonal coupling the solve's backward error stays within 10 x a full
+    LU's there.  An exactly singular A1, S or band factor raises
+    EigensolveFailure.  Every matrix
     product runs on scipy's BLAS (see :func:`_blas_apply`).
 
     The returned solve must not be shared between threads: concurrent
@@ -495,37 +489,39 @@ def _shift_invert(blocks, sigma: complex):
 
 
 def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_START,
-                      vectors: bool = False):
+                      vectors: bool = False, until=None):
     """Every eigenvalue within ``radius`` of ``sigma`` of the operator whose
     ``blocks`` are those of :class:`HamiltonianMatrix`.
 
     Shift-invert Arnoldi (ARPACK) about sigma returns the k eigenvalues
     nearest it; k doubles from ``k_start`` until the farthest of them lies
-    outside the disc, so the disc is complete.  Returns ``(vals, vecs)``:
-    those k eigenvalues (the disc's and the few just beyond it) and, with
-    ``vectors``, their right eigenvectors as columns in channel order
-    (channel 1 over channel 2), else None.  Dense blocks are consumed by
-    the factorisation.  A disc too full for ARPACK,
-    whose k must stay below dim - 2, raises EigensolveFailure rather than
-    return part of it.
+    outside the disc, so the disc is complete.  ``until``, a predicate of
+    each solve's ``(vals, vecs)``, may end the doubling earlier.  Returns
+    ``(vals, vecs)``: those k eigenvalues (the disc's and the few just
+    beyond it) and, with ``vectors``, their right eigenvectors as columns in
+    channel order (channel 1 over channel 2), else None.  Dense blocks are
+    consumed by the factorisation.  A disc too full for ARPACK, whose k
+    must stay below dim - 2, raises EigensolveFailure rather than return
+    part of it.
 
-    Each solve keeps ncv = max(2k + 1, NCV_FLOOR) Arnoldi vectors, at most
-    dim: ARPACK's own 2k + 1 for a cold solve (k = K_START and its
-    doublings), and for a hinted solve with small k the same NCV_FLOOR = 49
-    vectors, whose wider Krylov space needs fewer restarts and so fewer
-    operator solves.
+    Each solve keeps scipy's default of ncv = max(2k + 1, 20) Arnoldi
+    vectors, at most dim: 49 for a box disc's first k = K_START, 20 for the
+    few nearest eigenpairs of a scan row or of :func:`theta_stability`.
+    With 2k + 1 alone, a k = 2 solve about a level e_k of the reference
+    instance (k = 7), whose neighbours e_k-1 and e_k+1 lie almost equally
+    far from it, did not converge in 8001 ARPACK iterations.
 
     The factorisation (:func:`_shift_invert`) runs once per disc, before
-    ARPACK: a finite-difference band by ``splu`` in its natural order,
-    dense blocks by block elimination of channel 1, whose shifted block is
-    the far-from-singular one, with row-pivoted LU factors and every
-    product on scipy's BLAS.  Each call makes its own factor, and no factor
-    may be shared between threads.  ARPACK runs in the band's
-    channel-interleaved order: the start vector is interleaved once and the
-    eigenvectors de-interleaved once, so no operator solve permutes.  The
-    ``eigensolve:`` DEBUG line splits the time into ``factor_s`` (the
-    factorisation), ``solve_s`` (inside the operator) and ``arpack_s`` (the
-    rest of the ``eigs`` calls), and for a band gives the factor's ``fill``,
+    ARPACK, and serves every k: a finite-difference band by ``splu`` in its
+    natural order, dense blocks by block elimination of channel 1, with
+    row-pivoted LU factors and every product on scipy's BLAS.  Each call
+    makes its own factor, and no factor may be shared between threads.
+    ARPACK runs in the band's channel-interleaved order: the start vector is
+    interleaved once and each solve's eigenvectors de-interleaved once, so
+    no operator solve permutes.  The ``eigensolve:`` DEBUG line gives the
+    final k and ncv, splits the time into ``factor_s`` (the factorisation),
+    ``solve_s`` (inside the operator) and ``arpack_s`` (the rest of the
+    ``eigs`` calls), and for a band gives the factor's ``fill``,
     nnz(L) + nnz(U).
     """
     # imported on first use: the commands with no eigensolve (levels,
@@ -557,7 +553,7 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
     k_cap = dim - 3  # ARPACK needs k < dim - 1; k = dim - 2 and up is refused
     k = min(k_start, k_cap)
     while True:
-        ncv = min(max(2 * k + 1, NCV_FLOOR), dim)
+        ncv = min(max(2 * k + 1, 20), dim)
         began = time.perf_counter()
         try:
             # in shift-invert mode ARPACK applies only OPinv; the operator
@@ -572,6 +568,10 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
         vals, vecs = found if vectors else (found, None)
         if not np.all(np.isfinite(vals)):
             raise EigensolveFailure("eigensolve returned non-finite eigenvalues")
+        if banded and vectors:
+            vecs = vecs.reshape(-1, 2, vecs.shape[1]).transpose(1, 0, 2).reshape(dim, -1)
+        if until is not None and until(vals, vecs):
+            break
         if np.max(np.abs(vals - sigma)) > radius:
             break
         if k == k_cap:
@@ -579,8 +579,6 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
                 f"the disc |E - ({sigma:.6g})| <= {radius:.6g} holds more than "
                 f"{k_cap} eigenvalues, the most ARPACK returns for a {dim} x {dim} matrix")
         k = min(2 * k, k_cap)
-    if banded and vectors:
-        vecs = vecs.reshape(-1, 2, vecs.shape[1]).transpose(1, 0, 2).reshape(dim, -1)
     dist = np.abs(vals - sigma)
     logger.debug("eigensolve: dim=%d sigma=%.6g%+.6gj radius=%.3g k=%d ncv=%d in disc=%d "
                  "margin=%.3g operator solves=%d factor_s=%.6f solve_s=%.6f arpack_s=%.6f%s",
@@ -715,17 +713,17 @@ def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     to first order: |d lambda/d theta| 0.2 theta.
 
     Small values (<< local spacing) certify E as a genuine resonance of the
-    unscaled problem.  One solve takes the few eigenvalues nearest E (a
-    disc of radius 0 about E) with their eigenvectors; the derivative
-    follows from the eigenvector (see the module docstring).  ``window``
-    places the scaling start, as in :func:`build_hamiltonian`.  theta = 0
-    raises InvalidAngle before any work.
+    unscaled problem.  One solve takes the eigenpair nearest E (k = 1, the
+    solve of a scan row); the derivative follows from the eigenvector (see
+    the module docstring).  ``window`` places the scaling start, as in
+    :func:`build_hamiltonian`.  theta = 0 raises InvalidAngle before any
+    work.
     """
     if cfg.theta <= 0.0:
         raise InvalidAngle("stability testing requires a positive scaling angle")
     E = complex(E)
     ham = build_hamiltonian(sys, cfg, h, window)
-    vals, vecs = _disc_eigenvalues(ham.blocks, E, 0.0, vectors=True)
+    vals, vecs = _disc_eigenvalues(ham.blocks, E, 0.0, 1, vectors=True)
     nearest = int(np.argmin(np.abs(vals - E)))
     return float(_drifts(sys, ham, vecs[:, [nearest]])[0])
 
@@ -746,14 +744,12 @@ class ComparisonRecords(list):
     """The records of :func:`compare_with_direct`, one per estimated level.
 
     ``skipped`` lists the window levels whose estimate failed, as
-    ``(k, e_k, reason)``; they have no record.  ``disc_count`` is the
-    number of eigenvalues in the solved disc, None when nothing was solved.
+    ``(k, e_k, reason)``; they have no record.
     """
 
-    def __init__(self, records, skipped, disc_count=None):
+    def __init__(self, records, skipped):
         super().__init__(records)
         self.skipped = list(skipped)
-        self.disc_count = disc_count
 
 
 def match_resonances(estimates: list[ResonanceEstimate],
@@ -791,9 +787,16 @@ def match_resonances(estimates: list[ResonanceEstimate],
     return records
 
 
+def _estimates(sys: PotentialSystem, h: float, window: EnergyWindow):
+    """:func:`resonance_estimates`, with a WARNING for each skipped level."""
+    estimates, skipped = resonance_estimates(sys, h, window)
+    for k, e_k, reason in skipped:
+        logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
+    return estimates, skipped
+
+
 def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
-                        cfg: DiscretizationConfig, h: float,
-                        _disc_hint: int | None = None) -> ComparisonRecords:
+                        cfg: DiscretizationConfig, h: float) -> ComparisonRecords:
     """Full pipeline: estimates, direct eigenvalues, stability, matching.
 
     Eigenvalues in the window are screened for theta-stability first, so
@@ -805,29 +808,22 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     Levels whose estimate failed are logged and kept in ``skipped``.
 
     One solve of the box disc gives the eigenvalues and, for the stability
-    screen, their eigenvectors.  The records' ``disc_count`` is the number
-    of eigenvalues in that disc; ``_disc_hint``, such a count from a
-    neighbouring disc (the previous h of a scan), sizes the solve.  theta = 0
-    raises InvalidAngle before any work.
+    screen, their eigenvectors.  theta = 0 raises InvalidAngle before any
+    work.
     """
     if cfg.theta <= 0.0:
         raise InvalidAngle("stability testing requires a positive scaling angle")
-    estimates, skipped = resonance_estimates(sys, h, window)
-    for k, e_k, reason in skipped:
-        logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
+    estimates, skipped = _estimates(sys, h, window)
     if not estimates:
         return ComparisonRecords([], skipped)
 
-    sigma, radius = _box_disc(window, h)
-    k_start = K_START if _disc_hint is None else _disc_hint + K_HINT_PAD
     ham = build_hamiltonian(sys, cfg, h, window)
-    vals, vecs = _disc_eigenvalues(ham.blocks, sigma, radius, k_start, vectors=True)
+    vals, vecs = _disc_eigenvalues(ham.blocks, *_box_disc(window, h), vectors=True)
     box = _filter_window(vals, window, h)
     drifts = _drifts(sys, ham, vecs[:, box]) if box.size else np.empty(0)
     stable = drifts <= STAB_TOL
     box, drifts = box[stable], drifts[stable]
-    records = ComparisonRecords(match_resonances(estimates, vals[box]), skipped,
-                                int(np.sum(np.abs(vals - sigma) <= radius)))
+    records = ComparisonRecords(match_resonances(estimates, vals[box]), skipped)
     # each matched eigenvalue is one of vals[box]; built in reverse, so of
     # two equal eigenvalues the first gives the drift
     drift_of = dict(zip(vals[box][::-1], drifts[::-1]))
@@ -838,3 +834,61 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     for rec in matched:
         rec.accepted = abs(rec.computed.imag) >= noise_floor and math.isfinite(rec.rel_dev_im)
     return records
+
+
+def compare_level(sys: PotentialSystem, window: EnergyWindow,
+                  cfg: DiscretizationConfig, h: float, k: int) -> ResonanceRecord | None:
+    """The record of level k alone: its estimate, paired with the nearest
+    theta-stable eigenvalue to its level e_k.
+
+    Returns None when the window holds no level k or its estimate failed
+    (logged, as in :func:`compare_with_direct`).  Shift-invert converges
+    fastest for the eigenvalue nearest the shift (Ericsson & Ruhe, Math.
+    Comp. 35, 1251 (1980)), and the resonance lies within O(h^2) of e_k, so
+    one factor of H - e_k serves a solve for the k = 1 nearest eigenpair.
+    The shift is real: the formula's width never enters the solve.  While
+    none of the eigenvalues returned is stable (drift at most ``STAB_TOL``),
+    k doubles on the same factor, until the farthest of them lies beyond
+    hypot(5 h^(3/2), C0 h), past which no box eigenvalue can match.
+
+    The nearest stable eigenvalue is matched as in :func:`match_resonances`
+    (within 5 h^(3/2) in real part) when it lies in the resonance box, and
+    the record is accepted when |Im| clears 100 x its own drift.  A level
+    left unmatched logs a WARNING with k, h and the reason.  theta = 0
+    raises InvalidAngle before any work.
+    """
+    if cfg.theta <= 0.0:
+        raise InvalidAngle("stability testing requires a positive scaling angle")
+    estimate = next((est for est in _estimates(sys, h, window)[0] if est.k == k), None)
+    if estimate is None:
+        return None
+    e_k = complex(estimate.e_k)
+    ham = build_hamiltonian(sys, cfg, h, window)
+    stable = None
+
+    def stable_found(vals, vecs):
+        nonlocal stable
+        nearest = np.argsort(np.abs(vals - e_k))
+        drifts = _drifts(sys, ham, vecs[:, nearest])
+        ok = np.flatnonzero(drifts <= STAB_TOL)
+        if ok.size:
+            stable = vals[nearest[ok[:1]]], float(drifts[ok[0]])
+        return stable is not None
+
+    reach = math.hypot(5.0 * h ** 1.5, window.im_depth_coeff * h)
+    _disc_eigenvalues(ham.blocks, e_k, reach, 1, vectors=True, until=stable_found)
+    if stable is None:
+        reason = f"no theta-stable eigenvalue within {reach:.3g} of e_k"
+        record = ResonanceRecord(estimate=estimate)
+    else:
+        lam, drift = stable
+        record = match_resonances([estimate], lam[_filter_window(lam, window, h)])[0]
+        reason = (f"the nearest theta-stable eigenvalue {complex(lam[0]):.10g} lies outside "
+                  f"the resonance box or {5.0 * h ** 1.5:.3g} from e_k in real part")
+    if record.computed is None:
+        logger.warning("unmatched level k=%d h=%.10g: %s", k, h, reason)
+        return record
+    record.theta_stability = drift
+    record.accepted = (abs(record.computed.imag) >= 100.0 * drift
+                       and math.isfinite(record.rel_dev_im))
+    return record

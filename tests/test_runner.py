@@ -427,6 +427,24 @@ def test_run_scan_pins_each_k_in_ascending_order(shallow):
     assert scan.rows == run_scan(shallow, window, disc, [6, 7, 8]).rows
 
 
+def test_each_scan_row_solves_one_eigenpair(shallow, caplog):
+    """On the acceptance scan (n = 400, k = 6..12) each row factors once and
+    takes its one nearest eigenpair: its eigensolve line reads k = 1 with
+    scipy's 20 Krylov vectors and at most 40 operator solves (21 measured;
+    the box-disc solve of the whole window took 82 to 160), and every row
+    is accepted."""
+    disc = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=400, theta=0.25)
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        scan = run_scan(shallow, EnergyWindow(1.3, 0.2), disc, range(6, 13))
+    lines = [m for m in caplog.messages if m.startswith("eigensolve:")]
+    assert len(lines) == len(scan.rows) == 7
+    for line in lines:
+        k, ncv, solves = map(int, re.search(
+            r" k=(\d+) ncv=(\d+) .* operator solves=(\d+) ", line).groups())
+        assert (k, ncv) == (1, 20) and solves <= 40
+    assert all(row.accepted for row in scan.rows)
+
+
 def test_negative_k_min_is_a_config_error(tmp_path, capsys):
     """No level lies below k = 0, and pin_level_h would give it h < 0:
     k_min < 0 exits 1 naming k_min, whether it comes from the file or from

@@ -18,11 +18,14 @@ from predissoc import (
     ResonanceEstimate,
     RunConfig,
     build_hamiltonian,
+    compare_level,
     compare_with_direct,
     compute_resonances,
     match_resonances,
+    pin_level_h,
     resonance_estimates,
     run_command,
+    run_scan,
     theta_stability,
 )
 from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
@@ -279,12 +282,15 @@ def test_dense_build_allocates_little_beyond_the_matrix(coupled, window):
 
 
 #: (instance, r0, r1, sigma): the box-disc centre of each instance with a
-#: diagonal (r1 = 0), a dense (r1 = x) and no coupling (r0 = 0), and the
+#: diagonal (r1 = 0), a dense (r1 = x) and no coupling (r0 = 0); the
 #: computed resonance of the theta_stability test, where H - sigma is
-#: nearly singular
+#: nearly singular; and the real shift e_k of a scan row pinning level
+#: k = 6 or 12 at E* = 1.3, which sits O(h^2) from a bound state of v1, so
+#: that the channel-1 block H11 - e_k has a condition number near 2e7
 _SOLVE_CASES = [(instance, r0, r1, "box centre") for instance in sorted(_INSTANCES)
                 for r0, r1 in (("1", "0"), ("1", "x"), ("0", "0"))]
-_SOLVE_CASES.append(("reference", "1", "0", "resonance"))
+_SOLVE_CASES += [("reference", "1", "0", "resonance"),
+                 ("shallow", "1", "0", 6), ("shallow", "1", "0", 12)]
 
 
 @pytest.mark.parametrize("instance, r0, r1, at", _SOLVE_CASES)
@@ -307,6 +313,10 @@ def test_block_solve_matches_full_lu(instance, r0, r1, at):
     if at == "resonance":
         cfg = DiscretizationConfig(theta=0.10)
         sigma = 1.1820169263068003 - 9.117245620572684e-10j
+    elif at != "box centre":
+        h = pin_level_h(sys, window.e_ref, [at])[0]
+        sigma = complex(next(est.e_k for est in resonance_estimates(sys, h, window)[0]
+                             if est.k == at))
     blocks = build_hamiltonian(sys, cfg, h, window).blocks
     shifted = _full(blocks) - sigma * np.eye(2 * cfg.n)
     b = np.random.default_rng(3).standard_normal((2 * cfg.n, 2)) @ [1.0, 1j]
@@ -436,10 +446,10 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
     """The shift-invert disc solve finds exactly the box a dense solve finds.
 
     The wide window's box holds 29 eigenvalues, more than the solve asks
-    for at first, so k must grow.  So must a solve started at k = 2, as
-    a scan's hint might start it, with its Krylov space floored at 49
-    vectors.  The theta-drift tracker relies on the same completeness: it
-    sees only the disc about the box.
+    for at first, so k must grow.  So must a solve started at k = 2, with
+    scipy's default Krylov space of max(2k + 1, 20) vectors.  The
+    theta-drift tracker relies on the same completeness: it sees only the
+    disc about the box.
     """
     if case in ("reference", "small_k_start"):
         sys, cfg = coupled, DiscretizationConfig(n=400, scheme=scheme)
@@ -464,7 +474,7 @@ def test_box_eigenvalues_complete(case, scheme, coupled, decoupled, window, capl
             found = compute_resonances(sys, cfg, h, window)
         wall = time.perf_counter() - started
     k, ncv = map(int, re.search(r"k=(\d+) ncv=(\d+)", caplog.messages[-1]).groups())
-    assert ncv == max(2 * k + 1, 2 * solver.K_START + 1)
+    assert ncv == min(max(2 * k + 1, 20), 2 * cfg.n)
     # the time split: factorisation, inside the operator, rest of ARPACK
     split = [float(re.search(rf"{name}=(\S+)", caplog.messages[-1]).group(1))
              for name in ("factor_s", "solve_s", "arpack_s")]
@@ -503,14 +513,19 @@ def test_evaluation_failure_on_contour():
         build_hamiltonian(sys, cfg, 0.1, EnergyWindow(0.5, 0.2))
 
 
-def test_theta_stability_separates_resonance_from_continuum(coupled, window):
+def test_theta_stability_separates_resonance_from_continuum(coupled, window, caplog):
+    """Each call solves for the k = 1 nearest eigenpair only."""
     cfg = DiscretizationConfig(theta=0.10)
     resonance = 1.1820169263068003 - 9.117245620572684e-10j
-    assert theta_stability(coupled, cfg, 0.14, resonance, window) <= 1e-8
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        assert theta_stability(coupled, cfg, 0.14, resonance, window) <= 1e-8
+    assert re.search(r" k=1 ncv=20 ", caplog.messages[-1])
     vals = compute_resonances(coupled, cfg, 0.14, window)
     continuum = vals[np.argmin(vals.imag)]  # the most rotated box point
     assert continuum.imag < -1e-3
-    assert theta_stability(coupled, cfg, 0.14, continuum, window) >= 1e-3
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        assert theta_stability(coupled, cfg, 0.14, continuum, window) >= 1e-3
+    assert re.search(r" k=1 ncv=20 ", caplog.messages[-1])
 
 
 #: the reference instance's couplings, and varying ones with a derivative
@@ -588,27 +603,22 @@ def test_compare_solves_each_disc_once(coupled, window, monkeypatch):
         return counted
 
     cfg = DiscretizationConfig(n=200)
-    sigma, radius = _box_disc(window, 0.14)
-    dense = scipy.linalg.eigvals(_full(build_hamiltonian(coupled, cfg, 0.14, window).blocks))
     for name in calls:
         monkeypatch.setattr(solver, name, counting(name))
     records = compare_with_direct(coupled, window, cfg, 0.14)
     assert calls == {"build_hamiltonian": 1, "_shift_invert": 1}
     assert any(rec.accepted for rec in records)
-    assert records.disc_count == np.sum(np.abs(dense - sigma) <= radius)
 
 
 def test_compare_with_an_empty_box_leaves_every_record_unmatched(coupled):
     """A box that no eigenvalue reaches (Im > -1e-20 h) still gives one
-    record per estimate, each unmatched and unscreened, and the disc count
-    of its one solve."""
+    record per estimate, each unmatched and unscreened."""
     window = EnergyWindow(1.0, 0.2, 1e-20)
     records = compare_with_direct(coupled, window, DiscretizationConfig(n=200), 0.14)
     assert [rec.estimate.k for rec in records] == [2, 3]
     for rec in records:
         assert rec.computed is None and not rec.accepted
         assert math.isnan(rec.theta_stability) and math.isnan(rec.abs_dev_re)
-    assert records.disc_count > 0
 
 
 def test_each_record_carries_the_drift_of_its_own_eigenvalue(coupled, window, monkeypatch):
@@ -650,20 +660,133 @@ def test_each_record_carries_the_drift_of_its_own_eigenvalue(coupled, window, mo
 
 def test_compare_without_levels_solves_nothing(coupled, tmp_path, monkeypatch):
     """A window that holds no level (1.0 +- 0.01 at h = 0.14) gives no
-    records and no disc count without an eigensolve, and ``compare`` writes
-    the header of compare.csv only."""
+    records without an eigensolve, and ``compare`` writes the header of
+    compare.csv only."""
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve without a level")
     monkeypatch.setattr(solver, "_disc_eigenvalues", no_solve)
     window = EnergyWindow(1.0, 0.01)
     records = compare_with_direct(coupled, window, DiscretizationConfig(n=200), 0.14)
-    assert records == [] and records.skipped == [] and records.disc_count is None
+    assert records == [] and records.skipped == []
     cfg = RunConfig(v1=V1_WELL, v2=V2_TAIL, r0="1", e_ref=1.0, half_width=0.01, h=0.14,
                     n=200, out_dir=str(tmp_path))
     assert run_command(cfg, "compare") == 0
     assert (tmp_path / "compare.csv").read_text() == (
         "k,h,e_k,S,width_formula,re_direct,width_direct,"
         "abs_dev_re,rel_dev_im,theta_stability,accepted\n")
+
+
+_SHALLOW_DISC = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=200, theta=0.25)
+
+
+def _pinned(k):
+    """The shallow instance, its scan window about E* = 1.3 and the h that
+    pins level k there."""
+    sys = PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW, r0="1", r1="0")
+    return sys, EnergyWindow(1.3, 0.2), pin_level_h(sys, 1.3, [k])[0]
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9])
+def test_compare_level_equals_the_window_record(k):
+    """The one-level solve at the real shift e_k gives level k's record of
+    the box-disc pipeline: Re to 1e-12, Im to 1e-8 and the drift to 1e-6
+    relative, and the same verdict."""
+    sys, window, h = _pinned(k)
+    rec = compare_level(sys, window, _SHALLOW_DISC, h, k)
+    [expected] = [r for r in compare_with_direct(sys, window, _SHALLOW_DISC, h)
+                  if r.estimate.k == k]
+    assert rec.estimate == expected.estimate
+    assert expected.computed is not None and expected.accepted
+    assert abs(rec.computed.real - expected.computed.real) <= 1e-12
+    assert rec.computed.imag == pytest.approx(expected.computed.imag, rel=1e-8)
+    assert rec.theta_stability == pytest.approx(expected.theta_stability, rel=1e-6)
+    assert rec.accepted == expected.accepted
+
+
+def test_compare_level_never_reads_the_estimated_width(monkeypatch):
+    """The shift is the real level e_k: ten times the formula width leaves
+    the direct eigenvalue bit for bit as it was."""
+    sys, window, h = _pinned(7)
+    before = compare_level(sys, window, _SHALLOW_DISC, h, 7).computed
+
+    def wider(*args):
+        estimates, skipped = resonance_estimates(*args)
+        return [dataclasses.replace(est, width=10.0 * est.width) for est in estimates], skipped
+
+    monkeypatch.setattr(solver, "resonance_estimates", wider)
+    rec = compare_level(sys, window, _SHALLOW_DISC, h, 7)
+    assert rec.estimate.width == 10.0 * resonance_estimates(sys, h, window)[0][1].width
+    assert rec.computed == before
+
+
+def test_compare_level_grows_k_past_an_unstable_eigenvalue(monkeypatch, caplog):
+    """With the nearest eigenvalue's drift made unstable, the solve doubles
+    k on its one factor and pairs the level with the second-nearest
+    eigenvalue, as a dense solve orders them."""
+    sys, window, h = _pinned(7)
+    drifts = solver._drifts
+    calls = {"_shift_invert": 0}
+    factor = solver._shift_invert
+
+    def first_unstable(sys, ham, x):
+        out = drifts(sys, ham, x)
+        out[0] = 10.0 * solver.STAB_TOL
+        return out
+
+    def counted(*args):
+        calls["_shift_invert"] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(solver, "_drifts", first_unstable)
+    monkeypatch.setattr(solver, "_shift_invert", counted)
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        rec = compare_level(sys, window, _SHALLOW_DISC, h, 7)
+    assert calls == {"_shift_invert": 1}
+    assert re.search(r" k=2 ncv=20 ", caplog.messages[-1])
+    e_k = rec.estimate.e_k
+    dense = scipy.linalg.eigvals(_full(build_hamiltonian(sys, _SHALLOW_DISC, h, window).blocks))
+    second = dense[np.argsort(np.abs(dense - e_k))[1]]
+    assert abs(rec.computed - second) <= 1e-8
+    assert rec.theta_stability <= solver.STAB_TOL
+
+
+def test_a_level_with_no_stable_eigenvalue_is_a_warned_unmatched_row(monkeypatch, caplog):
+    """When no eigenvalue within hypot(5 h^(3/2), C0 h) of e_k is stable,
+    the row is still written: unmatched, with NaN width and drift, not
+    accepted, and one WARNING names k, h and the reason."""
+    sys, window, h = _pinned(9)
+    monkeypatch.setattr(solver, "_drifts",
+                        lambda sys, ham, x: np.full(x.shape[1], 10.0 * solver.STAB_TOL))
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        scan = run_scan(sys, window, _SHALLOW_DISC, [9])
+    [row] = scan.rows
+    assert (row.k, row.h) == (9, h)
+    assert math.isnan(row.width_direct) and math.isnan(row.re_direct)
+    assert math.isnan(row.theta_stability) and not row.accepted
+    [warning] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert warning.getMessage() == (
+        f"unmatched level k=9 h={h:.10g}: no theta-stable eigenvalue within "
+        f"{math.hypot(5.0 * h ** 1.5, 5.0 * h):.3g} of e_k")
+    reach = float(re.search(r"radius=(\S+)", caplog.messages[-2]).group(1))
+    margin = float(re.search(r"margin=(\S+)", caplog.messages[-2]).group(1))
+    assert margin > 0.0 and reach == pytest.approx(math.hypot(5.0 * h ** 1.5, 5.0 * h), rel=1e-2)
+
+
+def test_a_stable_eigenvalue_outside_the_box_is_a_warned_unmatched_record(caplog):
+    """A box that no eigenvalue reaches (Im > -1e-20 h): the nearest
+    stable eigenvalue, the resonance, is found at k = 1 but not matched,
+    and one WARNING says so."""
+    sys, _, h = _pinned(9)
+    window = EnergyWindow(1.3, 0.2, 1e-20)
+    with caplog.at_level(logging.WARNING, logger="predissoc.solver"):
+        rec = compare_level(sys, window, _SHALLOW_DISC, h, 9)
+    assert rec.estimate.k == 9 and rec.computed is None and not rec.accepted
+    assert math.isnan(rec.theta_stability)
+    [message] = caplog.messages
+    assert message.startswith(f"unmatched level k=9 h={h:.10g}: the nearest theta-stable "
+                              "eigenvalue 1.29")
+    assert message.endswith("lies outside the resonance box or "
+                            f"{5.0 * h ** 1.5:.3g} from e_k in real part")
 
 
 def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatch):
@@ -703,6 +826,8 @@ def test_compare_requires_rotation_before_any_work(coupled, window, monkeypatch)
     _no_work(monkeypatch)
     with pytest.raises(InvalidAngle):
         compare_with_direct(coupled, window, DiscretizationConfig(theta=0.0), 0.14)
+    with pytest.raises(InvalidAngle):
+        compare_level(coupled, window, DiscretizationConfig(theta=0.0), 0.14, 3)
 
 
 def test_grid_refinement_converged(coupled, window):

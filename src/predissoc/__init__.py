@@ -60,7 +60,6 @@ from .solver import (
     HamiltonianMatrix,
     ResonanceRecord,
     build_hamiltonian,
-    compare_level,
     compare_with_direct,
     compute_resonances,
     match_resonances,
@@ -103,7 +102,7 @@ __all__ = [
     # solver
     "DiscretizationConfig", "HamiltonianMatrix", "ResonanceRecord",
     "ComparisonRecords", "build_hamiltonian", "compute_resonances",
-    "theta_stability", "match_resonances", "compare_with_direct", "compare_level",
+    "theta_stability", "match_resonances", "compare_with_direct",
     # runner
     "RunConfig", "ScanRow", "ScanResult", "parse_config", "pin_level_h",
     "fit_width_slope", "run_scan", "run_command",

@@ -33,7 +33,7 @@ import numpy as np
 from .actions import action, agmon_distance
 from .errors import ConfigError, InsufficientData, InvalidAngle, PredissocError
 from .potentials import EnergyWindow, PotentialSystem, validate_assumptions
-from .solver import (DiscretizationConfig, compare_level, compare_with_direct,
+from .solver import (DiscretizationConfig, _compare_level, compare_with_direct,
                      compute_resonances)
 from .spectrum import bohr_sommerfeld_levels, resonance_estimates
 
@@ -344,7 +344,7 @@ def run_scan(sys: PotentialSystem, window: EnergyWindow,
     """Pin each level k of ``ks`` at E* = ``window.e_ref`` and compare it there.
 
     For each k, in ascending order (so descending in h), h comes from
-    :func:`pin_level_h` and :func:`compare_level` solves for level k alone,
+    :func:`pin_level_h` and :func:`_compare_level` solves for level k alone,
     inside ``window``; the row records level k's formula width, the matched
     direct eigenvalue and its stability.  A level whose estimate failed has
     no row.  The width-law slope is fitted when enough rows were accepted
@@ -354,7 +354,7 @@ def run_scan(sys: PotentialSystem, window: EnergyWindow,
     ks = sorted(ks)
     rows = []
     for k, h in zip(ks, pin_level_h(sys, e_star, ks)):
-        rec = compare_level(sys, window, disc, h, k)
+        rec = _compare_level(sys, window, disc, h, k)
         if rec is None:
             continue
         lam = rec.computed

@@ -56,7 +56,6 @@ __all__ = [
     "theta_stability",
     "match_resonances",
     "compare_with_direct",
-    "compare_level",
 ]
 
 SCHEMES = ("chebyshev_collocation", "finite_difference_4")
@@ -398,8 +397,8 @@ def _shift_invert(blocks, sigma: complex):
     Dense channel blocks H = [[H11, H12], [H21, H22]] are factored by
     channel, in their own memory, and are unusable afterwards.  With
     A1 = H11 - sigma and A2 = H22 - sigma, block elimination (Golub & Van
-    Loan, block LU) factors A1, forms W = A1^-1 H12 and the Schur
-    complement S = A2 - H21 W, and factors S; a solve is then
+    Loan, block LU) of channel 1 factors A1, forms W = A1^-1 H12 and the
+    Schur complement S = A2 - H21 W, and factors S; a solve is then
 
         y1 = A1^-1 b1,    x2 = S^-1 (b2 - H21 y1),    x1 = y1 - W x2,
 
@@ -410,15 +409,16 @@ def _shift_invert(blocks, sigma: complex):
     Two n x n factors replace one 2n x 2n factor, and a solve reads about
     3/4 of the bytes.
 
-    Channel 1 is eliminated first because at a box centre sigma A1 stays
-    far from singular: its spectrum is v1's real bound states, at least
-    C0 h / 2 away, while channel 2's rotated continuum crosses the disc.
-    At the real level shift of :func:`compare_level`, A1 lies O(h^2) from a
-    bound state (condition number 4e8 on the acceptance scan); with a
-    diagonal coupling the solve's backward error stays within 10 x a full
-    LU's there.  An exactly singular A1, S or band factor raises
-    EigensolveFailure.  Every matrix
-    product runs on scipy's BLAS (see :func:`_blas_apply`).
+    The channel eliminated first is the one whose shifted block stays far
+    from singular, as block LU's backward stability needs: at a complex
+    sigma (a box centre) channel 1, whose A1 has v1's real bound states at
+    least C0 h / 2 away; at a real sigma (a level e_k of
+    :func:`_compare_level`, O(h^2) from a bound state) channel 2, whose
+    continuum the scaling rotates off the real axis.  There, with a dense
+    coupling, channel 1 first read 21-82 x a full LU's backward error and
+    channel 2 first reads 1-2 x.  An exactly singular first block, S or
+    band factor raises EigensolveFailure.  Every matrix product runs on
+    scipy's BLAS (see :func:`_blas_apply`).
 
     The returned solve must not be shared between threads: concurrent
     solves with one dense factor can abort the interpreter, so each thread
@@ -443,7 +443,9 @@ def _shift_invert(blocks, sigma: complex):
             raise EigensolveFailure(f"shift-invert factorisation failed: {exc}") from exc
         return lu.solve, lu.nnz
 
-    h11, h12, h21, h22 = blocks
+    first = 1 if sigma.imag else 2  # the channel eliminated first
+    # channel 2 first is the same elimination of the swapped blocks
+    h11, h12, h21, h22 = blocks if first == 1 else blocks[::-1]
     n = h11.shape[0]
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (h11,))
     gemv, gemm = scipy.linalg.get_blas_funcs(("gemv", "gemm"), (h11,))
@@ -458,7 +460,7 @@ def _shift_invert(blocks, sigma: complex):
                 f"at sigma = {sigma:.6g}")
         return lu, piv
 
-    lu1, piv1 = factor(h11, "the channel-1 block")
+    lu1, piv1 = factor(h11, f"the channel-{first} block")
     if h12.ndim == 2:
         w = h12
     else:
@@ -471,11 +473,11 @@ def _shift_invert(blocks, sigma: complex):
     else:  # 64 columns at a time, so no n x n transient is made
         for j in range(0, n, 64):
             h22[:, j:j + 64] -= h21[:, None] * w[:, j:j + 64]
-    lu2, piv2 = factor(h22, "the Schur complement of the channel-1 block")
+    lu2, piv2 = factor(h22, f"the Schur complement of the channel-{first} block")
 
     def solve(b):
         x = np.array(b, dtype=complex).reshape(-1)
-        x1, x2 = x[:n], x[n:]
+        x1, x2 = (x[:n], x[n:]) if first == 1 else (x[n:], x[:n])
         getrs(lu1, piv1, x1, overwrite_b=1)
         if h21.ndim == 2:
             gemv(-1.0, h21, x1, beta=1.0, y=x2, overwrite_y=1)
@@ -513,7 +515,7 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
 
     The factorisation (:func:`_shift_invert`) runs once per disc, before
     ARPACK, and serves every k: a finite-difference band by ``splu`` in its
-    natural order, dense blocks by block elimination of channel 1, with
+    natural order, dense blocks by block elimination of one channel, with
     row-pivoted LU factors and every product on scipy's BLAS.  Each call
     makes its own factor, and no factor may be shared between threads.
     ARPACK runs in the band's channel-interleaved order: the start vector is
@@ -723,9 +725,8 @@ def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
         raise InvalidAngle("stability testing requires a positive scaling angle")
     E = complex(E)
     ham = build_hamiltonian(sys, cfg, h, window)
-    vals, vecs = _disc_eigenvalues(ham.blocks, E, 0.0, 1, vectors=True)
-    nearest = int(np.argmin(np.abs(vals - E)))
-    return float(_drifts(sys, ham, vecs[:, [nearest]])[0])
+    _, vecs = _disc_eigenvalues(ham.blocks, E, 0.0, 1, vectors=True)
+    return float(_drifts(sys, ham, vecs)[0])
 
 
 @dataclass
@@ -836,8 +837,8 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     return records
 
 
-def compare_level(sys: PotentialSystem, window: EnergyWindow,
-                  cfg: DiscretizationConfig, h: float, k: int) -> ResonanceRecord | None:
+def _compare_level(sys: PotentialSystem, window: EnergyWindow,
+                   cfg: DiscretizationConfig, h: float, k: int) -> ResonanceRecord | None:
     """The record of level k alone: its estimate, paired with the nearest
     theta-stable eigenvalue to its level e_k.
 

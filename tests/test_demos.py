@@ -47,3 +47,11 @@ def test_readme_examples_run():
     assert len(namespace["records"]) == 2
     cfg = parse_config(_readme_block("Batch runs", "ini"))
     assert cfg.command == "compare" and cfg.h == 0.14
+
+
+def test_package_root_names_resolve():
+    """Every name in the package root's ``__all__`` is one of its
+    attributes, so ``from predissoc import *`` gives each public name."""
+    import predissoc
+
+    assert [name for name in predissoc.__all__ if not hasattr(predissoc, name)] == []

@@ -18,7 +18,6 @@ from predissoc import (
     ResonanceEstimate,
     RunConfig,
     build_hamiltonian,
-    compare_level,
     compare_with_direct,
     compute_resonances,
     match_resonances,
@@ -34,6 +33,7 @@ from predissoc.solver import (
     RAMP_WIDTH,
     SCHEMES,
     _box_disc,
+    _compare_level,
     _contour_parts,
     _derivative_matrices,
     _disc_eigenvalues,
@@ -285,12 +285,13 @@ def test_dense_build_allocates_little_beyond_the_matrix(coupled, window):
 #: diagonal (r1 = 0), a dense (r1 = x) and no coupling (r0 = 0); the
 #: computed resonance of the theta_stability test, where H - sigma is
 #: nearly singular; and the real shift e_k of a scan row pinning level
-#: k = 6 or 12 at E* = 1.3, which sits O(h^2) from a bound state of v1, so
-#: that the channel-1 block H11 - e_k has a condition number near 2e7
+#: k = 6 or 12 at E* = 1.3, with a diagonal and a dense coupling, which
+#: sits O(h^2) from a bound state of v1, so that the channel-1 block
+#: H11 - e_k has a condition number near 2e7
 _SOLVE_CASES = [(instance, r0, r1, "box centre") for instance in sorted(_INSTANCES)
                 for r0, r1 in (("1", "0"), ("1", "x"), ("0", "0"))]
-_SOLVE_CASES += [("reference", "1", "0", "resonance"),
-                 ("shallow", "1", "0", 6), ("shallow", "1", "0", 12)]
+_SOLVE_CASES += [("reference", "1", "0", "resonance")]
+_SOLVE_CASES += [("shallow", "1", r1, k) for r1 in ("0", "x") for k in (6, 12)]
 
 
 @pytest.mark.parametrize("instance, r0, r1, at", _SOLVE_CASES)
@@ -334,14 +335,17 @@ def test_block_solve_matches_full_lu(instance, r0, r1, at):
 
 
 def test_singular_block_raises():
-    """An exactly singular channel-1 block, Schur complement or FD4 band
-    factor is a typed failure, never a solve that returns NaN."""
+    """An exactly singular first channel block (channel 1 at a complex
+    shift, channel 2 at a real one), Schur complement or FD4 band factor
+    is a typed failure, never a solve that returns NaN."""
     n, sigma = 64, complex(1.0, -0.3)
     eye = np.eye(n, dtype=complex, order="F")
     ones = np.ones(n, dtype=complex)
     dense = np.asfortranarray(np.random.default_rng(5).standard_normal((n, n)), dtype=complex)
     with pytest.raises(EigensolveFailure, match="channel-1 block"):
-        _shift_invert((sigma * eye, ones, ones, dense), sigma)
+        _shift_invert((sigma * eye, ones, ones, dense.copy(order="F")), sigma)
+    with pytest.raises(EigensolveFailure, match="channel-2 block"):
+        _shift_invert((dense.copy(order="F"), ones, ones, eye.copy(order="F")), complex(1.0))
     # A1 = I, S = A2 - H21 A1^-1 H12 = I - I, for a diagonal and a dense coupling
     for h12, h21 in ((ones, ones), (eye.copy(order="F"), eye.copy(order="F"))):
         with pytest.raises(EigensolveFailure, match="Schur complement"):
@@ -679,20 +683,22 @@ def test_compare_without_levels_solves_nothing(coupled, tmp_path, monkeypatch):
 _SHALLOW_DISC = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=200, theta=0.25)
 
 
-def _pinned(k):
+def _pinned(k, r1="0"):
     """The shallow instance, its scan window about E* = 1.3 and the h that
     pins level k there."""
-    sys = PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW, r0="1", r1="0")
+    sys = PotentialSystem.from_strings(V1_SHALLOW, V2_SHALLOW, r0="1", r1=r1)
     return sys, EnergyWindow(1.3, 0.2), pin_level_h(sys, 1.3, [k])[0]
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
-def test_compare_level_equals_the_window_record(k):
+@pytest.mark.parametrize("r1", ["0", "x"])
+def test_compare_level_equals_the_window_record(r1, k):
     """The one-level solve at the real shift e_k gives level k's record of
-    the box-disc pipeline: Re to 1e-12, Im to 1e-8 and the drift to 1e-6
-    relative, and the same verdict."""
-    sys, window, h = _pinned(k)
-    rec = compare_level(sys, window, _SHALLOW_DISC, h, k)
+    the box-disc pipeline, with a diagonal and with a dense coupling: Re to
+    1e-12, Im to 1e-8 and the drift to 1e-6 relative, and the same
+    verdict."""
+    sys, window, h = _pinned(k, r1)
+    rec = _compare_level(sys, window, _SHALLOW_DISC, h, k)
     [expected] = [r for r in compare_with_direct(sys, window, _SHALLOW_DISC, h)
                   if r.estimate.k == k]
     assert rec.estimate == expected.estimate
@@ -707,14 +713,14 @@ def test_compare_level_never_reads_the_estimated_width(monkeypatch):
     """The shift is the real level e_k: ten times the formula width leaves
     the direct eigenvalue bit for bit as it was."""
     sys, window, h = _pinned(7)
-    before = compare_level(sys, window, _SHALLOW_DISC, h, 7).computed
+    before = _compare_level(sys, window, _SHALLOW_DISC, h, 7).computed
 
     def wider(*args):
         estimates, skipped = resonance_estimates(*args)
         return [dataclasses.replace(est, width=10.0 * est.width) for est in estimates], skipped
 
     monkeypatch.setattr(solver, "resonance_estimates", wider)
-    rec = compare_level(sys, window, _SHALLOW_DISC, h, 7)
+    rec = _compare_level(sys, window, _SHALLOW_DISC, h, 7)
     assert rec.estimate.width == 10.0 * resonance_estimates(sys, h, window)[0][1].width
     assert rec.computed == before
 
@@ -740,7 +746,7 @@ def test_compare_level_grows_k_past_an_unstable_eigenvalue(monkeypatch, caplog):
     monkeypatch.setattr(solver, "_drifts", first_unstable)
     monkeypatch.setattr(solver, "_shift_invert", counted)
     with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
-        rec = compare_level(sys, window, _SHALLOW_DISC, h, 7)
+        rec = _compare_level(sys, window, _SHALLOW_DISC, h, 7)
     assert calls == {"_shift_invert": 1}
     assert re.search(r" k=2 ncv=20 ", caplog.messages[-1])
     e_k = rec.estimate.e_k
@@ -779,7 +785,7 @@ def test_a_stable_eigenvalue_outside_the_box_is_a_warned_unmatched_record(caplog
     sys, _, h = _pinned(9)
     window = EnergyWindow(1.3, 0.2, 1e-20)
     with caplog.at_level(logging.WARNING, logger="predissoc.solver"):
-        rec = compare_level(sys, window, _SHALLOW_DISC, h, 9)
+        rec = _compare_level(sys, window, _SHALLOW_DISC, h, 9)
     assert rec.estimate.k == 9 and rec.computed is None and not rec.accepted
     assert math.isnan(rec.theta_stability)
     [message] = caplog.messages
@@ -827,7 +833,7 @@ def test_compare_requires_rotation_before_any_work(coupled, window, monkeypatch)
     with pytest.raises(InvalidAngle):
         compare_with_direct(coupled, window, DiscretizationConfig(theta=0.0), 0.14)
     with pytest.raises(InvalidAngle):
-        compare_level(coupled, window, DiscretizationConfig(theta=0.0), 0.14, 3)
+        _compare_level(coupled, window, DiscretizationConfig(theta=0.0), 0.14, 3)
 
 
 def test_grid_refinement_converged(coupled, window):

@@ -67,12 +67,13 @@ for label, v in (("most resonance-like", res_like),
 # The full comparison pipeline
 # ---------------------------------------------------------------------------
 # estimates from the width formula, eigenvalues from the matrix, stability
-# screening, greedy matching, and a noise floor from the predicted drifts
+# screening, greedy matching, and a noise floor from the predicted drifts;
+# each record is one row of compare.csv, the estimate's k, h, e_k, S and
+# width_formula followed by the direct eigenvalue and its verdict
 records = compare_with_direct(sys_, window, cfg, h)
 print("\nformula vs direct at h =", h)
 for rec in records:
-    est = rec.estimate
-    print(f" k={est.k}: e_k = {est.e_k:.9f}, width = {est.width:.3e}")
+    print(f" k={rec.k}: e_k = {rec.e_k:.9f}, width = {rec.width_formula:.3e}")
     if rec.computed is None:
         print("        no stable eigenvalue within the matching radius")
         continue

@@ -47,7 +47,6 @@ from .potentials import (
 from .runner import (
     RunConfig,
     ScanResult,
-    ScanRow,
     fit_width_slope,
     parse_config,
     pin_level_h,
@@ -104,7 +103,7 @@ __all__ = [
     "ComparisonRecords", "build_hamiltonian", "compute_resonances",
     "theta_stability", "match_resonances", "compare_with_direct",
     # runner
-    "RunConfig", "ScanRow", "ScanResult", "parse_config", "pin_level_h",
+    "RunConfig", "ScanResult", "parse_config", "pin_level_h",
     "fit_width_slope", "run_scan", "run_command",
     # errors
     "PredissocError", "ExpressionError", "EvalDomainError",

@@ -33,13 +33,12 @@ import numpy as np
 from .actions import action, agmon_distance
 from .errors import ConfigError, InsufficientData, InvalidAngle, PredissocError
 from .potentials import EnergyWindow, PotentialSystem, validate_assumptions
-from .solver import (DiscretizationConfig, _compare_level, compare_with_direct,
-                     compute_resonances)
+from .solver import (DiscretizationConfig, ResonanceRecord, _compare_level,
+                     compare_with_direct, compute_resonances)
 from .spectrum import bohr_sommerfeld_levels, resonance_estimates
 
 __all__ = [
     "RunConfig",
-    "ScanRow",
     "ScanResult",
     "parse_config",
     "pin_level_h",
@@ -284,24 +283,11 @@ def pin_level_h(sys: PotentialSystem, e_star: float, k_range) -> list[float]:
 
 
 @dataclass
-class ScanRow:
-    """One tracked level at one h."""
-
-    h: float
-    k: int
-    e_k: float
-    width_formula: float
-    width_direct: float
-    re_direct: float
-    theta_stability: float
-    accepted: bool
-
-
-@dataclass
 class ScanResult:
-    """h-scan of one pinned level plus the width-law regression."""
+    """h-scan at one pinned energy plus the width-law regression: one record
+    per level pinned there, ascending in k."""
 
-    rows: list[ScanRow]
+    rows: list[ResonanceRecord]
     s_target: float
     e_star: float
     slope: float = math.nan
@@ -345,27 +331,17 @@ def run_scan(sys: PotentialSystem, window: EnergyWindow,
 
     For each k, in ascending order (so descending in h), h comes from
     :func:`pin_level_h` and :func:`_compare_level` solves for level k alone,
-    inside ``window``; the row records level k's formula width, the matched
-    direct eigenvalue and its stability.  A level whose estimate failed has
-    no row.  The width-law slope is fitted when enough rows were accepted
-    (and left NaN otherwise).
+    inside ``window``; its record is the row.  A level whose estimate
+    failed, or that the window does not hold, has no row.  The width-law
+    slope is fitted when enough rows were accepted (and left NaN otherwise).
     """
     e_star = window.e_ref
     ks = sorted(ks)
     rows = []
     for k, h in zip(ks, pin_level_h(sys, e_star, ks)):
         rec = _compare_level(sys, window, disc, h, k)
-        if rec is None:
-            continue
-        lam = rec.computed
-        rows.append(ScanRow(
-            h=h, k=k, e_k=rec.estimate.e_k,
-            width_formula=rec.estimate.width,
-            width_direct=lam.imag if lam is not None else math.nan,
-            re_direct=lam.real if lam is not None else math.nan,
-            theta_stability=rec.theta_stability,
-            accepted=rec.accepted,
-        ))
+        if rec is not None:
+            rows.append(rec)
     scan = ScanResult(rows=rows, s_target=agmon_distance(sys, e_star),
                       e_star=e_star)
     try:
@@ -394,6 +370,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_records(path: Path, records) -> None:
+    """``compare.csv`` or ``scan.csv``: one row per :class:`ResonanceRecord`."""
+    _write_csv(path, [f.name for f in fields(ResonanceRecord)], map(astuple, records))
 
 
 def _json_safe(obj):
@@ -474,18 +455,7 @@ def _cmd_refine(cfg: RunConfig, out: Path) -> int:
 def _cmd_compare(cfg: RunConfig, out: Path) -> int:
     records = compare_with_direct(cfg.system(), cfg.window(),
                                   cfg.discretization(), cfg.h)
-    rows = []
-    for rec in records:
-        est = rec.estimate
-        lam = rec.computed
-        rows.append((est.k, est.h, est.e_k, est.s_at_ek, est.width,
-                     lam.real if lam is not None else math.nan,
-                     lam.imag if lam is not None else math.nan,
-                     rec.abs_dev_re, rec.rel_dev_im, rec.theta_stability,
-                     rec.accepted))
-    _write_csv(out / "compare.csv",
-               ["k", "h", "e_k", "S", "width_formula", "re_direct", "width_direct",
-                "abs_dev_re", "rel_dev_im", "theta_stability", "accepted"], rows)
+    _write_records(out / "compare.csv", records)
     n_acc = sum(1 for r in records if r.accepted)
     print(f"compare: {n_acc}/{len(records)} level(s) accepted, "
           f"{len(records.skipped)} skipped at h={cfg.h:g}")
@@ -496,8 +466,7 @@ def _cmd_scan(cfg: RunConfig, out: Path) -> int:
     _check_scan_inputs(cfg)
     scan = run_scan(cfg.system(), EnergyWindow(cfg.e_star, cfg.half_width, cfg.c0_im),
                     cfg.discretization(), range(cfg.k_min, cfg.k_max + 1))
-    _write_csv(out / "scan.csv", [f.name for f in fields(ScanRow)],
-               [astuple(r) for r in scan.rows])
+    _write_records(out / "scan.csv", scan.rows)
     _write_json(out / "scan_fit.json", {
         "slope": scan.slope, "intercept": scan.intercept,
         "r_squared": scan.r_squared, "s_target": scan.s_target,

@@ -81,7 +81,7 @@ RAMP_WIDTH = 3.0
 
 #: Eigenvalues asked of the first shift-invert solve of a box disc, whose
 #: count is unknown; the solve doubles this until it reaches past the disc.
-#: The reference box disc holds about 17 eigenvalues, the scan boxes 3 to 9.
+#: The reference box disc holds about 17 eigenvalues.
 K_START = 24
 
 logger = logging.getLogger("predissoc.solver")
@@ -731,14 +731,33 @@ def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
 
 @dataclass
 class ResonanceRecord:
-    """One semiclassical estimate paired (or not) with a direct eigenvalue."""
+    """One semiclassical estimate paired (or not) with a direct eigenvalue:
+    one row of ``compare.csv`` and of ``scan.csv``, whose columns are these
+    fields in this order.
 
-    estimate: ResonanceEstimate
-    computed: complex | None = None
+    The first five come from the level's :class:`ResonanceEstimate` (``S``
+    is its ``s_at_ek``, ``width_formula`` its ``width``); the direct fields
+    stay NaN, and ``accepted`` False, while the level is unmatched.
+    """
+
+    k: int
+    h: float
+    e_k: float
+    S: float
+    width_formula: float
+    re_direct: float = math.nan
+    width_direct: float = math.nan
     abs_dev_re: float = math.nan
     rel_dev_im: float = math.nan
     theta_stability: float = math.nan
     accepted: bool = False
+
+    @property
+    def computed(self) -> complex | None:
+        """The matched eigenvalue, or None while the level is unmatched."""
+        if math.isnan(self.re_direct):
+            return None
+        return complex(self.re_direct, self.width_direct)
 
 
 class ComparisonRecords(list):
@@ -761,7 +780,8 @@ def match_resonances(estimates: list[ResonanceEstimate],
     once, and pairs farther apart than 5 h^(3/2) (the next-correction
     scale of the level positions) are left unmatched.
     """
-    records = [ResonanceRecord(estimate=est) for est in estimates]
+    records = [ResonanceRecord(est.k, est.h, est.e_k, est.s_at_ek, est.width)
+               for est in estimates]
     if not estimates or len(eigenvalues) == 0:
         return records
     radius = 5.0 * estimates[0].h ** 1.5
@@ -781,19 +801,36 @@ def match_resonances(estimates: list[ResonanceEstimate],
         used_eig.add(j)
         lam = complex(eigenvalues[j])
         rec = records[i]
-        rec.computed = lam
+        rec.re_direct, rec.width_direct = lam.real, lam.imag
         rec.abs_dev_re = dist
-        width = rec.estimate.width
+        width = rec.width_formula
         rec.rel_dev_im = abs(lam.imag - width) / abs(width) if width != 0 else math.inf
     return records
 
 
-def _estimates(sys: PotentialSystem, h: float, window: EnergyWindow):
-    """:func:`resonance_estimates`, with a WARNING for each skipped level."""
-    estimates, skipped = resonance_estimates(sys, h, window)
-    for k, e_k, reason in skipped:
-        logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
-    return estimates, skipped
+def _judge(estimates: list[ResonanceEstimate], vals: np.ndarray, drifts: np.ndarray,
+           window: EnergyWindow, h: float) -> list[ResonanceRecord]:
+    """The verdict of one solve: ``estimates`` matched (:func:`match_resonances`)
+    against those of its theta-stable eigenvalues ``vals``, with predicted
+    drifts ``drifts``, that lie in the resonance box.
+
+    Each matched record carries its own eigenvalue's drift, and is accepted
+    when its width is finite relative to the formula's and its |Im| clears
+    the eigensolver noise floor, 100 x the largest matched drift.
+    """
+    box = _filter_window(vals, window, h)
+    vals, drifts = vals[box], drifts[box]
+    records = match_resonances(estimates, vals)
+    # each matched eigenvalue is one of vals; built in reverse, so of two
+    # equal eigenvalues the first gives the drift
+    drift_of = dict(zip(vals[::-1], drifts[::-1]))
+    matched = [rec for rec in records if rec.computed is not None]
+    for rec in matched:
+        rec.theta_stability = float(drift_of[rec.computed])
+    noise_floor = 100.0 * max((rec.theta_stability for rec in matched), default=0.0)
+    for rec in matched:
+        rec.accepted = abs(rec.width_direct) >= noise_floor and math.isfinite(rec.rel_dev_im)
+    return records
 
 
 def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
@@ -803,10 +840,9 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     Eigenvalues in the window are screened for theta-stability first, so
     rotated-continuum points (which can sit closer in real part than the
     true resonance) never enter the pairing; an eigenvalue is stable when
-    its drift is at most ``STAB_TOL``.  A record is accepted when it
-    matched a stable eigenvalue whose magnitude of imaginary part clears
-    the eigensolver noise floor, taken as 100 x the largest matched drift.
-    Levels whose estimate failed are logged and kept in ``skipped``.
+    its drift is at most ``STAB_TOL``.  The stable ones are judged together
+    by :func:`_judge`.  Levels whose estimate failed are logged and kept in
+    ``skipped``.
 
     One solve of the box disc gives the eigenvalues and, for the stability
     screen, their eigenvectors.  theta = 0 raises InvalidAngle before any
@@ -814,7 +850,9 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     """
     if cfg.theta <= 0.0:
         raise InvalidAngle("stability testing requires a positive scaling angle")
-    estimates, skipped = _estimates(sys, h, window)
+    estimates, skipped = resonance_estimates(sys, h, window)
+    for k, e_k, reason in skipped:
+        logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
     if not estimates:
         return ComparisonRecords([], skipped)
 
@@ -823,18 +861,8 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     box = _filter_window(vals, window, h)
     drifts = _drifts(sys, ham, vecs[:, box]) if box.size else np.empty(0)
     stable = drifts <= STAB_TOL
-    box, drifts = box[stable], drifts[stable]
-    records = ComparisonRecords(match_resonances(estimates, vals[box]), skipped)
-    # each matched eigenvalue is one of vals[box]; built in reverse, so of
-    # two equal eigenvalues the first gives the drift
-    drift_of = dict(zip(vals[box][::-1], drifts[::-1]))
-    matched = [rec for rec in records if rec.computed is not None]
-    for rec in matched:
-        rec.theta_stability = float(drift_of[rec.computed])
-    noise_floor = 100.0 * max((rec.theta_stability for rec in matched), default=0.0)
-    for rec in matched:
-        rec.accepted = abs(rec.computed.imag) >= noise_floor and math.isfinite(rec.rel_dev_im)
-    return records
+    return ComparisonRecords(_judge(estimates, vals[box][stable], drifts[stable], window, h),
+                             skipped)
 
 
 def _compare_level(sys: PotentialSystem, window: EnergyWindow,
@@ -842,54 +870,53 @@ def _compare_level(sys: PotentialSystem, window: EnergyWindow,
     """The record of level k alone: its estimate, paired with the nearest
     theta-stable eigenvalue to its level e_k.
 
-    Returns None when the window holds no level k or its estimate failed
-    (logged, as in :func:`compare_with_direct`).  Shift-invert converges
-    fastest for the eigenvalue nearest the shift (Ericsson & Ruhe, Math.
-    Comp. 35, 1251 (1980)), and the resonance lies within O(h^2) of e_k, so
-    one factor of H - e_k serves a solve for the k = 1 nearest eigenpair.
+    Returns None, with a WARNING about level k only, when the window holds
+    no level k or its estimate failed.  Shift-invert converges fastest for
+    the eigenvalue nearest the shift (Ericsson & Ruhe, Math. Comp. 35, 1251
+    (1980)), and the resonance lies within O(h^2) of e_k, so one factor of
+    H - e_k serves a solve for the k = 1 nearest eigenpair.
     The shift is real: the formula's width never enters the solve.  While
     none of the eigenvalues returned is stable (drift at most ``STAB_TOL``),
     k doubles on the same factor, until the farthest of them lies beyond
     hypot(5 h^(3/2), C0 h), past which no box eigenvalue can match.
 
-    The nearest stable eigenvalue is matched as in :func:`match_resonances`
-    (within 5 h^(3/2) in real part) when it lies in the resonance box, and
-    the record is accepted when |Im| clears 100 x its own drift.  A level
-    left unmatched logs a WARNING with k, h and the reason.  theta = 0
+    The nearest stable eigenvalue is judged as in :func:`compare_with_direct`
+    (:func:`_judge`): matched within 5 h^(3/2) in real part when it lies in
+    the resonance box, and accepted when |Im| clears 100 x its own drift.  A
+    level left unmatched logs a WARNING with k, h and the reason.  theta = 0
     raises InvalidAngle before any work.
     """
     if cfg.theta <= 0.0:
         raise InvalidAngle("stability testing requires a positive scaling angle")
-    estimate = next((est for est in _estimates(sys, h, window)[0] if est.k == k), None)
+    estimates, skipped = resonance_estimates(sys, h, window)
+    estimate = next((est for est in estimates if est.k == k), None)
     if estimate is None:
+        for level, e_k, reason in skipped:
+            if level == k:
+                logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
+                return None
+        logger.warning("no level k=%d in the window %.10g +- %.10g at h=%.10g",
+                       k, window.e_ref, window.half_width, h)
         return None
     e_k = complex(estimate.e_k)
     ham = build_hamiltonian(sys, cfg, h, window)
-    stable = None
+    stable = None  # the nearest stable eigenvalue and its drift, as 0- or 1-arrays
 
     def stable_found(vals, vecs):
         nonlocal stable
         nearest = np.argsort(np.abs(vals - e_k))
         drifts = _drifts(sys, ham, vecs[:, nearest])
-        ok = np.flatnonzero(drifts <= STAB_TOL)
-        if ok.size:
-            stable = vals[nearest[ok[:1]]], float(drifts[ok[0]])
-        return stable is not None
+        ok = np.flatnonzero(drifts <= STAB_TOL)[:1]
+        stable = vals[nearest[ok]], drifts[ok]
+        return ok.size > 0
 
     reach = math.hypot(5.0 * h ** 1.5, window.im_depth_coeff * h)
     _disc_eigenvalues(ham.blocks, e_k, reach, 1, vectors=True, until=stable_found)
-    if stable is None:
-        reason = f"no theta-stable eigenvalue within {reach:.3g} of e_k"
-        record = ResonanceRecord(estimate=estimate)
-    else:
-        lam, drift = stable
-        record = match_resonances([estimate], lam[_filter_window(lam, window, h)])[0]
-        reason = (f"the nearest theta-stable eigenvalue {complex(lam[0]):.10g} lies outside "
-                  f"the resonance box or {5.0 * h ** 1.5:.3g} from e_k in real part")
+    lam, drift = stable
+    [record] = _judge([estimate], lam, drift, window, h)
     if record.computed is None:
+        reason = (f"no theta-stable eigenvalue within {reach:.3g} of e_k" if lam.size == 0
+                  else f"the nearest theta-stable eigenvalue {complex(lam[0]):.10g} lies "
+                       f"outside the resonance box or {5.0 * h ** 1.5:.3g} from e_k in real part")
         logger.warning("unmatched level k=%d h=%.10g: %s", k, h, reason)
-        return record
-    record.theta_stability = drift
-    record.accepted = (abs(record.computed.imag) >= 100.0 * drift
-                       and math.isfinite(record.rel_dev_im))
     return record

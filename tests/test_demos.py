@@ -1,14 +1,16 @@
 """Smoke test of the demo scripts (each runs to completion, warning-free)
 and of the README's examples."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from predissoc import parse_config
+from predissoc import ResonanceRecord, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -47,6 +49,18 @@ def test_readme_examples_run():
     assert len(namespace["records"]) == 2
     cfg = parse_config(_readme_block("Batch runs", "ini"))
     assert cfg.command == "compare" and cfg.h == 0.14
+
+
+def test_readme_outputs_list_the_record_columns():
+    """The README's Outputs list gives compare.csv and scan.csv the fields of
+    ResonanceRecord as columns, so a column added to one table but not the
+    other, or to the record but not the docs, fails here."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    record = [f.name for f in dataclasses.fields(ResonanceRecord)]
+    for name in ("compare.csv", "scan.csv"):
+        [columns] = re.findall(rf"^- `{re.escape(name)}` \(`\w+`\): `([^`]+)`", section, re.M)
+        assert columns.split(",") == record
 
 
 def test_package_root_names_resolve():

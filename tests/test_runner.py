@@ -18,9 +18,9 @@ import predissoc
 from predissoc import (
     DiscretizationConfig,
     EnergyWindow,
+    ResonanceRecord,
     RunConfig,
     ScanResult,
-    ScanRow,
     bohr_sommerfeld_levels,
     fit_width_slope,
     parse_config,
@@ -236,9 +236,9 @@ def test_pin_level_h_round_trip(coupled, window):
 
 
 def _row(h, width_direct, accepted=True):
-    return ScanRow(h=h, k=0, e_k=1.3, width_formula=-1e-6,
-                   width_direct=width_direct, re_direct=1.3,
-                   theta_stability=0.0, accepted=accepted)
+    return ResonanceRecord(k=0, h=h, e_k=1.3, S=1.0, width_formula=-1e-6,
+                           re_direct=1.3, width_direct=width_direct,
+                           theta_stability=0.0, accepted=accepted)
 
 
 def test_fit_width_slope_recovers_exact_law():
@@ -381,6 +381,25 @@ def test_scan_reports_insufficient_data(tmp_path, capsys):
     assert fit["n_accepted"] == 0
     assert fit["s_target"] == pytest.approx(1.5475994211066793, rel=1e-12)
 
+    # each row is a record: matched, but a zero formula width makes its
+    # relative deviation infinite
+    with open(tmp_path / "scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == [f.name for f in dataclasses.fields(ResonanceRecord)]
+    assert all(r["width_formula"] == "-0" and r["rel_dev_im"] == "inf" for r in rows)
+    # with a box that no eigenvalue reaches, every row is unmatched and its
+    # direct columns are NaN
+    cfg.c0_im = 1e-20
+    assert run_command(cfg) == 2
+    with open(tmp_path / "scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["k"] for r in rows] == ["3", "4", "5"]
+    for r in rows:
+        assert r["accepted"] == "false"
+        for name in ("re_direct", "width_direct", "abs_dev_re", "rel_dev_im",
+                     "theta_stability"):
+            assert math.isnan(float(r[name]))
+
 
 SHALLOW_SCAN = '''command = scan
 [potential]
@@ -414,6 +433,11 @@ def test_scan_pins_levels_from_the_cli(tmp_path, capsys):
     fit = json.loads((tmp_path / "scan_fit.json").read_text())
     assert fit["n_accepted"] == 3
     assert fit["slope"] == pytest.approx(-2.0 * fit["s_target"], rel=0.1)
+    # scan.csv and compare.csv share one header, that of ResonanceRecord
+    code, out = _run(BASE.replace("half_width = 0.2", "half_width = 0.01"), tmp_path, "compare")
+    assert code == 0
+    header = (tmp_path / "scan.csv").read_text().splitlines()[0]
+    assert header == (out / "compare.csv").read_text().splitlines()[0]
 
 
 def test_run_scan_pins_each_k_in_ascending_order(shallow):

@@ -28,7 +28,7 @@ from predissoc import (
     theta_stability,
 )
 from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
-from predissoc import solver
+from predissoc import runner, solver
 from predissoc.solver import (
     RAMP_WIDTH,
     SCHEMES,
@@ -619,7 +619,7 @@ def test_compare_with_an_empty_box_leaves_every_record_unmatched(coupled):
     record per estimate, each unmatched and unscreened."""
     window = EnergyWindow(1.0, 0.2, 1e-20)
     records = compare_with_direct(coupled, window, DiscretizationConfig(n=200), 0.14)
-    assert [rec.estimate.k for rec in records] == [2, 3]
+    assert [rec.k for rec in records] == [2, 3]
     for rec in records:
         assert rec.computed is None and not rec.accepted
         assert math.isnan(rec.theta_stability) and math.isnan(rec.abs_dev_re)
@@ -648,7 +648,7 @@ def test_each_record_carries_the_drift_of_its_own_eigenvalue(coupled, window, mo
     records = compare_with_direct(coupled, window, cfg, h)
     lam, drift = np.array(list(columns)), np.array(list(columns.values()))
     assert lam.size >= 3 and np.sum(drift > solver.STAB_TOL) == 1
-    matched = {rec.estimate.k: rec for rec in records if rec.computed is not None}
+    matched = {rec.k: rec for rec in records if rec.computed is not None}
     assert sorted(matched) == [2, 3]
     assert matched[3].computed == pytest.approx(1.1820169263068003 - 9.117e-10j, abs=1e-8)
     for rec in matched.values():
@@ -700,8 +700,8 @@ def test_compare_level_equals_the_window_record(r1, k):
     sys, window, h = _pinned(k, r1)
     rec = _compare_level(sys, window, _SHALLOW_DISC, h, k)
     [expected] = [r for r in compare_with_direct(sys, window, _SHALLOW_DISC, h)
-                  if r.estimate.k == k]
-    assert rec.estimate == expected.estimate
+                  if r.k == k]
+    assert dataclasses.astuple(rec)[:5] == dataclasses.astuple(expected)[:5]
     assert expected.computed is not None and expected.accepted
     assert abs(rec.computed.real - expected.computed.real) <= 1e-12
     assert rec.computed.imag == pytest.approx(expected.computed.imag, rel=1e-8)
@@ -721,7 +721,7 @@ def test_compare_level_never_reads_the_estimated_width(monkeypatch):
 
     monkeypatch.setattr(solver, "resonance_estimates", wider)
     rec = _compare_level(sys, window, _SHALLOW_DISC, h, 7)
-    assert rec.estimate.width == 10.0 * resonance_estimates(sys, h, window)[0][1].width
+    assert rec.width_formula == 10.0 * resonance_estimates(sys, h, window)[0][1].width
     assert rec.computed == before
 
 
@@ -749,7 +749,7 @@ def test_compare_level_grows_k_past_an_unstable_eigenvalue(monkeypatch, caplog):
         rec = _compare_level(sys, window, _SHALLOW_DISC, h, 7)
     assert calls == {"_shift_invert": 1}
     assert re.search(r" k=2 ncv=20 ", caplog.messages[-1])
-    e_k = rec.estimate.e_k
+    e_k = rec.e_k
     dense = scipy.linalg.eigvals(_full(build_hamiltonian(sys, _SHALLOW_DISC, h, window).blocks))
     second = dense[np.argsort(np.abs(dense - e_k))[1]]
     assert abs(rec.computed - second) <= 1e-8
@@ -786,13 +786,51 @@ def test_a_stable_eigenvalue_outside_the_box_is_a_warned_unmatched_record(caplog
     window = EnergyWindow(1.3, 0.2, 1e-20)
     with caplog.at_level(logging.WARNING, logger="predissoc.solver"):
         rec = _compare_level(sys, window, _SHALLOW_DISC, h, 9)
-    assert rec.estimate.k == 9 and rec.computed is None and not rec.accepted
+    assert rec.k == 9 and rec.computed is None and not rec.accepted
     assert math.isnan(rec.theta_stability)
     [message] = caplog.messages
     assert message.startswith(f"unmatched level k=9 h={h:.10g}: the nearest theta-stable "
                               "eigenvalue 1.29")
     assert message.endswith("lies outside the resonance box or "
                             f"{5.0 * h ** 1.5:.3g} from e_k in real part")
+
+
+def test_each_scan_row_warns_only_about_its_own_level(monkeypatch, caplog):
+    """A scan row estimates its whole window but speaks of level k alone.
+    With the estimate of each window's top level made to fail (k + 1 in
+    every row of this k = 6..8 scan), no row logs a WARNING and every row
+    is accepted.  A level whose own estimate fails logs its reason and gives
+    no record, and so does a level that the window does not hold."""
+    sys, window, _ = _pinned(6)
+    estimates = solver.resonance_estimates
+
+    def skip_top(*args):
+        found, skipped = estimates(*args)
+        *kept, top = found
+        return kept, skipped + [(top.k, top.e_k, "injected failure")]
+
+    compare_level, warned = runner._compare_level, {}
+
+    def tracked(sys, window, disc, h, k):
+        caplog.clear()
+        rec = compare_level(sys, window, disc, h, k)
+        warned[k] = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        return rec
+
+    monkeypatch.setattr(solver, "resonance_estimates", skip_top)
+    monkeypatch.setattr(runner, "_compare_level", tracked)
+    with caplog.at_level(logging.WARNING, logger="predissoc.solver"):
+        scan = run_scan(sys, window, _SHALLOW_DISC, [6, 7, 8])
+        assert warned == {6: [], 7: [], 8: []}
+        assert [row.k for row in scan.rows] == [6, 7, 8]
+        assert all(row.accepted for row in scan.rows)
+
+        h = scan.rows[1].h
+        assert tracked(sys, window, _SHALLOW_DISC, h, 8) is None
+        [message] = warned[8]
+        assert re.fullmatch(r"skipped level k=8 e_k=1\.43\d+: injected failure", message)
+        assert tracked(sys, window, _SHALLOW_DISC, h, 20) is None
+        assert warned[20] == [f"no level k=20 in the window 1.3 +- 0.2 at h={h:.10g}"]
 
 
 def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatch):
@@ -874,7 +912,7 @@ def test_match_resonances_greedy_closest_first():
 
 def test_compare_pipeline_on_reference_instance(coupled, window):
     records = compare_with_direct(coupled, window, DiscretizationConfig(), 0.14)
-    by_k = {rec.estimate.k: rec for rec in records}
+    by_k = {rec.k: rec for rec in records}
     assert set(by_k) == {2, 3}
 
     rec3 = by_k[3]

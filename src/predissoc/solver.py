@@ -84,6 +84,17 @@ RAMP_WIDTH = 3.0
 #: The reference box disc holds about 17 eigenvalues.
 K_START = 24
 
+#: Stops of the one-level solve (:func:`_level_eigenpair`).  It has
+#: converged when one operator solve moves Im lambda by at most
+#: ``IM_REL_TOL`` of itself.  It has reached its roundoff floor when the
+#: last three changes of Im lambda alternate in sign and the last sets no
+#: new low, that low being below ``FLOOR_GATE`` of Im lambda: while it
+#: converges, Im lambda ends up moving one way.  It stops after
+#: ``MAX_SOLVES`` solves in any case.
+IM_REL_TOL = 1e-9
+FLOOR_GATE = 1e-2
+MAX_SOLVES = 40
+
 logger = logging.getLogger("predissoc.solver")
 
 
@@ -490,8 +501,70 @@ def _shift_invert(blocks, sigma: complex):
     return solve, None
 
 
+def _level_eigenpair(ham: HamiltonianMatrix, sigma: float):
+    """The eigenpair of ``ham`` nearest the real shift sigma, by inverse
+    iteration on one factor of H - sigma.
+
+    Returns ``(lam, x, stop, factored)``: the eigenvalue, its right
+    eigenvector in channel order, why the iteration stopped (``converged``,
+    ``floor`` or ``cap``, see ``IM_REL_TOL``) and the ``(solve, fill)`` of
+    :func:`_shift_invert`, for a further solve on the same factor.
+
+    The start vector is ARPACK's in :func:`_disc_eigenvalues`, but real.
+    Each step solves y = (H - sigma)^-1 x, takes the bilinear Rayleigh quotient
+    mu = sum(w x y) / sum(w x x) with the weights w of :func:`_left_weights`
+    and sets lambda = sigma + 1/mu and x = y / ||y||.  A real start at a
+    real shift keeps the iterates' phase real, so Im lambda carries no
+    roundoff of O(1) imaginary parts, the floor of a complex Krylov solve.
+    Im lambda converges after Re lambda, so the stop reads Im lambda's own
+    relative change; a stop on |delta lambda| would end while Im lambda is
+    still wrong.  The solve works in the band's channel-interleaved order.
+    The ``eigensolve:`` DEBUG line gives the solve count, ``factor_s`` and
+    ``solve_s``, the last relative change of Im lambda, the stop and, for a
+    band, the factor's ``fill``.
+    """
+    import scipy.linalg  # loaded by the factorisation below
+
+    banded = isinstance(ham.blocks, np.ndarray)
+    started = time.perf_counter()
+    factored = _shift_invert(ham.blocks, sigma)
+    solve, fill = factored
+    factor_s = time.perf_counter() - started
+    weight = _left_weights(ham)
+    x = np.random.default_rng(0).standard_normal(weight.size)
+    if banded:
+        weight, x = (v.reshape(2, -1).T.ravel() for v in (weight, x))
+    nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=complex)
+    lam, deltas, change, low, stop = None, (0.0, 0.0), math.inf, math.inf, "cap"
+    began = time.perf_counter()
+    for solves in range(1, MAX_SOLVES + 1):
+        y = solve(x)
+        previous, lam = lam, sigma + 1.0 / (np.sum(weight * x * y) / np.sum(weight * x * x))
+        x = y / nrm2(y)
+        if previous is None:
+            continue
+        delta = lam.imag - previous.imag
+        change = abs(delta) / abs(lam.imag) if lam.imag else math.inf
+        if change <= IM_REL_TOL:
+            stop = "converged"
+            break
+        alternating = delta * deltas[1] < 0.0 and deltas[1] * deltas[0] < 0.0
+        if alternating and low <= change and low < FLOOR_GATE:
+            stop = "floor"
+            break
+        deltas = deltas[1], delta
+        low = min(low, change)
+    solve_s = time.perf_counter() - began
+    if banded:
+        x = x.reshape(-1, 2).T.ravel()
+    logger.debug("eigensolve: inverse iteration dim=%d sigma=%.10g solves=%d factor_s=%.6f "
+                 "solve_s=%.6f im_change=%.3g stop=%s%s", x.size, sigma, solves, factor_s,
+                 solve_s, change, stop, "" if fill is None else f" fill={fill}")
+    return complex(lam), x, stop, factored
+
+
 def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_START,
-                      vectors: bool = False, until=None):
+                      vectors: bool = False, until=None, factored=None):
     """Every eigenvalue within ``radius`` of ``sigma`` of the operator whose
     ``blocks`` are those of :class:`HamiltonianMatrix`.
 
@@ -502,9 +575,10 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
     ``(vals, vecs)``: those k eigenvalues (the disc's and the few just
     beyond it) and, with ``vectors``, their right eigenvectors as columns in
     channel order (channel 1 over channel 2), else None.  Dense blocks are
-    consumed by the factorisation.  A disc too full for ARPACK, whose k
-    must stay below dim - 2, raises EigensolveFailure rather than return
-    part of it.
+    consumed by the factorisation; ``factored``, the ``(solve, fill)`` of a
+    :func:`_shift_invert` already made at sigma, stands in for it.  A disc
+    too full for ARPACK, whose k must stay below dim - 2, raises
+    EigensolveFailure rather than return part of it.
 
     Each solve keeps scipy's default of ncv = max(2k + 1, 20) Arnoldi
     vectors, at most dim: 49 for a box disc's first k = K_START, 20 for the
@@ -521,8 +595,8 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
     ARPACK runs in the band's channel-interleaved order: the start vector is
     interleaved once and each solve's eigenvectors de-interleaved once, so
     no operator solve permutes.  The ``eigensolve:`` DEBUG line gives the
-    final k and ncv, splits the time into ``factor_s`` (the factorisation),
-    ``solve_s`` (inside the operator) and ``arpack_s`` (the rest of the
+    final k and ncv, splits the time into ``factor_s`` (the factorisation,
+    none with ``factored``), ``solve_s`` (inside the operator) and ``arpack_s`` (the rest of the
     ``eigs`` calls), and for a band gives the factor's ``fill``,
     nnz(L) + nnz(U).
     """
@@ -533,7 +607,7 @@ def _disc_eigenvalues(blocks, sigma: complex, radius: float, k_start: int = K_ST
     banded = isinstance(blocks, np.ndarray)
     dim = blocks.shape[1] if banded else 2 * blocks[0].shape[0]
     started = time.perf_counter()
-    solve, fill = _shift_invert(blocks, sigma)
+    solve, fill = factored or _shift_invert(blocks, sigma)
     factor_s = time.perf_counter() - started
     solves, solve_s, eigs_s = 0, 0.0, 0.0
 
@@ -815,8 +889,9 @@ def _judge(estimates: list[ResonanceEstimate], vals: np.ndarray, drifts: np.ndar
     drifts ``drifts``, that lie in the resonance box.
 
     Each matched record carries its own eigenvalue's drift, and is accepted
-    when its width is finite relative to the formula's and its |Im| clears
-    the eigensolver noise floor, 100 x the largest matched drift.
+    when its Im is negative (a decaying state), its width is finite relative
+    to the formula's and its |Im| clears the eigensolver noise floor, 100 x
+    the largest matched drift.
     """
     box = _filter_window(vals, window, h)
     vals, drifts = vals[box], drifts[box]
@@ -829,7 +904,8 @@ def _judge(estimates: list[ResonanceEstimate], vals: np.ndarray, drifts: np.ndar
         rec.theta_stability = float(drift_of[rec.computed])
     noise_floor = 100.0 * max((rec.theta_stability for rec in matched), default=0.0)
     for rec in matched:
-        rec.accepted = abs(rec.width_direct) >= noise_floor and math.isfinite(rec.rel_dev_im)
+        rec.accepted = (rec.width_direct < 0.0 and abs(rec.width_direct) >= noise_floor
+                        and math.isfinite(rec.rel_dev_im))
     return records
 
 
@@ -871,20 +947,21 @@ def _compare_level(sys: PotentialSystem, window: EnergyWindow,
     theta-stable eigenvalue to its level e_k.
 
     Returns None, with a WARNING about level k only, when the window holds
-    no level k or its estimate failed.  Shift-invert converges fastest for
-    the eigenvalue nearest the shift (Ericsson & Ruhe, Math. Comp. 35, 1251
-    (1980)), and the resonance lies within O(h^2) of e_k, so one factor of
-    H - e_k serves a solve for the k = 1 nearest eigenpair.
-    The shift is real: the formula's width never enters the solve.  While
-    none of the eigenvalues returned is stable (drift at most ``STAB_TOL``),
-    k doubles on the same factor, until the farthest of them lies beyond
-    hypot(5 h^(3/2), C0 h), past which no box eigenvalue can match.
+    no level k or its estimate failed.  The resonance lies within O(h^2) of
+    e_k, so one factor of H - e_k serves the row: inverse iteration
+    (:func:`_level_eigenpair`) converges to the eigenpair nearest e_k.  The
+    shift is real: the formula's width never enters the solve.  When that
+    eigenvalue is not stable (drift above ``STAB_TOL``), or the iteration
+    ran to ``MAX_SOLVES`` without settling, shift-invert ARPACK on the same
+    factor takes the k = 1 nearest eigenpairs, doubling k until a returned
+    eigenvalue is stable or the farthest lies beyond hypot(5 h^(3/2), C0 h),
+    past which no box eigenvalue can match.
 
     The nearest stable eigenvalue is judged as in :func:`compare_with_direct`
     (:func:`_judge`): matched within 5 h^(3/2) in real part when it lies in
-    the resonance box, and accepted when |Im| clears 100 x its own drift.  A
-    level left unmatched logs a WARNING with k, h and the reason.  theta = 0
-    raises InvalidAngle before any work.
+    the resonance box, and accepted when Im < 0 and |Im| clears 100 x its
+    own drift.  A level left unmatched logs a WARNING with k, h and the
+    reason.  theta = 0 raises InvalidAngle before any work.
     """
     if cfg.theta <= 0.0:
         raise InvalidAngle("stability testing requires a positive scaling angle")
@@ -898,9 +975,12 @@ def _compare_level(sys: PotentialSystem, window: EnergyWindow,
         logger.warning("no level k=%d in the window %.10g +- %.10g at h=%.10g",
                        k, window.e_ref, window.half_width, h)
         return None
-    e_k = complex(estimate.e_k)
+    e_k = estimate.e_k
     ham = build_hamiltonian(sys, cfg, h, window)
-    stable = None  # the nearest stable eigenvalue and its drift, as 0- or 1-arrays
+    lam, x, stop, factored = _level_eigenpair(ham, e_k)
+    drift = _drifts(sys, ham, x[:, None])
+    # the nearest stable eigenvalue and its drift, as 0- or 1-arrays
+    stable = np.array([lam]), drift
 
     def stable_found(vals, vecs):
         nonlocal stable
@@ -911,7 +991,9 @@ def _compare_level(sys: PotentialSystem, window: EnergyWindow,
         return ok.size > 0
 
     reach = math.hypot(5.0 * h ** 1.5, window.im_depth_coeff * h)
-    _disc_eigenvalues(ham.blocks, e_k, reach, 1, vectors=True, until=stable_found)
+    if stop == "cap" or drift[0] > STAB_TOL:
+        _disc_eigenvalues(ham.blocks, e_k, reach, 1, vectors=True, until=stable_found,
+                          factored=factored)
     lam, drift = stable
     [record] = _judge([estimate], lam, drift, window, h)
     if record.computed is None:

@@ -453,19 +453,19 @@ def test_run_scan_pins_each_k_in_ascending_order(shallow):
 
 def test_each_scan_row_solves_one_eigenpair(shallow, caplog):
     """On the acceptance scan (n = 400, k = 6..12) each row factors once and
-    takes its one nearest eigenpair: its eigensolve line reads k = 1 with
-    scipy's 20 Krylov vectors and at most 40 operator solves (21 measured;
-    the box-disc solve of the whole window took 82 to 160), and every row
-    is accepted."""
+    takes its one nearest eigenpair by inverse iteration: its one
+    eigensolve line reads a converged iteration of at most 15 operator
+    solves (7 to 9 measured; ARPACK's k = 1 solve took 21, the box-disc
+    solve of the whole window 82 to 160), and every row is accepted."""
     disc = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=400, theta=0.25)
     with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
         scan = run_scan(shallow, EnergyWindow(1.3, 0.2), disc, range(6, 13))
     lines = [m for m in caplog.messages if m.startswith("eigensolve:")]
     assert len(lines) == len(scan.rows) == 7
     for line in lines:
-        k, ncv, solves = map(int, re.search(
-            r" k=(\d+) ncv=(\d+) .* operator solves=(\d+) ", line).groups())
-        assert (k, ncv) == (1, 20) and solves <= 40
+        solves, stop = re.search(r"^eigensolve: inverse iteration .* solves=(\d+) .* "
+                                 r"stop=(\w+)", line).groups()
+        assert int(solves) <= 15 and stop == "converged"
     assert all(row.accepted for row in scan.rows)
 
 

@@ -756,6 +756,109 @@ def test_compare_level_grows_k_past_an_unstable_eigenvalue(monkeypatch, caplog):
     assert rec.theta_stability <= solver.STAB_TOL
 
 
+def test_an_unsettled_iteration_falls_back_to_arpack_on_its_factor(monkeypatch, caplog):
+    """Inverse iteration cut at MAX_SOLVES before Im lambda settles hands
+    the row to the ARPACK solve on the same factor, which gives the record
+    the full iteration gives."""
+    sys, window, h = _pinned(7)
+    expected = _compare_level(sys, window, _SHALLOW_DISC, h, 7)
+    calls = {"_shift_invert": 0}
+    factor = solver._shift_invert
+
+    def counted(*args):
+        calls["_shift_invert"] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(solver, "MAX_SOLVES", 3)
+    monkeypatch.setattr(solver, "_shift_invert", counted)
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        rec = _compare_level(sys, window, _SHALLOW_DISC, h, 7)
+    assert calls == {"_shift_invert": 1}
+    iteration, arpack = [m for m in caplog.messages if m.startswith("eigensolve:")]
+    assert re.search(r" solves=3 .* stop=cap$", iteration)
+    assert re.search(r" k=1 ncv=20 ", arpack)
+    assert rec.accepted and abs(rec.computed.real - expected.computed.real) <= 1e-12
+    assert rec.computed.imag == pytest.approx(expected.computed.imag, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme, n", [("chebyshev_collocation", 200),
+                                       ("finite_difference_4", 1000)])
+def test_the_level_solve_logs_one_eigensolve_line(scheme, n, caplog):
+    """The one-level solve logs one ``eigensolve:`` DEBUG line: dim, the
+    real shift e_k, the solve count, the factor and iteration times, the
+    last relative change of Im lambda, the stop and, for the band, the
+    factor's fill."""
+    sys, window, h = _pinned(7)
+    cfg = dataclasses.replace(_SHALLOW_DISC, scheme=scheme, n=n)
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        started = time.perf_counter()
+        rec = _compare_level(sys, window, cfg, h, 7)
+        wall = time.perf_counter() - started
+    [line] = [m for m in caplog.messages if m.startswith("eigensolve:")]
+    fields = re.fullmatch(
+        r"eigensolve: inverse iteration dim=(\d+) sigma=(\S+) solves=(\d+) factor_s=(\S+) "
+        r"solve_s=(\S+) im_change=(\S+) stop=(\w+)(?: fill=(\d+))?", line).groups()
+    dim, sigma, solves, factor_s, solve_s, im_change, stop, fill = fields
+    assert int(dim) == 2 * n and float(sigma) == pytest.approx(rec.e_k, rel=1e-10)
+    assert 2 <= int(solves) <= solver.MAX_SOLVES
+    assert 0.0 <= float(factor_s) and 0.0 <= float(solve_s)
+    assert float(factor_s) + float(solve_s) <= wall
+    assert stop == "converged" and float(im_change) <= solver.IM_REL_TOL
+    if scheme == "chebyshev_collocation":
+        assert fill is None
+    else:
+        assert 2 * n <= int(fill) <= 17 * 2 * n
+    assert rec.accepted
+
+
+@pytest.mark.parametrize("r1", ["0", "x"])
+def test_the_scan_path_runs_no_arpack(r1, monkeypatch, caplog):
+    """With ARPACK made to fail, a scan of k = 6..9 still accepts every
+    row: each takes inverse iteration alone, in at most 15 operator solves
+    with a diagonal coupling (8 to 10 measured) and 25 with r1 = x, whose
+    k = 6 resonance lies 0.043 from e_k and its next eigenvalue 0.075, so
+    Im lambda's change shrinks only about 3 x per solve (23 solves; ARPACK's
+    k = 1 solve took 21)."""
+    import scipy.sparse.linalg
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK called on the scan path")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_arpack)
+    sys, window, _ = _pinned(6, r1)
+    with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
+        scan = run_scan(sys, window, _SHALLOW_DISC, range(6, 10))
+    assert [row.k for row in scan.rows] == [6, 7, 8, 9]
+    assert all(row.accepted for row in scan.rows)
+    solves = [int(re.search(r" solves=(\d+) ", m).group(1))
+              for m in caplog.messages if m.startswith("eigensolve:")]
+    assert len(solves) == 4 and max(solves) <= (15 if r1 == "0" else 25)
+
+
+#: Widths of the reference instance that ARPACK cannot resolve (its
+#: per-level solve read -5.08e-19 at h = 0.07, k = 5), from inverse iteration
+#: at FD4 n = 4000; the flux through the exit channel gives the last two to
+#: 5 digits.
+_DEEP_WIDTHS = {(0.07, 5): -2.3444e-23, (0.07, 6): -3.0834e-19, (0.05, 9): -1.7342e-24}
+
+
+def test_the_level_solve_resolves_widths_below_the_krylov_floor(coupled, window):
+    """On the reference instance at FD4 n = 4000 the one-level solve gives
+    each width above to 1e-3, and at h = 0.05, k = 9 a width that moves
+    with theta = 0.10..0.35 by no more than its roundoff floor: one solve
+    moves Im lambda by 1e-4 to 2.4e-4 of itself there, so the stop's value
+    carries that noise (2.2e-4 apart at most, measured)."""
+    cfg = DiscretizationConfig(n=4000, scheme="finite_difference_4")
+    for (h, k), width in _DEEP_WIDTHS.items():
+        rec = _compare_level(coupled, window, cfg, h, k)
+        assert rec.computed.imag == pytest.approx(width, rel=1e-3, abs=0.0)
+    deepest = {theta: _compare_level(coupled, window, dataclasses.replace(cfg, theta=theta),
+                                     0.05, 9).computed.imag
+               for theta in (0.10, 0.15, 0.25, 0.35)}
+    for theta in (0.10, 0.25, 0.35):
+        assert deepest[theta] == pytest.approx(deepest[0.15], rel=5e-4, abs=0.0)
+
+
 def test_a_level_with_no_stable_eigenvalue_is_a_warned_unmatched_row(monkeypatch, caplog):
     """When no eigenvalue within hypot(5 h^(3/2), C0 h) of e_k is stable,
     the row is still written: unmatched, with NaN width and drift, not
@@ -872,6 +975,17 @@ def test_compare_requires_rotation_before_any_work(coupled, window, monkeypatch)
         compare_with_direct(coupled, window, DiscretizationConfig(theta=0.0), 0.14)
     with pytest.raises(InvalidAngle):
         _compare_level(coupled, window, DiscretizationConfig(theta=0.0), 0.14, 3)
+
+
+@pytest.mark.parametrize("h", [0.07, 0.05])
+def test_no_accepted_record_grows(coupled, window, h):
+    """An accepted record is a decaying state, Im lambda < 0.  At h = 0.07
+    and 0.05 the box-disc solve reads roundoff of either sign for widths
+    far below it, and three such records had Im lambda > 0 (h = 0.07, k = 5
+    and 6; h = 0.05, k = 6)."""
+    records = compare_with_direct(coupled, window, DiscretizationConfig(), h)
+    assert records
+    assert [rec.k for rec in records if rec.accepted and rec.width_direct >= 0.0] == []
 
 
 def test_grid_refinement_converged(coupled, window):

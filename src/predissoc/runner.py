@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import sys as _sys
 from dataclasses import astuple, dataclass, fields, replace
@@ -30,12 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import action, agmon_distance
+from .actions import action, action_and_derivative, agmon_distance
 from .errors import ConfigError, InsufficientData, InvalidAngle, PredissocError
-from .potentials import EnergyWindow, PotentialSystem, validate_assumptions
-from .solver import (DiscretizationConfig, ResonanceRecord, _compare_level,
+from .potentials import EnergyWindow, PotentialSystem, crossing_data, validate_assumptions
+from .solver import (DiscretizationConfig, ResonanceRecord, _compare_levels,
                      compare_with_direct, compute_resonances)
-from .spectrum import bohr_sommerfeld_levels, resonance_estimates
+from .spectrum import (ResonanceEstimate, bohr_sommerfeld_levels, resonance_estimates,
+                       width_leading)
 
 __all__ = [
     "RunConfig",
@@ -49,6 +51,8 @@ __all__ = [
 ]
 
 COMMANDS = ("validate", "levels", "widths", "refine", "direct", "compare", "scan")
+
+logger = logging.getLogger("predissoc.runner")
 
 _SCHEME_ALIASES = {
     "chebyshev": "chebyshev_collocation",
@@ -330,20 +334,33 @@ def run_scan(sys: PotentialSystem, window: EnergyWindow,
     """Pin each level k of ``ks`` at E* = ``window.e_ref`` and compare it there.
 
     For each k, in ascending order (so descending in h), h comes from
-    :func:`pin_level_h` and :func:`_compare_level` solves for level k alone,
-    inside ``window``; its record is the row.  A level whose estimate
-    failed, or that the window does not hold, has no row.  The width-law
-    slope is fitted when enough rows were accepted (and left NaN otherwise).
+    :func:`pin_level_h`, and the solver's one-level solve compares level k
+    alone, inside ``window``; its record is the row.  Pinned, every level
+    sits at e_k = E* exactly, so the estimates share A'(E*), S(E*) (the
+    ``s_target`` of the fit) and the crossing data, each computed once:
+    only h changes from row to row, as in the solves, which share their
+    h-independent work too.  A level whose estimate fails logs a WARNING
+    with k, E* and the reason, and has no row.  The width-law slope is
+    fitted when enough rows were accepted (and left NaN otherwise).
     """
     e_star = window.e_ref
     ks = sorted(ks)
-    rows = []
-    for k, h in zip(ks, pin_level_h(sys, e_star, ks)):
-        rec = _compare_level(sys, window, disc, h, k)
-        if rec is not None:
-            rows.append(rec)
-    scan = ScanResult(rows=rows, s_target=agmon_distance(sys, e_star),
-                      e_star=e_star)
+    hs = pin_level_h(sys, e_star, ks)
+    s_target = agmon_distance(sys, e_star)
+    a_prime = action_and_derivative(sys, e_star)[1]
+    crossing = crossing_data(sys)
+    estimates = []
+    for k, h in zip(ks, hs):
+        try:
+            width, parts = width_leading(sys, h, e_star, a_prime, s_target, crossing)
+        except PredissocError as exc:
+            logger.warning("skipped level k=%d e_k=%.10g: %s: %s", k, e_star,
+                           type(exc).__name__, exc)
+            continue
+        estimates.append(ResonanceEstimate(k=k, e_k=e_star, width=width, s_at_ek=s_target,
+                                           prefactor_parts=parts, h=h))
+    scan = ScanResult(rows=_compare_levels(sys, window, disc, estimates),
+                      s_target=s_target, e_star=e_star)
     try:
         scan.slope, scan.intercept, scan.r_squared = fit_width_slope(scan)
     except InsufficientData:

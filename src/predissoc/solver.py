@@ -30,8 +30,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def _derivative_matrices(scheme: str, n: int, x_min: float, x_max: float):
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Discretized, contour-deformed two-channel operator.
+    """Discretized, contour-deformed two-channel operator at one h.
 
     ``blocks`` is the operator in the layout the shift-invert factor reads.
     Chebyshev collocation gives the tuple ``(H11, H12, H21, H22)`` of its
@@ -220,15 +220,22 @@ class HamiltonianMatrix:
     coupling blocks are the 1-D vector h r0 of their diagonal when r1 is
     identically zero.  The finite-difference scheme gives one array, the
     channel-interleaved band (see :func:`_band`).
+
+    ``scaled`` is the h-independent part of the operator (a private
+    :class:`_ScaledSystem`), whose grid ``x_nodes``, contour ``z_nodes``,
+    scale ``contour_scale`` = F', scaling start ``x_start_scaling`` and
+    ``config`` the matrix reads as its own.
     """
 
     blocks: tuple | np.ndarray
-    x_nodes: np.ndarray
-    z_nodes: np.ndarray
-    contour_scale: np.ndarray
-    x_start_scaling: float
-    config: DiscretizationConfig
+    scaled: _ScaledSystem = field(repr=False)
     h: float
+
+    x_nodes = property(lambda self: self.scaled.x_nodes)
+    z_nodes = property(lambda self: self.scaled.z_nodes)
+    contour_scale = property(lambda self: self.scaled.contour_scale)
+    x_start_scaling = property(lambda self: self.scaled.x_start_scaling)
+    config = property(lambda self: self.scaled.config)
 
 
 def _resolve_x_inf(sys: PotentialSystem, cfg: DiscretizationConfig,
@@ -264,6 +271,82 @@ def _on_contour(name: str, expr, z: np.ndarray, cfg: DiscretizationConfig,
     return vals
 
 
+class _Workspace(dict):
+    """Fortran-ordered complex n x n arrays by name, each made on its first
+    request and handed out again, as the last user left it, on every later
+    one."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, name: str) -> np.ndarray:
+        self[name] = block = np.empty((self.n, self.n), dtype=complex, order="F")
+        return block
+
+
+class _ScaledSystem:
+    """The part of the scaled operator of ``sys`` on the grid of ``cfg``
+    that does not depend on h: the scaling start (placed by ``window``, see
+    :func:`build_hamiltonian`), the grid's derivative matrices and
+    quadrature weights, the contour z with F' and F'', the coefficients v1,
+    v2, r0 and r1 on it and, from the first stability screen on, the row
+    factors of dH/dtheta (``theta_terms``).
+
+    :meth:`at` applies it to one h.  Dense blocks are built in its
+    ``workspace``, one buffer each (H11, H22, and H12 and H21 when r1 is
+    not identically zero), and the one-level solve (:func:`_level_eigenpair`)
+    forms the W of a diagonal coupling's factor there too: every h reuses
+    them, so a matrix from :meth:`at` is valid until the next call.  A scan
+    shares one for all its rows.
+    """
+
+    def __init__(self, sys: PotentialSystem, cfg: DiscretizationConfig,
+                 window: EnergyWindow | None):
+        self.sys, self.config = sys, cfg
+        self.x_start_scaling = _resolve_x_inf(sys, cfg, window)
+        self.d1, self.d2, self.x_nodes, self.weight = _derivative_matrices(
+            cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
+        f, fp, fpp = _contour_parts(self.x_nodes, self.x_start_scaling)
+        self.contour_scale = 1.0 + 1j * cfg.theta * fp
+        self.fsecond = 1j * cfg.theta * fpp
+        self.z_nodes = self.x_nodes + 1j * cfg.theta * f
+        self.v1, self.v2, self.r0, self.r1 = (self.on_contour(name, getattr(sys, name))
+                                              for name in ("v1", "v2", "r0", "r1"))
+        self.workspace = _Workspace(cfg.n)
+
+    def on_contour(self, name: str, expr) -> np.ndarray:
+        return _on_contour(name, expr, self.z_nodes, self.config, self.x_start_scaling)
+
+    def at(self, h: float) -> HamiltonianMatrix:
+        build = _dense_blocks if self.d1.ndim == 2 else _band
+        return HamiltonianMatrix(blocks=build(self, h), scaled=self, h=h)
+
+    @cached_property
+    def theta_terms(self) -> tuple:
+        """The row factors of (dH/dtheta) X (:func:`_theta_derivative`), as
+        (n, 1) columns: (dv1, dv2, dr0, dr1, r1, 1/F', d(1/F'), d(-F''/F'^3),
+        d(1/F'^2)), each derivative in theta at fixed nodes and x_start.
+
+        theta enters H through z = x + i theta f, F' = 1 + i theta f' and
+        F'' = i theta f'', whose theta-derivatives are i f, i f' and i f''.
+        """
+        sys, fsecond = self.sys, self.fsecond
+        f, fp, fpp = _contour_parts(self.x_nodes, self.x_start_scaling)
+
+        def along(name, expr):  # d/dtheta of expr(z) = expr'(z) i f
+            return 1j * f * self.on_contour(name, expr)
+
+        dv1, dv2 = along("v1'", sys.dv1), along("v2'", sys.dv2)
+        dr0, dr1 = along("r0'", differentiate(sys.r0)), along("r1'", differentiate(sys.r1))
+        inv_f = 1.0 / self.contour_scale
+        # d(1/F'), d(1/F'^2) and d(-F''/F'^3), the row factors of D1c and D2c
+        a1 = -1j * fp * inv_f ** 2
+        b2 = -2j * fp * inv_f ** 3
+        b1 = -1j * fpp * inv_f ** 3 + 3j * fp * fsecond * inv_f ** 4
+        return tuple(v[:, None] for v in (dv1, dv2, dr0, dr1, self.r1, inv_f, a1, b1, b2))
+
+
 def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
                       window: EnergyWindow | None = None) -> HamiltonianMatrix:
     """Assemble the complex-scaled operator: four n x n channel blocks
@@ -281,24 +364,20 @@ def build_hamiltonian(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     v2 on the diagonals; and the coupling blocks, which are the vector h r0
     when r1 is identically zero, else h (r0 + h r1 D1c) and
     h (r0 - h D1c r1) in full.
+
+    The build is the h-independent part of the operator
+    (:class:`_ScaledSystem`) applied to one h.  Here that part is new, and
+    so are its workspace and the blocks in it: each call allocates them,
+    and the factor of a diagonal coupling allocates W, n x n.  A scan
+    keeps one such part for all its rows, so its rows reuse H11, H22 and W
+    (H11, H22, H12 and H21 with r1) and no row allocates an n x n array.
+    The kinetic block -h^2 D2c is not kept between rows: one more n x n
+    array would outweigh the elementwise work it saves.
     """
-    x_inf = _resolve_x_inf(sys, cfg, window)
-    d1, d2, nodes, _ = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
-    f, fp, fpp = _contour_parts(nodes, x_inf)
-    fprime = 1.0 + 1j * cfg.theta * fp
-    fsecond = 1j * cfg.theta * fpp
-    z = nodes + 1j * cfg.theta * f
-    v1, v2, r0, r1 = (_on_contour(name, expr, z, cfg, x_inf)
-                      for name, expr in (("v1", sys.v1), ("v2", sys.v2),
-                                         ("r0", sys.r0), ("r1", sys.r1)))
-    build = _dense_blocks if d1.ndim == 2 else _band
-    blocks = build(d1, d2, fprime, fsecond, v1, v2, r0, r1, h)
-    return HamiltonianMatrix(blocks=blocks, x_nodes=nodes, z_nodes=z,
-                             contour_scale=fprime, x_start_scaling=x_inf,
-                             config=cfg, h=h)
+    return _ScaledSystem(sys, cfg, window).at(h)
 
 
-def _band(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
+def _band(scaled: _ScaledSystem, h: float) -> np.ndarray:
     """The finite-difference operator as one channel-interleaved band.
 
     Unknown 2i + a is channel a + 1 at node i.  With the stencils d1, d2 of
@@ -313,6 +392,8 @@ def _band(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
     with D1c = (1/F') D1 and D2c = (1/F'^2) D2 - (F''/F'^3) D1, D1 and D2
     the stencils truncated at the Dirichlet ends.
     """
+    d1, d2, fprime, fsecond = scaled.d1, scaled.d2, scaled.contour_scale, scaled.fsecond
+    v1, v2, r0, r1 = scaled.v1, scaled.v2, scaled.r0, scaled.r1
     n, p = fprime.size, d1.size // 2
     q = 2 * p + 1
     # row p + s of each (2p + 1, n) array below holds stencil entry s of
@@ -336,17 +417,21 @@ def _band(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
     return band.reshape(2 * q + 1, 2 * n)
 
 
-def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
-    """The Chebyshev channel blocks, built in place (see
-    :func:`build_hamiltonian`)."""
+def _dense_blocks(scaled: _ScaledSystem, h: float) -> tuple:
+    """The Chebyshev channel blocks, built in place in the buffers of
+    ``scaled.workspace`` (see :func:`build_hamiltonian`)."""
+    d1, d2, fprime, fsecond = scaled.d1, scaled.d2, scaled.contour_scale, scaled.fsecond
+    v1, v2, r0, r1 = scaled.v1, scaled.v2, scaled.r0, scaled.r1
+    work = scaled.workspace
     diagonal = np.diag_indices(fprime.size)
 
     # -h^2 D2c, D2c = (1/F'^2) D2 - (F''/F'^3) D1
-    h11 = np.multiply((1.0 / fprime ** 2)[:, None], d2, order="F")
+    h11 = np.multiply((1.0 / fprime ** 2)[:, None], d2, out=work["h11"])
     ramp = np.flatnonzero(fsecond)
     h11[ramp] -= (fsecond[ramp] / fprime[ramp] ** 3)[:, None] * d1[ramp]
     h11 *= -h * h
-    h22 = h11.copy(order="F")
+    h22 = work["h22"]
+    np.copyto(h22, h11)
     h11[diagonal] += v1
     h22[diagonal] += v2
 
@@ -354,8 +439,8 @@ def _dense_blocks(d1, d2, fprime, fsecond, v1, v2, r0, r1, h):
     if not np.any(r1):
         coupling = h * r0
         return h11, coupling, coupling, h22
-    h12 = np.multiply((1.0 / fprime)[:, None], d1, order="F")
-    h21 = h12 * h
+    h12 = np.multiply((1.0 / fprime)[:, None], d1, out=work["h12"])
+    h21 = np.multiply(h12, h, out=work["h21"])
     h12 *= (h * r1)[:, None]
     h21 *= r1[None, :]
     np.negative(h21, out=h21)
@@ -392,7 +477,7 @@ def _band_pattern(stored: tuple, width: int, dim: int):
     return take, indices, indptr, diagonal
 
 
-def _shift_invert(blocks, sigma: complex):
+def _shift_invert(blocks, sigma: complex, workspace: _Workspace | None = None):
     """Factor H - sigma once; returns ``(solve, fill)``, the map
     x -> (H - sigma)^-1 x and the band factor's fill, nnz(L) + nnz(U) as
     SuperLU stores them, or None for dense blocks.
@@ -416,7 +501,8 @@ def _shift_invert(blocks, sigma: complex):
     two n x n LU solves and one product with W, plus one with H21 when the
     r1 D1 term makes the coupling dense.  Every LU pivots by rows.  W is
     formed over H12 when that block is dense; a diagonal coupling (a 1-D
-    block) makes W the one new n x n array, and S then scales W's rows.
+    block) makes W the one more n x n array, the ``w`` buffer of
+    ``workspace`` when one is given, and S then scales W's rows.
     Two n x n factors replace one 2n x 2n factor, and a solve reads about
     3/4 of the bytes.
 
@@ -475,7 +561,8 @@ def _shift_invert(blocks, sigma: complex):
     if h12.ndim == 2:
         w = h12
     else:
-        w = np.zeros((n, n), dtype=complex, order="F")
+        w = (_Workspace(n) if workspace is None else workspace)["w"]
+        w.fill(0.0)
         w[diagonal] = h12
     w, _ = getrs(lu1, piv1, w, overwrite_b=1)
     # S = A2 - H21 W, over H22 (factor shifts it last)
@@ -527,7 +614,7 @@ def _level_eigenpair(ham: HamiltonianMatrix, sigma: float):
 
     banded = isinstance(ham.blocks, np.ndarray)
     started = time.perf_counter()
-    factored = _shift_invert(ham.blocks, sigma)
+    factored = _shift_invert(ham.blocks, sigma, ham.scaled.workspace)
     solve, fill = factored
     factor_s = time.perf_counter() - started
     weight = _left_weights(ham)
@@ -700,8 +787,7 @@ def _left_weights(ham: HamiltonianMatrix) -> np.ndarray:
     eigenpair (lambda, x) of ``ham``: W F' on each channel, with the grid's
     quadrature weights W (:func:`_derivative_matrices`).
     """
-    cfg = ham.config
-    weight = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)[3] * ham.contour_scale
+    weight = ham.scaled.weight * ham.contour_scale
     return np.concatenate([weight, weight])
 
 
@@ -730,35 +816,15 @@ def _blas_apply(d, block: np.ndarray) -> np.ndarray:
     return real + 1j * imag
 
 
-def _theta_derivative(sys: PotentialSystem, ham: HamiltonianMatrix,
-                      vecs: np.ndarray) -> np.ndarray:
-    """(dH/dtheta) X for the 2n x m block X, at fixed nodes and x_start.
-
-    theta enters H through z = x + i theta f, F' = 1 + i theta f' and
-    F'' = i theta f'', whose theta-derivatives are i f, i f' and i f''.
-    """
-    cfg, h = ham.config, ham.h
-    d1, d2, nodes, _ = _derivative_matrices(cfg.scheme, cfg.n, cfg.x_min, cfg.x_max)
-    f, fp, fpp = _contour_parts(nodes, ham.x_start_scaling)
-    z, fprime = ham.z_nodes, ham.contour_scale
-    fsecond = 1j * cfg.theta * fpp
-    n = nodes.size
-    x1, x2 = vecs[:n], vecs[n:]
-
-    def along(name, expr):  # d/dtheta of expr(z) = expr'(z) i f
-        return 1j * f * _on_contour(name, expr, z, cfg, ham.x_start_scaling)
-
-    dv1, dv2 = along("v1'", sys.dv1), along("v2'", sys.dv2)
-    dr0, dr1 = along("r0'", differentiate(sys.r0)), along("r1'", differentiate(sys.r1))
-    r1 = _on_contour("r1", sys.r1, z, cfg, ham.x_start_scaling)
-    inv_f = 1.0 / fprime
-    # d(1/F'), d(1/F'^2) and d(-F''/F'^3), the row factors of D1c and D2c
-    a1 = -1j * fp * inv_f ** 2
-    b2 = -2j * fp * inv_f ** 3
-    b1 = -1j * fpp * inv_f ** 3 + 3j * fp * fsecond * inv_f ** 4
+def _theta_derivative(ham: HamiltonianMatrix, vecs: np.ndarray) -> np.ndarray:
+    """(dH/dtheta) X for the 2n x m block X, at fixed nodes and x_start,
+    from the row factors ``theta_terms`` of ``ham.scaled``."""
+    scaled, h = ham.scaled, ham.h
+    d1, d2 = scaled.d1, scaled.d2
     # every factor below scales the rows of an n x m block
-    dv1, dv2, dr0, dr1, r1, inv_f, a1, b1, b2 = (
-        v[:, None] for v in (dv1, dv2, dr0, dr1, r1, inv_f, a1, b1, b2))
+    dv1, dv2, dr0, dr1, r1, inv_f, a1, b1, b2 = scaled.theta_terms
+    n = scaled.x_nodes.size
+    x1, x2 = vecs[:n], vecs[n:]
     d1x1, d1x2, d1r1x1, d1dr1x1 = np.split(
         _blas_apply(d1, np.concatenate([x1, x2, r1 * x1, dr1 * x1], axis=1)), 4, axis=1)
     d2x1, d2x2 = np.split(_blas_apply(d2, np.concatenate([x1, x2], axis=1)), 2, axis=1)
@@ -769,7 +835,7 @@ def _theta_derivative(sys: PotentialSystem, ham: HamiltonianMatrix,
     return np.concatenate([top, bottom])
 
 
-def _drifts(sys: PotentialSystem, ham: HamiltonianMatrix, x: np.ndarray) -> np.ndarray:
+def _drifts(ham: HamiltonianMatrix, x: np.ndarray) -> np.ndarray:
     """Predicted drift under theta -> 1.2 theta, |d lambda/d theta| 0.2 theta,
     of the eigenvalue of each right eigenvector of ``ham`` in the columns
     of ``x``.
@@ -778,7 +844,7 @@ def _drifts(sys: PotentialSystem, ham: HamiltonianMatrix, x: np.ndarray) -> np.n
     y^H v = sum(w x v) is a bilinear sum with no conjugation.
     """
     weight = _left_weights(ham)[:, None]
-    rate = (np.sum(weight * x * _theta_derivative(sys, ham, x), axis=0)
+    rate = (np.sum(weight * x * _theta_derivative(ham, x), axis=0)
             / np.sum(weight * x * x, axis=0))
     return np.abs(rate) * 0.2 * ham.config.theta
 
@@ -800,7 +866,7 @@ def theta_stability(sys: PotentialSystem, cfg: DiscretizationConfig, h: float,
     E = complex(E)
     ham = build_hamiltonian(sys, cfg, h, window)
     _, vecs = _disc_eigenvalues(ham.blocks, E, 0.0, 1, vectors=True)
-    return float(_drifts(sys, ham, vecs)[0])
+    return float(_drifts(ham, vecs)[0])
 
 
 @dataclass
@@ -935,57 +1001,64 @@ def compare_with_direct(sys: PotentialSystem, window: EnergyWindow,
     ham = build_hamiltonian(sys, cfg, h, window)
     vals, vecs = _disc_eigenvalues(ham.blocks, *_box_disc(window, h), vectors=True)
     box = _filter_window(vals, window, h)
-    drifts = _drifts(sys, ham, vecs[:, box]) if box.size else np.empty(0)
+    drifts = _drifts(ham, vecs[:, box]) if box.size else np.empty(0)
     stable = drifts <= STAB_TOL
     return ComparisonRecords(_judge(estimates, vals[box][stable], drifts[stable], window, h),
                              skipped)
 
 
-def _compare_level(sys: PotentialSystem, window: EnergyWindow,
-                   cfg: DiscretizationConfig, h: float, k: int) -> ResonanceRecord | None:
-    """The record of level k alone: its estimate, paired with the nearest
-    theta-stable eigenvalue to its level e_k.
+def _compare_levels(sys: PotentialSystem, window: EnergyWindow, cfg: DiscretizationConfig,
+                    estimates: list[ResonanceEstimate]) -> list[ResonanceRecord]:
+    """The record of each level of ``estimates``, in their order, each
+    solved alone at its own h by :func:`_compare_level`: the rows of a scan.
 
-    Returns None, with a WARNING about level k only, when the window holds
-    no level k or its estimate failed.  The resonance lies within O(h^2) of
-    e_k, so one factor of H - e_k serves the row: inverse iteration
-    (:func:`_level_eigenpair`) converges to the eigenpair nearest e_k.  The
-    shift is real: the formula's width never enters the solve.  When that
-    eigenvalue is not stable (drift above ``STAB_TOL``), or the iteration
-    ran to ``MAX_SOLVES`` without settling, shift-invert ARPACK on the same
-    factor takes the k = 1 nearest eigenpairs, doubling k until a returned
-    eigenvalue is stable or the farthest lies beyond hypot(5 h^(3/2), C0 h),
-    past which no box eigenvalue can match.
+    What does not depend on h is done once for all of them: the scaling
+    start, the contour and the coefficient values on it, the row factors
+    of dH/dtheta, and one workspace that every dense row is built and
+    factored in (:class:`_ScaledSystem`).  theta = 0 raises InvalidAngle
+    before any work.
+    """
+    if cfg.theta <= 0.0:
+        raise InvalidAngle("stability testing requires a positive scaling angle")
+    if not estimates:
+        return []
+    scaled = _ScaledSystem(sys, cfg, window)
+    return [_compare_level(scaled, window, estimate) for estimate in estimates]
+
+
+def _compare_level(scaled: _ScaledSystem, window: EnergyWindow,
+                   estimate: ResonanceEstimate) -> ResonanceRecord:
+    """The record of the level of ``estimate`` alone, at the estimate's h:
+    the estimate paired with the nearest theta-stable eigenvalue to its
+    level e_k.
+
+    The resonance lies within O(h^2) of e_k, so one factor of H - e_k
+    serves the row: inverse iteration (:func:`_level_eigenpair`) converges
+    to the eigenpair nearest e_k.  The shift is real: the formula's width
+    never enters the solve.  When that eigenvalue is not stable (drift
+    above ``STAB_TOL``), or the iteration ran to ``MAX_SOLVES`` without
+    settling, shift-invert ARPACK on the same factor takes the k = 1
+    nearest eigenpairs, doubling k until a returned eigenvalue is stable or
+    the farthest lies beyond hypot(5 h^(3/2), C0 h), past which no box
+    eigenvalue can match.
 
     The nearest stable eigenvalue is judged as in :func:`compare_with_direct`
     (:func:`_judge`): matched within 5 h^(3/2) in real part when it lies in
     the resonance box, and accepted when Im < 0 and |Im| clears 100 x its
     own drift.  A level left unmatched logs a WARNING with k, h and the
-    reason.  theta = 0 raises InvalidAngle before any work.
+    reason.
     """
-    if cfg.theta <= 0.0:
-        raise InvalidAngle("stability testing requires a positive scaling angle")
-    estimates, skipped = resonance_estimates(sys, h, window)
-    estimate = next((est for est in estimates if est.k == k), None)
-    if estimate is None:
-        for level, e_k, reason in skipped:
-            if level == k:
-                logger.warning("skipped level k=%d e_k=%.10g: %s", k, e_k, reason)
-                return None
-        logger.warning("no level k=%d in the window %.10g +- %.10g at h=%.10g",
-                       k, window.e_ref, window.half_width, h)
-        return None
-    e_k = estimate.e_k
-    ham = build_hamiltonian(sys, cfg, h, window)
+    k, e_k, h = estimate.k, estimate.e_k, estimate.h
+    ham = scaled.at(h)
     lam, x, stop, factored = _level_eigenpair(ham, e_k)
-    drift = _drifts(sys, ham, x[:, None])
+    drift = _drifts(ham, x[:, None])
     # the nearest stable eigenvalue and its drift, as 0- or 1-arrays
     stable = np.array([lam]), drift
 
     def stable_found(vals, vecs):
         nonlocal stable
         nearest = np.argsort(np.abs(vals - e_k))
-        drifts = _drifts(sys, ham, vecs[:, nearest])
+        drifts = _drifts(ham, vecs[:, nearest])
         ok = np.flatnonzero(drifts <= STAB_TOL)[:1]
         stable = vals[nearest[ok]], drifts[ok]
         return ok.size > 0

@@ -221,7 +221,7 @@ def test_criterion_8_identity_suite(coupled):
     coupling = cd.r0_at_0 + cd.r1_at_0 * math.sqrt(v1me)
     expected = (h * math.pi * math.exp(ph.b1 + ph.b2 - ph.a1 - ph.a2)
                 / math.sqrt(v1me) / cd.slope_gap * coupling ** 2)
-    assert abs(t.t23 * t.t32) == pytest.approx(expected, rel=1e-12)
+    assert abs(t.t23 * t.t32) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     # (c) width scales exactly as the square of the coupling strength
     w1, _ = width_leading(coupled, 0.14, 1.0)
@@ -230,24 +230,24 @@ def test_criterion_8_identity_suite(coupled):
     assert w2 / w1 == 4.0
     sys17 = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="1.7", r1="0")
     w17, _ = width_leading(sys17, 0.14, 1.0)
-    assert w17 / w1 == pytest.approx(1.7 ** 2, rel=1e-15)
+    assert w17 / w1 == pytest.approx(1.7 ** 2, rel=1e-15, abs=0.0)
 
     # (d) analytic derivatives agree with central differences to 1e-6
     d = 5e-4
     fd_a = (action(coupled, 1.0 + d) - action(coupled, 1.0 - d)) / (2 * d)
-    assert action_and_derivative(coupled, 1.0)[1] == pytest.approx(fd_a, rel=1e-6)
+    assert action_and_derivative(coupled, 1.0)[1] == pytest.approx(fd_a, rel=1e-6, abs=0.0)
 
     e0, dq = 1.19, 1e-6
     res = quantization_residual(coupled, e0, 0.14)
     fd_q = (quantization_residual(coupled, e0 + dq, 0.14).value
             - quantization_residual(coupled, e0 - dq, 0.14).value) / (2 * dq)
-    assert res.dvalue_dE == pytest.approx(fd_q, rel=1e-6)
+    assert res.dvalue_dE == pytest.approx(fd_q, rel=1e-6, abs=0.0)
 
     expr = parse_expression("exp(-(x+2)^2)*tanh(x)")
     dexpr = differentiate(expr)
     de = 1e-6
     fd_e = (expr(0.7 + de) - expr(0.7 - de)) / (2 * de)
-    assert dexpr(0.7) == pytest.approx(fd_e, rel=1e-6)
+    assert dexpr(0.7) == pytest.approx(fd_e, rel=1e-6, abs=0.0)
 
     _report("identity-suite", True,
             "action bookkeeping, |t23 t32|, κ² scaling, derivative checks")

@@ -62,7 +62,7 @@ def test_action_derivative_matches_finite_differences(coupled):
     d = 5e-4
     for energy in np.linspace(0.85, 1.15, 5):
         fd = (action(coupled, energy + d) - action(coupled, energy - d)) / (2.0 * d)
-        assert action_and_derivative(coupled, energy)[1] == pytest.approx(fd, rel=1e-6)
+        assert action_and_derivative(coupled, energy)[1] == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -101,7 +101,7 @@ def test_well_pass_properties(name, u, gap):
     if e2 > e1:
         assert action(sys_, e2) > a1
     fd = (action(sys_, e1 + FD_STEP) - action(sys_, e1 - FD_STEP)) / (2.0 * FD_STEP)
-    assert a_prime == pytest.approx(fd, rel=1e-6)
+    assert a_prime == pytest.approx(fd, rel=1e-6, abs=0.0)
     for root in find_well_endpoints(sys_, e1):
         assert abs(float(np.real(sys_.v1(root))) - e1) <= RESIDUAL_TOL
 
@@ -138,7 +138,7 @@ def test_agmon_equals_scaled_barrier_integrals(coupled):
     for energy, h in ((0.9, 0.2), (1.0, 0.1), (1.1, 0.05)):
         ph = phase_integrals(coupled, energy, h)
         s = agmon_distance(coupled, energy)
-        assert h * ph.a1 + h * ph.a2 == pytest.approx(s, rel=1e-14)
+        assert h * ph.a1 + h * ph.a2 == pytest.approx(s, rel=1e-14, abs=0.0)
 
 
 def test_monotonicity_over_window(coupled):
@@ -216,4 +216,4 @@ def test_quadrature_refines_only_the_rows_that_need_it():
                       ((1, 160), (1, 1)), ((1, 160), (1, 1))]
     for i, p in enumerate((0.0, -5.0)):
         assert integrate_endpoint_singular(f, 0.0, 1.0, args=(p,)) == got[i]
-    assert got[1] == pytest.approx((6.0 ** 1.5 - 5.0 ** 1.5) / 1.5, rel=1e-14)
+    assert got[1] == pytest.approx((6.0 ** 1.5 - 5.0 ** 1.5) / 1.5, rel=1e-14, abs=0.0)

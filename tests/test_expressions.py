@@ -15,21 +15,21 @@ from predissoc.expressions import (
 def test_literals_variable_and_gaussian_well():
     expr = parse_expression("2 - 2*exp(-(x+2)^2)")
     assert expr(-2.0) == 0.0
-    assert expr(0.0) == pytest.approx(1.9633687222225316, rel=1e-15)
+    assert expr(0.0) == pytest.approx(1.9633687222225316, rel=1e-15, abs=0.0)
     assert parse_expression("x")(3.25) == 3.25
     assert parse_expression("7.5")(123.0) == 7.5
 
 
 def test_tanh_value():
     expr = parse_expression("tanh(2*x)")
-    assert expr(0.5) == pytest.approx(np.tanh(1.0), rel=1e-15)
+    assert expr(0.5) == pytest.approx(np.tanh(1.0), rel=1e-15, abs=0.0)
     assert expr(0.5) == pytest.approx(0.76159416, abs=1e-8)
 
 
 def test_precedence_and_unary_minus():
     assert parse_expression("-x^2")(3.0) == -9.0
     assert parse_expression("2 - -x")(1.0) == 3.0
-    assert parse_expression("2*x + 3*x^2 - 4/x")(2.0) == pytest.approx(14.0, rel=1e-15)
+    assert parse_expression("2*x + 3*x^2 - 4/x")(2.0) == pytest.approx(14.0, rel=1e-15, abs=0.0)
     assert parse_expression("(1 + 2)*x")(2.0) == 6.0
     # binary minus associates left: 8 - 4 - 2 = 2, not 6
     assert parse_expression("8 - 4 - 2")(0.0) == 2.0
@@ -107,22 +107,24 @@ def test_array_and_complex_evaluation():
     assert expr(xs).dtype == np.float64
     # integer powers keep the tree single valued off the real axis
     z = 0.3 + 0.1j
-    assert expr(z) == pytest.approx(2.0 - 2.0 * np.exp(-((z + 2.0) ** 2)), rel=1e-15)
+    assert expr(z) == pytest.approx(2.0 - 2.0 * np.exp(-((z + 2.0) ** 2)), rel=1e-15, abs=0.0)
 
 
 def test_derivative_closed_forms():
     dwell = differentiate(parse_expression("2 - 2*exp(-(x+2)^2)"))
     # chain rule: 4(x+2) e^{-(x+2)^2}, which is 8 e^{-4} at x = 0
-    assert dwell(0.0) == pytest.approx(8.0 * np.exp(-4.0), rel=1e-14)
+    assert dwell(0.0) == pytest.approx(8.0 * np.exp(-4.0), rel=1e-14, abs=0.0)
     assert dwell(0.0) == pytest.approx(0.14652511, abs=1e-8)
 
     assert differentiate(parse_expression("tanh(x)"))(0.0) == 1.0
     assert differentiate(parse_expression("x^3"))(2.0) == 12.0
-    assert differentiate(parse_expression("sin(x)"))(0.7) == pytest.approx(np.cos(0.7), rel=1e-15)
-    assert differentiate(parse_expression("cos(x)"))(0.7) == pytest.approx(-np.sin(0.7), rel=1e-15)
+    assert differentiate(parse_expression("sin(x)"))(0.7) == pytest.approx(np.cos(0.7),
+                                                                           rel=1e-15, abs=0.0)
+    assert differentiate(parse_expression("cos(x)"))(0.7) == pytest.approx(-np.sin(0.7),
+                                                                           rel=1e-15, abs=0.0)
     # quotient rule: d/dx x/(1+x^2) = (1-x^2)/(1+x^2)^2
     dq = differentiate(parse_expression("x/(1 + x^2)"))
-    assert dq(0.5) == pytest.approx(0.48, rel=1e-14)
+    assert dq(0.5) == pytest.approx(0.48, rel=1e-14, abs=0.0)
 
 
 def test_derivative_of_constant_vanishes():
@@ -174,15 +176,15 @@ def test_str_round_trip():
 def test_nested_calls():
     expr = parse_expression("exp(tanh(sin(x)))")
     x = 0.9
-    assert expr(x) == pytest.approx(np.exp(np.tanh(np.sin(x))), rel=1e-15)
+    assert expr(x) == pytest.approx(np.exp(np.tanh(np.sin(x))), rel=1e-15, abs=0.0)
     deriv = differentiate(expr)
     d = 1e-6
     fd = (expr(x + d) - expr(x - d)) / (2.0 * d)
-    assert deriv(x) == pytest.approx(fd, rel=1e-8)
+    assert deriv(x) == pytest.approx(fd, rel=1e-8, abs=0.0)
 
 
 def test_scientific_notation_and_whitespace():
-    assert parse_expression("1e-3 + 2.5E+2*x")(1.0) == pytest.approx(250.001, rel=1e-15)
+    assert parse_expression("1e-3 + 2.5E+2*x")(1.0) == pytest.approx(250.001, rel=1e-15, abs=0.0)
     assert parse_expression("  .5 * x  ")(2.0) == 1.0
 
 

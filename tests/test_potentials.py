@@ -28,12 +28,12 @@ def test_crossing_enforced_at_construction():
 
 def test_crossing_data_values(coupled):
     cd = crossing_data(coupled)
-    assert cd.v1_at_0 == pytest.approx(1.9633687222225316, rel=1e-15)
+    assert cd.v1_at_0 == pytest.approx(1.9633687222225316, rel=1e-15, abs=0.0)
     # d/dx of the Gaussian well at 0 is 8 e^{-4}
-    assert cd.dv1_at_0 == pytest.approx(8.0 * math.exp(-4.0), rel=1e-14)
+    assert cd.dv1_at_0 == pytest.approx(8.0 * math.exp(-4.0), rel=1e-14, abs=0.0)
     # tanh'(0) = 1 exactly, so the tail slope is the raw coefficient
     assert cd.dv2_at_0 == -1.2
-    assert cd.slope_gap == pytest.approx(8.0 * math.exp(-4.0) + 1.2, rel=1e-14)
+    assert cd.slope_gap == pytest.approx(8.0 * math.exp(-4.0) + 1.2, rel=1e-14, abs=0.0)
     assert cd.r0_at_0 == 1.0
     assert cd.r1_at_0 == 0.0
 

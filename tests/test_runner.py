@@ -230,7 +230,7 @@ def test_pin_level_h_harmonic(harmonic):
 def test_pin_level_h_round_trip(coupled, window):
     """At the pinned h the k-th level lands back on e_star."""
     h3 = pin_level_h(coupled, 1.0, [3])[0]
-    assert h3 == pytest.approx(0.11359005231606231, rel=1e-12)
+    assert h3 == pytest.approx(0.11359005231606231, rel=1e-12, abs=0.0)
     levels = dict(bohr_sommerfeld_levels(coupled, h3, window))
     assert abs(levels[3] - 1.0) <= 1e-9
 
@@ -279,12 +279,12 @@ def test_widths_csv_golden(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["2", "3"]
     e_k = [float(r[2]) for r in rows]
-    assert e_k[0] == pytest.approx(0.8941045636781098, rel=1e-12)
-    assert e_k[1] == pytest.approx(1.1942460899046365, rel=1e-12)
+    assert e_k[0] == pytest.approx(0.8941045636781098, rel=1e-12, abs=0.0)
+    assert e_k[1] == pytest.approx(1.1942460899046365, rel=1e-12, abs=0.0)
     widths = [float(r[4]) for r in rows]
-    assert widths[0] == pytest.approx(-3.9670530412501926e-14, rel=1e-9)
-    assert widths[1] == pytest.approx(-6.886730309522242e-10, rel=1e-9)
-    assert float(rows[1][3]) == pytest.approx(1.1419069901114831, rel=1e-12)
+    assert widths[0] == pytest.approx(-3.9670530412501926e-14, rel=1e-9, abs=0.0)
+    assert widths[1] == pytest.approx(-6.886730309522242e-10, rel=1e-9, abs=0.0)
+    assert float(rows[1][3]) == pytest.approx(1.1419069901114831, rel=1e-12, abs=0.0)
 
 
 def test_levels_csv_empty_when_no_levels(tmp_path):
@@ -379,7 +379,7 @@ def test_scan_reports_insufficient_data(tmp_path, capsys):
     fit = json.loads((tmp_path / "scan_fit.json").read_text())
     assert fit["slope"] is None and fit["r_squared"] is None
     assert fit["n_accepted"] == 0
-    assert fit["s_target"] == pytest.approx(1.5475994211066793, rel=1e-12)
+    assert fit["s_target"] == pytest.approx(1.5475994211066793, rel=1e-12, abs=0.0)
 
     # each row is a record: matched, but a zero formula width makes its
     # relative deviation infinite
@@ -432,12 +432,29 @@ def test_scan_pins_levels_from_the_cli(tmp_path, capsys):
     assert all(r["accepted"] == "true" for r in rows)
     fit = json.loads((tmp_path / "scan_fit.json").read_text())
     assert fit["n_accepted"] == 3
-    assert fit["slope"] == pytest.approx(-2.0 * fit["s_target"], rel=0.1)
+    assert fit["slope"] == pytest.approx(-2.0 * fit["s_target"], rel=0.1, abs=0.0)
     # scan.csv and compare.csv share one header, that of ResonanceRecord
     code, out = _run(BASE.replace("half_width = 0.2", "half_width = 0.01"), tmp_path, "compare")
     assert code == 0
     header = (tmp_path / "scan.csv").read_text().splitlines()[0]
     assert header == (out / "compare.csv").read_text().splitlines()[0]
+
+
+def test_pinned_scan_rows_sit_exactly_at_e_star(tmp_path):
+    """Every row of a pinned scan is level k at e_k = E*, so scan.csv gives
+    each row the e_k and S of scan_fit.json bit for bit; a level solve per
+    row would give e_k = 1.2999999999999998 and an S that is not
+    s_target."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SHALLOW_SCAN + f"\n[output]\nout_dir = {tmp_path}\n")
+    assert main([str(cfg)]) == 0
+    fit = json.loads((tmp_path / "scan_fit.json").read_text())
+    with open(tmp_path / "scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row["e_k"]) == fit["e_star"] == 1.3
+        assert float(row["S"]) == fit["s_target"]
 
 
 def test_run_scan_pins_each_k_in_ascending_order(shallow):

@@ -27,13 +27,14 @@ from predissoc import (
     run_scan,
     theta_stability,
 )
-from predissoc.errors import ContourEvaluationError, EigensolveFailure, InvalidAngle
-from predissoc import runner, solver
+from predissoc.errors import (ContourEvaluationError, DegenerateEnergy, EigensolveFailure,
+                              InvalidAngle)
+from predissoc import runner, solver, spectrum
 from predissoc.solver import (
     RAMP_WIDTH,
     SCHEMES,
     _box_disc,
-    _compare_level,
+    _compare_levels,
     _contour_parts,
     _derivative_matrices,
     _disc_eigenvalues,
@@ -123,7 +124,7 @@ def test_quadrature_weight_cache_is_read_only(scheme):
     if scheme == "chebyshev_collocation":
         # Clenshaw-Curtis integrates 1 exactly: the interior weights are the
         # length less the two end weights, L / (2 N^2) each for odd N = n + 1
-        assert np.sum(weight) == pytest.approx(20.0 * (1.0 - 1.0 / 65 ** 2), rel=1e-14)
+        assert np.sum(weight) == pytest.approx(20.0 * (1.0 - 1.0 / 65 ** 2), rel=1e-14, abs=0.0)
     else:
         assert np.all(weight == 1.0)
 
@@ -578,16 +579,16 @@ def test_predicted_drift_matches_finite_drift(scheme, coupling, window):
     below, above = dense_at(1.0 - 1e-3), dense_at(1.0 + 1e-3)
     vals, vecs = _disc_eigenvalues(ham.blocks, *_box_disc(window, h), vectors=True)
     box = _filter_window(vals, window, h)
-    predicted = _drifts(coupled, ham, vecs[:, box])
+    predicted = _drifts(ham, vecs[:, box])
     checked = 0
     for lam, drift in zip(vals[box], predicted):
         lam0 = before[np.argmin(np.abs(before - lam))]
         finite = np.min(np.abs(after - lam0))
         if finite > 1e-10:
-            assert drift == pytest.approx(finite, rel=0.02)
+            assert drift == pytest.approx(finite, rel=0.02, abs=0.0)
             step = abs(above[np.argmin(np.abs(above - lam0))]
                        - below[np.argmin(np.abs(below - lam0))])
-            assert drift / 0.2 == pytest.approx(step / 2e-3, rel=1e-4)
+            assert drift / 0.2 == pytest.approx(step / 2e-3, rel=1e-4, abs=0.0)
             checked += 1
         else:
             assert drift <= 1e-10
@@ -637,7 +638,7 @@ def test_each_record_carries_the_drift_of_its_own_eigenvalue(coupled, window, mo
     e_3 = {est.k: est.e_k for est in resonance_estimates(coupled, h, window)[0]}[3]
     columns = {}  # the eigenvalue of each screened column -> its fake drift
 
-    def fake_drifts(sys, ham, x):
+    def fake_drifts(ham, x):
         lam = np.sum(x.conj() * (full @ x), axis=0) / np.sum(abs(x) ** 2, axis=0)
         drifts = 1e-16 * np.arange(1.0, x.shape[1] + 1.0)
         drifts[np.argmin(np.abs(lam.real - e_3))] = 10.0 * solver.STAB_TOL
@@ -690,13 +691,21 @@ def _pinned(k, r1="0"):
     return sys, EnergyWindow(1.3, 0.2), pin_level_h(sys, 1.3, [k])[0]
 
 
+def _compare_level(sys, window, cfg, h, k):
+    """Level k's record from the one-level solve, with its estimate from the
+    window's estimates at h."""
+    [estimate] = [est for est in resonance_estimates(sys, h, window)[0] if est.k == k]
+    [record] = _compare_levels(sys, window, cfg, [estimate])
+    return record
+
+
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
 @pytest.mark.parametrize("r1", ["0", "x"])
 def test_compare_level_equals_the_window_record(r1, k):
     """The one-level solve at the real shift e_k gives level k's record of
     the box-disc pipeline, with a diagonal and with a dense coupling: Re to
-    1e-12, Im to 1e-8 and the drift to 1e-6 relative, and the same
-    verdict."""
+    1e-12, Im to 1e-8 relative, the drift to 2e-6 relative (1.70e-6 at
+    r1 = x, k = 6, measured) and the same verdict."""
     sys, window, h = _pinned(k, r1)
     rec = _compare_level(sys, window, _SHALLOW_DISC, h, k)
     [expected] = [r for r in compare_with_direct(sys, window, _SHALLOW_DISC, h)
@@ -704,25 +713,21 @@ def test_compare_level_equals_the_window_record(r1, k):
     assert dataclasses.astuple(rec)[:5] == dataclasses.astuple(expected)[:5]
     assert expected.computed is not None and expected.accepted
     assert abs(rec.computed.real - expected.computed.real) <= 1e-12
-    assert rec.computed.imag == pytest.approx(expected.computed.imag, rel=1e-8)
-    assert rec.theta_stability == pytest.approx(expected.theta_stability, rel=1e-6)
+    assert rec.computed.imag == pytest.approx(expected.computed.imag, rel=1e-8, abs=0.0)
+    assert rec.theta_stability == pytest.approx(expected.theta_stability, rel=2e-6, abs=0.0)
     assert rec.accepted == expected.accepted
 
 
-def test_compare_level_never_reads_the_estimated_width(monkeypatch):
+def test_compare_level_never_reads_the_estimated_width():
     """The shift is the real level e_k: ten times the formula width leaves
     the direct eigenvalue bit for bit as it was."""
     sys, window, h = _pinned(7)
-    before = _compare_level(sys, window, _SHALLOW_DISC, h, 7).computed
-
-    def wider(*args):
-        estimates, skipped = resonance_estimates(*args)
-        return [dataclasses.replace(est, width=10.0 * est.width) for est in estimates], skipped
-
-    monkeypatch.setattr(solver, "resonance_estimates", wider)
-    rec = _compare_level(sys, window, _SHALLOW_DISC, h, 7)
-    assert rec.width_formula == 10.0 * resonance_estimates(sys, h, window)[0][1].width
-    assert rec.computed == before
+    [estimate] = [est for est in resonance_estimates(sys, h, window)[0] if est.k == 7]
+    [before] = _compare_levels(sys, window, _SHALLOW_DISC, [estimate])
+    wider = dataclasses.replace(estimate, width=10.0 * estimate.width)
+    [rec] = _compare_levels(sys, window, _SHALLOW_DISC, [wider])
+    assert rec.width_formula == 10.0 * before.width_formula
+    assert rec.computed == before.computed
 
 
 def test_compare_level_grows_k_past_an_unstable_eigenvalue(monkeypatch, caplog):
@@ -734,8 +739,8 @@ def test_compare_level_grows_k_past_an_unstable_eigenvalue(monkeypatch, caplog):
     calls = {"_shift_invert": 0}
     factor = solver._shift_invert
 
-    def first_unstable(sys, ham, x):
-        out = drifts(sys, ham, x)
+    def first_unstable(ham, x):
+        out = drifts(ham, x)
         out[0] = 10.0 * solver.STAB_TOL
         return out
 
@@ -799,7 +804,7 @@ def test_the_level_solve_logs_one_eigensolve_line(scheme, n, caplog):
         r"eigensolve: inverse iteration dim=(\d+) sigma=(\S+) solves=(\d+) factor_s=(\S+) "
         r"solve_s=(\S+) im_change=(\S+) stop=(\w+)(?: fill=(\d+))?", line).groups()
     dim, sigma, solves, factor_s, solve_s, im_change, stop, fill = fields
-    assert int(dim) == 2 * n and float(sigma) == pytest.approx(rec.e_k, rel=1e-10)
+    assert int(dim) == 2 * n and float(sigma) == pytest.approx(rec.e_k, rel=1e-10, abs=0.0)
     assert 2 <= int(solves) <= solver.MAX_SOLVES
     assert 0.0 <= float(factor_s) and 0.0 <= float(solve_s)
     assert float(factor_s) + float(solve_s) <= wall
@@ -859,13 +864,57 @@ def test_the_level_solve_resolves_widths_below_the_krylov_floor(coupled, window)
         assert deepest[theta] == pytest.approx(deepest[0.15], rel=5e-4, abs=0.0)
 
 
+@pytest.mark.parametrize("scheme, n", [("chebyshev_collocation", 200),
+                                       ("finite_difference_4", 1000)])
+@pytest.mark.parametrize("r1", ["0", "x"])
+def test_a_scan_shares_its_h_independent_work(scheme, n, r1, monkeypatch):
+    """A scan of k = 6..9 places its scaling start once, estimates no
+    window (neither resonance_estimates nor bohr_sommerfeld_levels runs)
+    and makes each dense buffer once: H11, H22 and W with a diagonal
+    coupling, H11, H22, H12 and H21 with a dense one, none for the band.
+    Its rows equal one-row scans bit for bit, so what the rows share
+    carries nothing from one row to the next."""
+    sys, window, _ = _pinned(6, r1)
+    cfg = dataclasses.replace(_SHALLOW_DISC, scheme=scheme, n=n)
+    ks = [6, 7, 8, 9]
+    alone = [run_scan(sys, window, cfg, [k]).rows for k in ks]
+    calls = {"_resolve_x_inf": 0, "buffers": []}
+    resolve, missing = solver._resolve_x_inf, solver._Workspace.__missing__
+
+    def counted_resolve(*args):
+        calls["_resolve_x_inf"] += 1
+        return resolve(*args)
+
+    def counted_missing(self, name):
+        calls["buffers"].append(name)
+        return missing(self, name)
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("a scan estimated a window")
+
+    monkeypatch.setattr(solver, "_resolve_x_inf", counted_resolve)
+    monkeypatch.setattr(solver._Workspace, "__missing__", counted_missing)
+    for module in (spectrum, solver, runner):
+        for name in ("resonance_estimates", "bohr_sommerfeld_levels"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_window)
+    scan = run_scan(sys, window, cfg, ks)
+    assert calls["_resolve_x_inf"] == 1
+    expected = {"chebyshev_collocation": {"0": ["h11", "h22", "w"],
+                                          "x": ["h11", "h22", "h12", "h21"]},
+                "finite_difference_4": {"0": [], "x": []}}[scheme][r1]
+    assert calls["buffers"] == expected
+    assert [[row] for row in scan.rows] == alone
+    assert [row.k for row in scan.rows] == ks
+
+
 def test_a_level_with_no_stable_eigenvalue_is_a_warned_unmatched_row(monkeypatch, caplog):
     """When no eigenvalue within hypot(5 h^(3/2), C0 h) of e_k is stable,
     the row is still written: unmatched, with NaN width and drift, not
     accepted, and one WARNING names k, h and the reason."""
     sys, window, h = _pinned(9)
     monkeypatch.setattr(solver, "_drifts",
-                        lambda sys, ham, x: np.full(x.shape[1], 10.0 * solver.STAB_TOL))
+                        lambda ham, x: np.full(x.shape[1], 10.0 * solver.STAB_TOL))
     with caplog.at_level(logging.DEBUG, logger="predissoc.solver"):
         scan = run_scan(sys, window, _SHALLOW_DISC, [9])
     [row] = scan.rows
@@ -878,7 +927,8 @@ def test_a_level_with_no_stable_eigenvalue_is_a_warned_unmatched_row(monkeypatch
         f"{math.hypot(5.0 * h ** 1.5, 5.0 * h):.3g} of e_k")
     reach = float(re.search(r"radius=(\S+)", caplog.messages[-2]).group(1))
     margin = float(re.search(r"margin=(\S+)", caplog.messages[-2]).group(1))
-    assert margin > 0.0 and reach == pytest.approx(math.hypot(5.0 * h ** 1.5, 5.0 * h), rel=1e-2)
+    assert margin > 0.0
+    assert reach == pytest.approx(math.hypot(5.0 * h ** 1.5, 5.0 * h), rel=1e-2, abs=0.0)
 
 
 def test_a_stable_eigenvalue_outside_the_box_is_a_warned_unmatched_record(caplog):
@@ -898,42 +948,46 @@ def test_a_stable_eigenvalue_outside_the_box_is_a_warned_unmatched_record(caplog
                             f"{5.0 * h ** 1.5:.3g} from e_k in real part")
 
 
-def test_each_scan_row_warns_only_about_its_own_level(monkeypatch, caplog):
-    """A scan row estimates its whole window but speaks of level k alone.
-    With the estimate of each window's top level made to fail (k + 1 in
-    every row of this k = 6..8 scan), no row logs a WARNING and every row
-    is accepted.  A level whose own estimate fails logs its reason and gives
-    no record, and so does a level that the window does not hold."""
-    sys, window, _ = _pinned(6)
-    estimates = solver.resonance_estimates
+def test_each_scan_row_warns_only_about_its_own_level(monkeypatch, caplog, tmp_path):
+    """A scan row estimates its own level alone, pinned at e_k = E*; no
+    other level of the window is estimated.  With the pinned estimate made
+    to fail at the h of k = 7, that row logs one WARNING with k, e_k and
+    the reason and gives no row, while k = 6 and 8 are solved and accepted
+    without one.  Failing at every h, it skips every row with its own
+    WARNING, solves nothing, and the scan command exits 2 (too few rows
+    for the fit)."""
+    sys, window, h_7 = _pinned(7)
+    leading = runner.width_leading
 
-    def skip_top(*args):
-        found, skipped = estimates(*args)
-        *kept, top = found
-        return kept, skipped + [(top.k, top.e_k, "injected failure")]
+    def fail_at_7(sys, h, *args):
+        if h == h_7:
+            raise DegenerateEnergy("injected failure")
+        return leading(sys, h, *args)
 
-    compare_level, warned = runner._compare_level, {}
-
-    def tracked(sys, window, disc, h, k):
-        caplog.clear()
-        rec = compare_level(sys, window, disc, h, k)
-        warned[k] = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
-        return rec
-
-    monkeypatch.setattr(solver, "resonance_estimates", skip_top)
-    monkeypatch.setattr(runner, "_compare_level", tracked)
-    with caplog.at_level(logging.WARNING, logger="predissoc.solver"):
+    monkeypatch.setattr(runner, "width_leading", fail_at_7)
+    with caplog.at_level(logging.WARNING):
         scan = run_scan(sys, window, _SHALLOW_DISC, [6, 7, 8])
-        assert warned == {6: [], 7: [], 8: []}
-        assert [row.k for row in scan.rows] == [6, 7, 8]
-        assert all(row.accepted for row in scan.rows)
+    assert [row.k for row in scan.rows] == [6, 8]
+    assert all(row.accepted for row in scan.rows)
+    assert caplog.messages == ["skipped level k=7 e_k=1.3: DegenerateEnergy: injected failure"]
 
-        h = scan.rows[1].h
-        assert tracked(sys, window, _SHALLOW_DISC, h, 8) is None
-        [message] = warned[8]
-        assert re.fullmatch(r"skipped level k=8 e_k=1\.43\d+: injected failure", message)
-        assert tracked(sys, window, _SHALLOW_DISC, h, 20) is None
-        assert warned[20] == [f"no level k=20 in the window 1.3 +- 0.2 at h={h:.10g}"]
+    def always_fails(*args):
+        raise DegenerateEnergy("injected failure")
+
+    def no_solve(*args):
+        raise AssertionError("a level solved without an estimate")
+
+    monkeypatch.setattr(runner, "width_leading", always_fails)
+    monkeypatch.setattr(solver, "_ScaledSystem", no_solve)
+    cfg = RunConfig(v1=V1_SHALLOW, v2=V2_SHALLOW, r0="1", e_ref=1.3, half_width=0.2,
+                    n=200, theta=0.25, domain=(-11.0, 14.0), e_star=1.3, k_min=6, k_max=8,
+                    out_dir=str(tmp_path))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert run_command(cfg, "scan") == 2
+    assert caplog.messages == [f"skipped level k={k} e_k=1.3: DegenerateEnergy: injected failure"
+                               for k in (6, 7, 8)]
+    assert len((tmp_path / "scan.csv").read_text().splitlines()) == 1
 
 
 def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatch):
@@ -955,7 +1009,8 @@ def test_compute_resonances_requests_no_eigenvectors(coupled, window, monkeypatc
 def _no_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work before the angle check")
-    for name in ("resonance_estimates", "build_hamiltonian", "_disc_eigenvalues"):
+    for name in ("resonance_estimates", "build_hamiltonian", "_ScaledSystem",
+                 "_disc_eigenvalues"):
         monkeypatch.setattr(solver, name, no_work)
 
 
@@ -969,12 +1024,14 @@ def test_theta_stability_requires_rotation(coupled, window, monkeypatch):
 def test_compare_requires_rotation_before_any_work(coupled, window, monkeypatch):
     """At theta = 0 there is no drift to screen by: compare_with_direct
     raises InvalidAngle before any estimate, assembly or eigensolve, even
-    for a window that holds levels."""
+    for a window that holds levels, and so does the one-level solve of a
+    scan."""
+    estimate = _estimate(3, 1.18, -6.9e-10, h=0.14)
     _no_work(monkeypatch)
     with pytest.raises(InvalidAngle):
         compare_with_direct(coupled, window, DiscretizationConfig(theta=0.0), 0.14)
     with pytest.raises(InvalidAngle):
-        _compare_level(coupled, window, DiscretizationConfig(theta=0.0), 0.14, 3)
+        _compare_levels(coupled, window, DiscretizationConfig(theta=0.0), [estimate])
 
 
 @pytest.mark.parametrize("h", [0.07, 0.05])
@@ -1032,7 +1089,7 @@ def test_compare_pipeline_on_reference_instance(coupled, window):
     rec3 = by_k[3]
     assert rec3.accepted
     assert rec3.computed.real == pytest.approx(1.1820169263068003, abs=1e-9)
-    assert rec3.computed.imag == pytest.approx(-9.117245620572684e-10, rel=1e-3)
+    assert rec3.computed.imag == pytest.approx(-9.117245620572684e-10, rel=1e-3, abs=0.0)
     assert rec3.theta_stability <= 1e-12
     # the asymptotic width agrees within its O(sqrt(h)) relative error budget
     assert rec3.rel_dev_im == pytest.approx(0.324, abs=0.05)

@@ -47,12 +47,12 @@ def test_level_positions_and_indices(coupled, window):
     assert bohr_sommerfeld_levels(coupled, 0.2, window) == []
     lv14 = bohr_sommerfeld_levels(coupled, 0.14, window)
     assert [k for k, _ in lv14] == [2, 3]
-    assert lv14[0][1] == pytest.approx(0.8941045636781098, rel=1e-12)
-    assert lv14[1][1] == pytest.approx(1.1942460899046365, rel=1e-12)
+    assert lv14[0][1] == pytest.approx(0.8941045636781098, rel=1e-12, abs=0.0)
+    assert lv14[1][1] == pytest.approx(1.1942460899046365, rel=1e-12, abs=0.0)
     lv10 = bohr_sommerfeld_levels(coupled, 0.1, window)
     assert [k for k, _ in lv10] == [3, 4]
-    assert lv10[0][1] == pytest.approx(0.8941045636781098, rel=1e-12)
-    assert lv10[1][1] == pytest.approx(1.112094553022075, rel=1e-12)
+    assert lv10[0][1] == pytest.approx(0.8941045636781098, rel=1e-12, abs=0.0)
+    assert lv10[1][1] == pytest.approx(1.112094553022075, rel=1e-12, abs=0.0)
 
 
 def test_levels_satisfy_quantization(coupled, window):
@@ -71,7 +71,7 @@ def test_width_formula_synthetic_value():
     width, parts = width_from_parts(
         h=0.1, a_prime=math.pi / 2.0, s_agmon=0.5,
         v1_minus_e=1.0, slope_gap=2.0, r0_at_0=1.0, r1_at_0=0.0)
-    assert width == pytest.approx(-1.1349982440621213e-7, rel=1e-12)
+    assert width == pytest.approx(-1.1349982440621213e-7, rel=1e-12, abs=0.0)
     assert set(parts) == {"h2pi4", "Aprime_inv", "exp_factor",
                           "v1_minus_e_pow", "dV_inv", "coupling_sq"}
     assert width == -(parts["h2pi4"] * parts["Aprime_inv"] * parts["exp_factor"]
@@ -84,17 +84,17 @@ def test_width_h_structure():
     def scale_free(h):
         width, _ = width_from_parts(h, 1.3, 0.7, 0.9, 2.1, 0.8, 0.4)
         return width / (h * h * math.exp(-2.0 * 0.7 / h))
-    assert scale_free(0.1) == pytest.approx(scale_free(0.23), rel=1e-12)
+    assert scale_free(0.1) == pytest.approx(scale_free(0.23), rel=1e-12, abs=0.0)
 
 
 def test_width_values_on_reference_instance(coupled):
     w14, _ = width_leading(coupled, 0.14, 1.1942460899046365)
-    assert w14 == pytest.approx(-6.886730309522242e-10, rel=1e-10)
+    assert w14 == pytest.approx(-6.886730309522242e-10, rel=1e-10, abs=0.0)
     w10, parts = width_leading(coupled, 0.1, 1.112094553022075)
-    assert w10 == pytest.approx(-2.0100765131147077e-14, rel=1e-10)
+    assert w10 == pytest.approx(-2.0100765131147077e-14, rel=1e-10, abs=0.0)
     assert w10 < 0
     assert parts["exp_factor"] == pytest.approx(
-        math.exp(-2.0 * agmon_distance(coupled, 1.112094553022075) / 0.1), rel=1e-12)
+        math.exp(-2.0 * agmon_distance(coupled, 1.112094553022075) / 0.1), rel=1e-12, abs=0.0)
 
 
 def test_width_coupling_square_scaling():
@@ -106,7 +106,7 @@ def test_width_coupling_square_scaling():
     w2, _ = width_leading(double, 0.1, e_k)
     w17, _ = width_leading(scaled, 0.1, e_k)
     assert w2 / w1 == 4.0  # doubling the coupling scales the width exactly
-    assert w17 / w1 == pytest.approx(1.7 ** 2, rel=1e-15)
+    assert w17 / w1 == pytest.approx(1.7 ** 2, rel=1e-15, abs=0.0)
 
 
 def test_width_degenerate_energy_raises(coupled):
@@ -316,7 +316,7 @@ def test_transition_elements_identity(coupled):
     coupling = cd.r0_at_0 + cd.r1_at_0 * math.sqrt(v1me)
     expected = (h * math.pi * math.exp(ph.b1 + ph.b2 - ph.a1 - ph.a2)
                 / math.sqrt(v1me) / cd.slope_gap * coupling ** 2)
-    assert abs(t.t23 * t.t32) == pytest.approx(expected, rel=1e-12)
+    assert abs(t.t23 * t.t32) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_transition_elements_structure(coupled, decoupled):
@@ -342,11 +342,11 @@ def test_quantization_residual_at_level(coupled):
     hf = (h * (math.pi / 4.0) * math.exp(-2.0 * ph.a1 - 2.0 * ph.a2)
           / math.sqrt(v1me) / cd.slope_gap * (cd.r0_at_0 ** 2))
     # k = 3 is odd, so sin(A/h) = -1 there and the residual is +i hf
-    assert res.value.imag == pytest.approx(hf, rel=1e-9)
+    assert res.value.imag == pytest.approx(hf, rel=1e-9, abs=0.0)
     assert abs(res.value.real) <= 1e-11
     assert res.dvalue_dE.imag == 0.0
     assert res.dvalue_dE.real == pytest.approx(
-        action_and_derivative(coupled, e_k)[1] / h, rel=1e-9)
+        action_and_derivative(coupled, e_k)[1] / h, rel=1e-9, abs=0.0)
 
 
 def test_quantization_residual_derivative_consistency(coupled):
@@ -356,10 +356,10 @@ def test_quantization_residual_derivative_consistency(coupled):
     plus = quantization_residual(coupled, e0 + d, h)
     minus = quantization_residual(coupled, e0 - d, h)
     fd = (plus.value - minus.value) / (2.0 * d)
-    assert base.dvalue_dE == pytest.approx(fd, rel=1e-6)
+    assert base.dvalue_dE == pytest.approx(fd, rel=1e-6, abs=0.0)
     # imaginary displacements enter through the same linearization
     up = quantization_residual(coupled, e0 + 1e-8j, h)
-    assert (up.value - base.value) / 1e-8j == pytest.approx(base.dvalue_dE, rel=1e-6)
+    assert (up.value - base.value) / 1e-8j == pytest.approx(base.dvalue_dE, rel=1e-6, abs=0.0)
 
 
 def test_solve_quantization_matches_width_formula(coupled):
@@ -370,9 +370,9 @@ def test_solve_quantization_matches_width_formula(coupled):
     ):
         res = solve_quantization(coupled, h, k)
         assert res.k == k
-        assert res.level == pytest.approx(level, rel=1e-12)
+        assert res.level == pytest.approx(level, rel=1e-12, abs=0.0)
         assert res.offset.real == 0.0  # the real part must not move
-        assert res.width == pytest.approx(width, rel=1e-9)
+        assert res.width == pytest.approx(width, rel=1e-9, abs=0.0)
         assert abs(res.residual) <= res.residual_tol
         assert res.energy == res.level + res.offset
 
@@ -399,7 +399,7 @@ def test_solve_quantization_is_the_closed_form(coupled):
         assert res.offset.real == 0.0
         assert abs(res.residual) <= res.residual_tol
     assert hf > 0.5
-    assert res.width / w == pytest.approx(math.atanh(hf) / hf, rel=1e-14)
+    assert res.width / w == pytest.approx(math.atanh(hf) / hf, rel=1e-14, abs=0.0)
     too_strong = PotentialSystem.from_strings(V1_WELL, V2_TAIL, r0="3e5", r1="0")
     with pytest.raises(NewtonDivergence, match="hF"):
         solve_quantization(too_strong, 0.2, 1)

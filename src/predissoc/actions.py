@@ -147,7 +147,13 @@ def action_and_derivative(sys: PotentialSystem, E):
     array of energies is done in one pass and gives two arrays.
     """
     energies, scalar = _rows(E)
-    a, b = find_well_endpoints(sys, energies)
+    a_val, a_prime = _well_integrals(sys, energies, *find_well_endpoints(sys, energies))
+    return _unrow(a_val, scalar), _unrow(a_prime, scalar)
+
+
+def _well_integrals(sys: PotentialSystem, energies, a, b):
+    """(A, A') of each row of ``energies`` from its well endpoints a and b:
+    one evaluation of v1 at the 2N-node rule of the two halves of [a, b]."""
     mid = 0.5 * (a + b)
     halves = (_mapped_rule(a, mid, 2 * GL_NODES, "lo"),
               _mapped_rule(mid, b, 2 * GL_NODES, "hi"))
@@ -157,7 +163,7 @@ def action_and_derivative(sys: PotentialSystem, E):
     for (_, ws, ss), gap in zip(halves, gaps):
         a_val += np.sum(ws * _sqrt_clip(gap) * 2.0 * ss, axis=1)
         a_prime += np.sum(ws * (0.5 / np.sqrt(np.maximum(gap, 1e-300))) * 2.0 * ss, axis=1)
-    return _unrow(a_val, scalar), _unrow(a_prime, scalar)
+    return a_val, a_prime
 
 
 def action(sys: PotentialSystem, E):

@@ -279,10 +279,14 @@ def pin_level_h(sys: PotentialSystem, e_star: float, k_range) -> list[float]:
     Inverts the quantization condition in h: h_k = A(E*) / ((k+1/2) pi).
     A level k < 0 does not exist, and raises ValueError.
     """
+    return _pinned_h(action(sys, e_star), k_range)
+
+
+def _pinned_h(a_star: float, k_range) -> list[float]:
+    """:func:`pin_level_h` from the action A(E*) = ``a_star``."""
     ks = sorted(k_range)
     if ks and ks[0] < 0:
         raise ValueError(f"level index k = {ks[0]} is negative")
-    a_star = action(sys, e_star)
     return [a_star / ((k + 0.5) * math.pi) for k in ks]
 
 
@@ -333,21 +337,22 @@ def run_scan(sys: PotentialSystem, window: EnergyWindow,
              disc: DiscretizationConfig, ks) -> ScanResult:
     """Pin each level k of ``ks`` at E* = ``window.e_ref`` and compare it there.
 
-    For each k, in ascending order (so descending in h), h comes from
+    For each k, in ascending order (so descending in h), h is that of
     :func:`pin_level_h`, and the solver's one-level solve compares level k
     alone, inside ``window``; its record is the row.  Pinned, every level
-    sits at e_k = E* exactly, so the estimates share A'(E*), S(E*) (the
-    ``s_target`` of the fit) and the crossing data, each computed once:
-    only h changes from row to row, as in the solves, which share their
-    h-independent work too.  A level whose estimate fails logs a WARNING
+    sits at e_k = E* exactly, so the estimates share A'(E*) (from the one
+    well pass that also gives the h values), S(E*) (the ``s_target`` of
+    the fit) and the crossing data, each computed once: only h changes
+    from row to row, as in the solves, which share their h-independent
+    work too.  A level whose estimate fails logs a WARNING
     with k, E* and the reason, and has no row.  The width-law slope is
     fitted when enough rows were accepted (and left NaN otherwise).
     """
     e_star = window.e_ref
     ks = sorted(ks)
-    hs = pin_level_h(sys, e_star, ks)
+    a_star, a_prime = action_and_derivative(sys, e_star)
+    hs = _pinned_h(a_star, ks)
     s_target = agmon_distance(sys, e_star)
-    a_prime = action_and_derivative(sys, e_star)[1]
     crossing = crossing_data(sys)
     estimates = []
     for k, h in zip(ks, hs):

@@ -89,8 +89,9 @@ K_START = 24
 #: ``IM_REL_TOL`` of itself.  It has reached its roundoff floor when the
 #: last three changes of Im lambda alternate in sign and the last sets no
 #: new low, that low being below ``FLOOR_GATE`` of Im lambda: while it
-#: converges, Im lambda ends up moving one way.  It stops after
-#: ``MAX_SOLVES`` solves in any case.
+#: converges, Im lambda ends up moving one way.  There the last three
+#: iterates alternate around the value, and their mean is the eigenvalue.
+#: It stops after ``MAX_SOLVES`` solves in any case.
 IM_REL_TOL = 1e-9
 FLOOR_GATE = 1e-2
 MAX_SOLVES = 40
@@ -605,7 +606,9 @@ def _level_eigenpair(ham: HamiltonianMatrix, sigma: float):
     roundoff of O(1) imaginary parts, the floor of a complex Krylov solve.
     Im lambda converges after Re lambda, so the stop reads Im lambda's own
     relative change; a stop on |delta lambda| would end while Im lambda is
-    still wrong.  The solve works in the band's channel-interleaved order.
+    still wrong.  At the roundoff floor the eigenvalue is the mean of the
+    last three iterates, which alternate around it.  The solve works in the
+    band's channel-interleaved order.
     The ``eigensolve:`` DEBUG line gives the solve count, ``factor_s`` and
     ``solve_s``, the last relative change of Im lambda, the stop and, for a
     band, the factor's ``fill``.
@@ -623,10 +626,12 @@ def _level_eigenpair(ham: HamiltonianMatrix, sigma: float):
         weight, x = (v.reshape(2, -1).T.ravel() for v in (weight, x))
     nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=complex)
     lam, deltas, change, low, stop = None, (0.0, 0.0), math.inf, math.inf, "cap"
+    recent = []
     began = time.perf_counter()
     for solves in range(1, MAX_SOLVES + 1):
         y = solve(x)
         previous, lam = lam, sigma + 1.0 / (np.sum(weight * x * y) / np.sum(weight * x * x))
+        recent = [*recent[-2:], lam]
         x = y / nrm2(y)
         if previous is None:
             continue
@@ -637,7 +642,7 @@ def _level_eigenpair(ham: HamiltonianMatrix, sigma: float):
             break
         alternating = delta * deltas[1] < 0.0 and deltas[1] * deltas[0] < 0.0
         if alternating and low <= change and low < FLOOR_GATE:
-            stop = "floor"
+            stop, lam = "floor", sum(recent) / 3.0
             break
         deltas = deltas[1], delta
         low = min(low, change)

@@ -26,15 +26,17 @@ leading width w: the refined width is w artanh(hF)/hF.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import action, action_and_derivative, agmon_distance, phase_integrals
+from .actions import _well_integrals, action_and_derivative, agmon_distance, phase_integrals
 from .errors import DegenerateEnergy, NewtonDivergence, PredissocError
 from .potentials import CrossingData, EnergyWindow, PotentialSystem, crossing_data
-from .turning_points import ENERGY_MARGIN, _bracketed_newton, _scan_grid
+from .turning_points import (ENERGY_MARGIN, ROOT_XTOL, _bracketed_newton, _scan_grid,
+                             _warm_well_endpoints, find_well_endpoints)
 
 __all__ = [
     "ResonanceEstimate",
@@ -49,6 +51,16 @@ __all__ = [
     "quantization_residual",
     "solve_quantization",
 ]
+
+
+logger = logging.getLogger("predissoc.spectrum")
+
+#: a level whose Newton step falls to this searches its turning points cold
+#: on its next sweep, which should be its last (the step after it is about
+#: WARM_STEP^2); a longer step warm-starts them from the previous iterate's
+WARM_STEP = 1e-7
+#: a level ends on a cold evaluation whose Newton step is within this
+LEVEL_XTOL = 1e-14
 
 
 def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
@@ -69,23 +81,73 @@ def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
     return lo, hi
 
 
-def _solve_levels(sys, targets, lo, hi, a_lo, a_hi):
+def _solve_levels(sys, targets, lo, hi, ends):
     """Invert the (strictly increasing) action: A(e_i) = targets[i] on [lo, hi].
 
-    All rows run the one root kernel (``turning_points._bracketed_newton``)
-    with A' as the exact derivative, started at the linear interpolation of
-    A over [lo, hi]; each sweep takes A and A' of every row still running
-    from one call.  Returns arrays (e, A'), each row's A' taken at its last
-    evaluated iterate, within ROOT_XTOL of e.
+    ``ends`` is ``action_and_derivative`` at [lo, hi].  All rows run the one
+    root kernel (``turning_points._bracketed_newton``) with A' as the exact
+    derivative, started at the inverse cubic Hermite interpolant of E(A)
+    through A and dE/dA = 1/A' at the ends; each sweep takes A and A' of
+    every row it evaluates from one quadrature pass.
+
+    A row searches its turning points cold (``find_well_endpoints``) on its
+    first sweep and on a sweep after a warm one that moved it by at most
+    WARM_STEP, which should be its last; every other sweep starts them from
+    the row's previous ones (``turning_points._warm_well_endpoints``).  A row
+    that the kernel stops on a warm sweep, or whose last Newton step
+    exceeds LEVEL_XTOL, is evaluated cold once more at its Newton update,
+    within the next sweep's search or after the kernel.  Returns arrays
+    (e, A'): each row's last evaluated iterate and A' there, bit for bit
+    that of ``action_and_derivative``.
     """
     targets = np.asarray(targets, dtype=float)
-    e = np.minimum(np.maximum(lo + (hi - lo) * (targets - a_lo) / (a_hi - a_lo), lo), hi)
+    (a_lo, a_hi), (d_lo, d_hi) = ends
+    span = a_hi - a_lo
+    t = (targets - a_lo) / span
+    e = ((1 - t) ** 2 * ((1 + 2 * t) * lo + t * span / d_lo)
+         + t * t * ((3 - 2 * t) * hi - (1 - t) * span / d_hi))
+    e = np.minimum(np.maximum(e, lo), hi)
+    last, a, b, a_prime, ahead = (np.full(e.shape, np.nan) for _ in range(5))
+    warm_last, settled = np.zeros(e.shape, bool), np.zeros(e.shape, bool)
+
+    def stopped_to_redo(running):
+        """Settle the rows the kernel has stopped, all but ``running``;
+        return those that need a cold evaluation at their Newton update,
+        which becomes their iterate."""
+        done = ~settled
+        done[running] = False
+        done = np.flatnonzero(done)
+        settled[done] = True
+        redo = done[warm_last[done] | (np.abs(ahead[done] - last[done]) > LEVEL_XTOL)]
+        last[redo] = ahead[redo]
+        return redo
 
     def fdf(x, rows):
-        a_val, slope = action_and_derivative(sys, x)
-        return a_val - targets[rows], slope
-    return _bracketed_newton(fdf, e, np.full_like(e, lo), np.full_like(e, hi),
-                             np.zeros(e.shape, bool))
+        redo = stopped_to_redo(rows)
+        step = np.abs(x - last[rows])  # NaN on a row's first sweep
+        warm = ~(np.isnan(step) | (warm_last[rows] & (step <= WARM_STEP)))
+        at, energies = np.concatenate([rows, redo]), np.concatenate([x, last[redo]])
+        cold = np.concatenate([~warm, np.ones(redo.size, bool)])
+        if warm.any():
+            w = rows[warm]
+            a[w], b[w] = _warm_well_endpoints(sys, x[warm], a[w], b[w], last[w])
+        if cold.any():
+            a[at[cold]], b[at[cold]] = find_well_endpoints(sys, energies[cold])
+        last[rows] = x
+        a_val, a_prime[at] = _well_integrals(sys, energies, a[at], b[at])
+        warm_last[at] = ~cold
+        fx = a_val[:x.size] - targets[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = fx / a_prime[rows]
+        # the kernel's own update when it is a short Newton step (a row
+        # stops on no other), else the iterate itself
+        ahead[rows] = np.where(np.abs(newton) <= ROOT_XTOL, x - newton, x)
+        return fx, a_prime[rows]
+    _bracketed_newton(fdf, e, np.full_like(e, lo), np.full_like(e, hi), np.zeros(e.shape, bool))
+    redo = stopped_to_redo(np.arange(0))
+    if redo.size:
+        a_prime[redo] = action_and_derivative(sys, last[redo])[1]
+    return last, a_prime
 
 
 def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
@@ -93,27 +155,35 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
     """All (k, e_k) with A(e_k) = (k + 1/2) pi h and e_k in the window.
 
     The window is first clamped to energies at which the well exists (and
-    stays below the barrier top when there is one); a window entirely
-    outside that range yields an empty list.  All levels are solved
-    together (see ``_solve_levels``); when that raises, they are solved one
-    at a time in k order, so the first level that fails raises its own
-    error.  The private ``_with_slope`` makes each entry (k, e_k, A'(e_k)),
-    the slope from the level solve, at its last iterate.
+    stays below the barrier top when there is one).  A window entirely
+    outside that range, or one in which no (k + 1/2) pi h lies between the
+    actions at its ends, yields an empty list and logs one WARNING that
+    says which, with the ranges.  All levels are solved together (see
+    ``_solve_levels``); when that raises, they are solved one at a time in
+    k order, so the first level that fails raises its own error.  The
+    private ``_with_slope`` makes each entry (k, e_k, A'(e_k)).
     """
     range_lo, range_hi = _well_energy_range(sys)
     lo = max(window.lo, range_lo)
     hi = min(window.hi, range_hi)
     if hi <= lo:
+        logger.warning("no level: the window [%.10g, %.10g] misses the well's energy "
+                       "range [%.10g, %.10g]", window.lo, window.hi, range_lo, range_hi)
         return []
-    a_lo, a_hi = action(sys, np.array([lo, hi])).tolist()
+    ends = action_and_derivative(sys, np.array([lo, hi]))
+    a_lo, a_hi = ends[0].tolist()
     k_min = math.ceil(a_lo / (math.pi * h) - 0.5 - 1e-12)
     k_max = math.floor(a_hi / (math.pi * h) - 0.5 + 1e-12)
     ks = np.arange(max(k_min, 0), k_max + 1)
+    if not ks.size:
+        logger.warning("no level: no (k + 1/2) pi h at h=%.10g lies between A(%.10g) = %.10g "
+                       "and A(%.10g) = %.10g", h, lo, a_lo, hi, a_hi)
+        return []
     targets = (ks + 0.5) * math.pi * h
     try:
-        e_k, a_prime = _solve_levels(sys, targets, lo, hi, a_lo, a_hi)
+        e_k, a_prime = _solve_levels(sys, targets, lo, hi, ends)
     except PredissocError:
-        e_k, a_prime = np.concatenate([_solve_levels(sys, targets[i:i + 1], lo, hi, a_lo, a_hi)
+        e_k, a_prime = np.concatenate([_solve_levels(sys, targets[i:i + 1], lo, hi, ends)
                                        for i in range(ks.size)], axis=1)
     rows = zip(ks.tolist(), e_k.tolist(), a_prime.tolist())
     return [row if _with_slope else row[:2] for row in rows]
@@ -353,14 +423,14 @@ def solve_quantization(sys: PotentialSystem, h: float, k: int) -> RefinedResonan
     vanishing coupling F = 0 and the solution is the level itself, exactly.
     """
     lo, hi = _well_energy_range(sys)
-    a_lo, a_hi = action(sys, np.array([lo, hi])).tolist()
+    ends = action_and_derivative(sys, np.array([lo, hi]))
+    a_lo, a_hi = ends[0].tolist()
     target = (k + 0.5) * math.pi * h
     if not a_lo <= target <= a_hi:
         raise NewtonDivergence(
             f"level k={k} has no Bohr-Sommerfeld solution in ({lo!r}, {hi!r})"
         )
-    e_k = float(_solve_levels(sys, [target], lo, hi, a_lo, a_hi)[0][0])
-    a_prime = action_and_derivative(sys, e_k)[1]
+    e_k, a_prime = (float(q[0]) for q in _solve_levels(sys, [target], lo, hi, ends))
     hf = -width_leading(sys, h, e_k, a_prime)[0] * a_prime / h
     if not hf < 1.0:
         raise NewtonDivergence(f"level k={k}: hF = {hf!r} >= 1, the "

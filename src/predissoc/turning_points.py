@@ -101,21 +101,25 @@ def _scan_grid(expr: AnalyticExpr, part: str = "full"):
     return xs, np.broadcast_to(vals, xs.shape)  # a read-only view
 
 
-def _scan_brackets(vals, xs):
-    """Brackets of the roots of sampled functions, one function per row.
+def _scan_brackets(v_grid, energies):
+    """Brackets of the roots of v - E on the scan grid, one row per energy.
 
-    ``vals`` has shape (K, len(xs)).  Returns arrays (rows, lo, hi), ordered
-    by row and left to right within a row.  A sign change between
-    neighbours brackets that pair; an exact zero at ``xs[i]`` (the last
-    sample excepted) brackets ``(xs[i-1], xs[i+1])``, clamped at the left
-    end, and suppresses the pair test at ``i``.
+    ``v_grid`` holds the values of v on the grid xs.  Returns index arrays
+    (rows, cells), ordered by row and left to right within a row: each root
+    lies in the grid cell [xs[cell], xs[cell + 1]].  A sign change of v - E
+    between neighbours brackets that cell; an exact zero at ``xs[i]`` (the
+    last sample excepted) brackets the cell it starts, and its products
+    with its neighbours are no sign change.  Only the cells whose range of
+    v meets [min E, max E] are scanned: no other cell brackets a root.
     """
-    left, right = vals[:, :-1], vals[:, 1:]
-    zero = left == 0.0
+    cell_lo = np.minimum(v_grid[:-1], v_grid[1:])
+    cell_hi = np.maximum(v_grid[:-1], v_grid[1:])
+    cells = np.flatnonzero((cell_lo <= np.fmax.reduce(energies, initial=-np.inf))
+                           & (cell_hi >= np.fmin.reduce(energies, initial=np.inf)))
+    left, right = (v_grid[i] - energies[:, None] for i in (cells, cells + 1))
     with np.errstate(over="ignore"):  # an overflowed product keeps its sign
-        rows, idx = np.nonzero(zero | (left * right < 0))
-    lo = np.where(zero[rows, idx], xs[np.maximum(idx - 1, 0)], xs[idx])
-    return rows, lo, xs[idx + 1]
+        rows, cols = np.nonzero((left == 0.0) | (left * right < 0))
+    return rows, cells[cols]
 
 
 def _bracketed_newton(fdf, x, lo, hi, lo_positive):
@@ -137,7 +141,7 @@ def _bracketed_newton(fdf, x, lo, hi, lo_positive):
     rows = np.arange(x.size)
     for _ in range(MAX_SWEEPS):
         if not rows.size:
-            return roots, slopes
+            break
         fx, d = fdf(x, rows)
         slopes[rows] = d
         moves_lo = (fx > 0) == lo_positive
@@ -152,18 +156,37 @@ def _bracketed_newton(fdf, x, lo, hi, lo_positive):
         roots[rows] = np.where(hit, x, cand)
         running = ~(hit | (np.abs(cand - x) <= ROOT_XTOL) | (hi - lo <= ROOT_XTOL))
         x, lo, hi, lo_positive, rows = (q[running] for q in (cand, lo, hi, lo_positive, rows))
-    raise NewtonDivergence(f"root search still running after {MAX_SWEEPS} sweeps "
-                           f"at x={float(x[0])!r}")
+    if rows.size:
+        raise NewtonDivergence(f"root search still running after {MAX_SWEEPS} sweeps "
+                               f"at x={float(x[0])!r}")
+    return roots, slopes
 
 
-def _refine_root(v, dv, level, lo, hi):
-    """Roots of v(x) = level[i] in the sign-change brackets [lo[i], hi[i]],
-    by the kernel from each bracket midpoint with the exact derivative dv."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+def _refine_root(v, dv, level, xs, cells, f_lo, f_hi, start=None):
+    """Roots of v(x) = level[j] in the scan-grid cells [xs[cells[j]],
+    xs[cells[j] + 1]], at whose ends v - level[j] is f_lo[j] and f_hi[j]: of
+    opposite signs, or f_lo[j] = 0.  Each root is found by the kernel with
+    the exact derivative dv, from ``start[j]`` clipped into its cell, by
+    default the cell's secant point (its left end at a zero there).
+    Returns the kernel's (roots, slopes).
+    """
+    lo, hi = xs[cells], xs[cells + 1]
+    if start is None:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            start = np.where(f_lo == 0.0, lo, lo + (hi - lo) * (f_lo / (f_lo - f_hi)))
 
     def fdf(x, rows):
         return np.real(v(x)) - level[rows], np.real(dv(x))
-    return _bracketed_newton(fdf, 0.5 * (lo + hi), lo, hi, np.real(v(lo)) - level > 0)[0]
+    return _bracketed_newton(fdf, np.clip(start, lo, hi), lo, hi, f_lo > 0)
+
+
+def _grid_roots(v, dv, energies, xs, v_grid, rows, cells):
+    """The roots of the brackets (rows, cells) that :func:`_scan_brackets`
+    found for v = energies on the grid xs, from their secant points."""
+    level = energies[rows]
+    roots, _ = _refine_root(v, dv, level, xs, cells, v_grid[cells] - level,
+                            v_grid[cells + 1] - level)
+    return roots
 
 
 def find_well_endpoints(sys: PotentialSystem, E):
@@ -181,15 +204,15 @@ def find_well_endpoints(sys: PotentialSystem, E):
     below = energies < vmin
     degenerate = ((np.abs(energies - vmin) <= ENERGY_MARGIN)
                   | (np.abs(energies - v10) <= ENERGY_MARGIN))
-    rows, lo, hi = _scan_brackets(v1g - energies[:, None], xs)
+    rows, cells = _scan_brackets(v1g, energies)
     counts = np.bincount(rows, minlength=energies.size)
     good = (counts == 2) & ~below & ~degenerate
     pairs = good[rows]
-    level = np.repeat(energies[good], 2)
     roots = np.full((energies.size, 2), np.nan)
-    roots[good] = _refine_root(sys.v1, sys.dv1, level, lo[pairs], hi[pairs]).reshape(-1, 2)
+    roots[good] = _grid_roots(sys.v1, sys.dv1, energies, xs, v1g, rows[pairs],
+                              cells[pairs]).reshape(-1, 2)
     resid = np.zeros_like(roots)
-    resid[good] = (np.real(sys.v1(roots[good].ravel())) - level).reshape(-1, 2)
+    resid[good] = np.real(sys.v1(roots[good])) - energies[good, None]
     bad_root = np.abs(resid) > RESIDUAL_TOL
 
     def root_error(j):
@@ -208,21 +231,46 @@ def find_well_endpoints(sys: PotentialSystem, E):
     return _unrow(roots[:, 0], scalar), _unrow(roots[:, 1], scalar)
 
 
+def _warm_well_endpoints(sys: PotentialSystem, energies, a, b, e_prev):
+    """The well endpoints at each row of ``energies``, from the row's
+    endpoints a and b at a nearby energy ``e_prev``, without a scan.
+
+    Each root starts at root + (E - e_prev)/v1'(root) inside the scan-grid
+    cell that holds it.  A row whose two cells no longer bracket v1 = E is
+    searched cold by :func:`find_well_endpoints`; the others skip its
+    checks, which the search at ``e_prev`` passed.
+    """
+    xs, v1g = _scan_grid(sys.v1)
+    roots = np.stack([a, b], axis=1)
+    cells = np.clip(np.searchsorted(xs, roots, side="right") - 1, 0, xs.size - 2)
+    f_lo, f_hi = (v1g[i] - energies[:, None] for i in (cells, cells + 1))
+    with np.errstate(over="ignore"):  # as in _scan_brackets
+        warm = np.all((f_lo == 0.0) | (f_lo * f_hi < 0), axis=1)
+    if warm.any():
+        with np.errstate(divide="ignore"):  # a zero slope's start is clipped
+            start = roots[warm] + (energies - e_prev)[warm, None] / np.real(sys.dv1(roots[warm]))
+        roots[warm] = _refine_root(
+            sys.v1, sys.dv1, np.repeat(energies[warm], 2), xs, cells[warm].ravel(),
+            f_lo[warm].ravel(), f_hi[warm].ravel(), start.ravel())[0].reshape(-1, 2)
+    if not warm.all():
+        roots[~warm] = np.stack(find_well_endpoints(sys, energies[~warm]), axis=1)
+    return roots[:, 0], roots[:, 1]
+
+
 def _exit_root(sys: PotentialSystem, E, falling: bool = False):
     """The one solution c > 0 of v2(x) = E, whichever way v2 crosses it;
     with ``falling``, v2 must decrease through it (else NoExit)."""
     energies, scalar = _rows(E)
     xs, v2g = _scan_grid(sys.v2, "right")
-    vals = v2g - energies[:, None]
-    rows, lo, hi = _scan_brackets(vals, xs)
+    rows, cells = _scan_brackets(v2g, energies)
     # an exact zero at the crossing x = 0 brackets (0, xs[1]) but is no c > 0
-    keep = (hi != xs[1]) | (vals[rows, 0] != 0.0)
-    rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    keep = (cells > 0) | (v2g[0] != energies[rows])
+    rows, cells = rows[keep], cells[keep]
     counts = np.bincount(rows, minlength=energies.size)
     good = counts == 1
     one = good[rows]
     c = np.full(energies.size, np.nan)
-    c[good] = _refine_root(sys.v2, sys.dv2, energies[good], lo[one], hi[one])
+    c[good] = _grid_roots(sys.v2, sys.dv2, energies, xs, v2g, rows[one], cells[one])
     resid = np.zeros_like(c)
     resid[good] = np.real(sys.v2(c[good])) - energies[good]
     x_max = DEFAULT_X_RANGE[1]
@@ -258,13 +306,12 @@ def barrier_points(sys: PotentialSystem, E):
     """
     energies, scalar = _rows(E)
     xs, v1g = _scan_grid(sys.v1, "left")
-    rows, lo, hi = _scan_brackets(v1g - energies[:, None], xs)
+    rows, cells = _scan_brackets(v1g, energies)
     counts = np.bincount(rows, minlength=energies.size)
     good = counts > 0
-    last = np.zeros(rows.shape, bool)
-    last[np.cumsum(counts)[good] - 1] = True  # the rightmost bracket of each row
+    last = np.cumsum(counts)[good] - 1  # the rightmost bracket of each row
     b = np.full(energies.size, np.nan)
-    b[good] = _refine_root(sys.v1, sys.dv1, energies[good], lo[last], hi[last])
+    b[good] = _grid_roots(sys.v1, sys.dv1, energies, xs, v1g, rows[last], cells[last])
     slope = np.ones_like(b)
     slope[good] = np.real(sys.dv1(b[good]))
     # the rows before the first failed b search their exit points first, as

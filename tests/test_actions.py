@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predissoc import (
@@ -83,14 +83,21 @@ def test_one_pass_equals_separate_quadratures(name):
 
 
 FD_STEP = 1e-6
+#: roundoff of a well quadrature, in ulps of A
+ROUNDOFF_ULPS = 8
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 @settings(max_examples=100, deadline=None)
 @given(u=st.floats(0.0, 1.0), gap=st.floats(1e-9, 1.0))
+@example(u=0.9999999999999999, gap=1.0)  # e2 one ulp above e1
 def test_well_pass_properties(name, u, gap):
-    """At energies inside the well range: A increases strictly, A' > 0 and
-    matches a central difference of A, and v1 = E at the well endpoints."""
+    """At energies inside the well range: A increases, strictly once
+    A' (e2 - e1) exceeds ROUNDOFF_ULPS ulps of A and by no more than that
+    below, A' > 0 and matches a central difference of A, and v1 = E at the
+    well endpoints.  The clamp of u + gap at 1 gives one-ulp gaps in e,
+    where A's quadrature roundoff (up to ~6 ulps of A in the upper part of
+    the range, measured) outweighs its increase."""
     sys_ = INSTANCES[name]
     lo, hi = _well_energy_range(sys_)
     lo, hi = lo + FD_STEP, hi - FD_STEP
@@ -98,8 +105,11 @@ def test_well_pass_properties(name, u, gap):
     e2 = lo + min(u + gap, 1.0) * (hi - lo)
     a1, a_prime = action_and_derivative(sys_, e1)
     assert a_prime > 0
-    if e2 > e1:
+    roundoff = ROUNDOFF_ULPS * math.ulp(a1)
+    if a_prime * (e2 - e1) > roundoff:
         assert action(sys_, e2) > a1
+    elif e2 > e1:
+        assert action(sys_, e2) >= a1 - roundoff
     fd = (action(sys_, e1 + FD_STEP) - action(sys_, e1 - FD_STEP)) / (2.0 * FD_STEP)
     assert a_prime == pytest.approx(fd, rel=1e-6, abs=0.0)
     for root in find_well_endpoints(sys_, e1):

@@ -28,7 +28,7 @@ from predissoc import (
     run_command,
     run_scan,
 )
-from predissoc import spectrum
+from predissoc import actions, runner, spectrum
 from predissoc.errors import BarrierViolation, ConfigError, InsufficientData
 from predissoc.runner import _KEYS, main
 
@@ -466,6 +466,24 @@ def test_run_scan_pins_each_k_in_ascending_order(shallow):
     h_pinned = pin_level_h(shallow, 1.3, [6, 7, 8])
     assert [(r.k, r.h) for r in scan.rows] == list(zip([6, 7, 8], h_pinned))
     assert scan.rows == run_scan(shallow, window, disc, [6, 7, 8]).rows
+
+
+def test_a_scan_takes_one_well_action(shallow, monkeypatch):
+    """run_scan takes A(E*), which pins the h values, and A'(E*), which
+    every width uses, from one action_and_derivative call; its h values are
+    pin_level_h's bit for bit."""
+    calls = []
+    original = actions.action_and_derivative
+
+    def counted(sys_, energy):
+        calls.append(energy)
+        return original(sys_, energy)
+    for module in (actions, runner):
+        monkeypatch.setattr(module, "action_and_derivative", counted)
+    disc = DiscretizationConfig(x_min=-11.0, x_max=14.0, n=200, theta=0.25)
+    scan = run_scan(shallow, EnergyWindow(1.3, 0.2), disc, [6, 7, 8])
+    assert calls == [1.3]
+    assert [r.h for r in scan.rows] == pin_level_h(shallow, 1.3, [6, 7, 8])
 
 
 def test_each_scan_row_solves_one_eigenpair(shallow, caplog):

@@ -25,7 +25,7 @@ from predissoc import (
     width_from_parts,
     width_leading,
 )
-from predissoc import actions, spectrum
+from predissoc import actions, spectrum, turning_points
 from predissoc.errors import DegenerateEnergy, EmptyInterval, NewtonDivergence, PredissocError
 
 from conftest import V1_SHALLOW, V1_WELL, V2_SHALLOW, V2_TAIL
@@ -151,35 +151,90 @@ def test_estimates_match_pinned_values(name, fixture, request):
 
 def test_estimates_make_one_semiclassical_pass_per_level(coupled, monkeypatch):
     """Per window, not per level: each Newton sweep of the level solve
-    searches the turning points of all its levels once, one more search
-    gives the actions at the window ends, and one Agmon pass serves every
-    width and s_at_ek.  The sweep count stays that of one level's solve as
-    the level count grows sevenfold."""
+    takes A and A' of all its levels from one quadrature pass, the cold
+    turning-point searches are the first and the last sweep plus the one at
+    the window ends, and one Agmon pass serves every width and s_at_ek.  The
+    sweep count stays that of one level's solve as the level count grows
+    sevenfold.  On this window, the formula-width benchmark's, a call scans
+    the turning-point grid at most 5 times (the window ends, the level
+    solve's first and last sweeps, the Agmon pass's b and c) and runs at
+    most 22 root-kernel sweeps, the level solve's included: secant starts
+    for the grid brackets, a Hermite start for the levels and warm turning
+    points in between."""
     counts = {}
 
-    def counting(module, name):
+    def counting(module, name, key=None):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[key or name] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
+    def counted_kernel(fdf, *args):
+        def counted_fdf(x, rows):
+            counts["kernel_sweeps"] += 1
+            return fdf(x, rows)
+        return kernel(counted_fdf, *args)
+
+    kernel = turning_points._bracketed_newton
+    for module in (turning_points, spectrum):
+        monkeypatch.setattr(module, "_bracketed_newton", counted_kernel)
+    counting(turning_points, "_scan_brackets", "scans")
     counting(actions, "find_well_endpoints")
-    counting(spectrum, "action_and_derivative")  # one call per Newton sweep
+    counting(spectrum, "find_well_endpoints")
+    counting(spectrum, "_well_integrals", "sweeps")  # one call per Newton sweep
     counting(spectrum, "agmon_distance")
     counting(spectrum, "width_leading")
     for h, levels in ((0.14, 3), (0.02, 21)):
         counts.update(dict.fromkeys(
-            ("find_well_endpoints", "action_and_derivative", "agmon_distance",
+            ("scans", "kernel_sweeps", "find_well_endpoints", "sweeps", "agmon_distance",
              "width_leading"), 0))
         estimates, skipped = resonance_estimates(coupled, h, EnergyWindow(1.2, 0.4))
         assert skipped == [] and len(estimates) == levels
-        sweeps = counts["action_and_derivative"]
-        assert sweeps <= 5
-        assert counts["find_well_endpoints"] <= sweeps + 1
+        assert counts["sweeps"] <= 3
+        assert counts["find_well_endpoints"] <= counts["sweeps"]
+        assert counts["scans"] <= 5
+        assert counts["kernel_sweeps"] <= 22
         assert counts["agmon_distance"] == 1
         assert counts["width_leading"] == levels
+
+
+@pytest.mark.parametrize("name, window", [("reference", (1.2, 0.4)), ("shallow", (1.3, 0.2))])
+def test_every_width_takes_a_prime_at_its_level(name, window):
+    """Each estimate's width is width_leading at its own e_k bit for bit:
+    the level solve ends every level on a cold evaluation at e_k, so the A'
+    it hands on is A'(e_k), not that of a neighbouring iterate."""
+    sys_ = INSTANCES[name]
+    checked = 0
+    for h in (0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14):
+        estimates, skipped = resonance_estimates(sys_, h, EnergyWindow(*window))
+        assert skipped == []
+        for est in estimates:
+            width, parts = width_leading(sys_, h, est.e_k)
+            assert (est.width, est.prefactor_parts) == (width, parts), (h, est.k)
+            checked += 1
+    assert checked == {"reference": 53, "shallow": 82}[name]
+
+
+def test_an_empty_window_says_why(coupled, caplog):
+    """A window that holds no level logs one WARNING naming the cause: it
+    misses the well's energy range, or no (k + 1/2) pi h lies between the
+    actions at its clamped ends.  The result stays empty."""
+    with caplog.at_level("WARNING", logger="predissoc.spectrum"):
+        assert resonance_estimates(coupled, 0.14, EnergyWindow(2.5, 0.1)) == ([], [])
+    [record] = caplog.records
+    assert record.levelname == "WARNING"
+    assert record.getMessage().startswith(
+        "no level: the window [2.4, 2.6] misses the well's energy range [")
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="predissoc.spectrum"):
+        assert resonance_estimates(coupled, 0.3, EnergyWindow(0.95, 0.05)) == ([], [])
+    [record] = caplog.records
+    a_lo, a_hi = action_and_derivative(coupled, np.array([0.9, 1.0]))[0].tolist()
+    assert record.getMessage() == (
+        f"no level: no (k + 1/2) pi h at h=0.3 lies between A(0.9) = {a_lo:.10g} "
+        f"and A(1) = {a_hi:.10g}")
 
 
 INSTANCES = {
@@ -196,13 +251,14 @@ def _one_level_at_a_time(sys_, h, window):
     lo, hi = max(window.lo, range_lo), min(window.hi, range_hi)
     if hi <= lo:
         return {}, {}
-    a_lo, a_hi = action(sys_, lo), action(sys_, hi)
+    ends = action_and_derivative(sys_, np.array([lo, hi]))
+    a_lo, a_hi = ends[0].tolist()
     k_min = math.ceil(a_lo / (math.pi * h) - 0.5 - 1e-12)
     k_max = math.floor(a_hi / (math.pi * h) - 0.5 + 1e-12)
     found, failed = {}, {}
     for k in range(max(k_min, 0), k_max + 1):
         e, a_prime = (float(q[0]) for q in spectrum._solve_levels(
-            sys_, [(k + 0.5) * math.pi * h], lo, hi, a_lo, a_hi))
+            sys_, [(k + 0.5) * math.pi * h], lo, hi, ends))
         try:
             s_agmon = agmon_distance(sys_, e)
             width, _ = width_leading(sys_, h, e, a_prime, s_agmon)
@@ -263,15 +319,15 @@ def test_failed_level_solve_redone_one_level_at_a_time(coupled, window, monkeypa
     level at a time in k order, so the first level whose own solve fails
     raises its own error."""
     calls = []
-    original = spectrum.action_and_derivative
+    original = spectrum._well_integrals
 
-    def failing_above(sys_, energies):
+    def failing_above(sys_, energies, a, b):  # the level sweeps' quadrature
         calls.append(len(energies))
         bad = np.flatnonzero(energies > 1.05)
         if bad.size:
             raise EmptyInterval(f"fails at {float(energies[bad[0]])!r}")
-        return original(sys_, energies)
-    monkeypatch.setattr(spectrum, "action_and_derivative", failing_above)
+        return original(sys_, energies, a, b)
+    monkeypatch.setattr(spectrum, "_well_integrals", failing_above)
     with pytest.raises(EmptyInterval) as info:
         bohr_sommerfeld_levels(coupled, 0.1, window)
     # the batched sweeps raise, then k = 3 (e_k ~ 0.894) solves on its own,
@@ -280,9 +336,8 @@ def test_failed_level_solve_redone_one_level_at_a_time(coupled, window, monkeypa
     assert all(n == 2 for n in calls[:first_single])
     assert all(n == 1 for n in calls[first_single:])
     with pytest.raises(EmptyInterval) as alone:
-        a_lo, a_hi = action(coupled, np.array([window.lo, window.hi]))
-        spectrum._solve_levels(coupled, [4.5 * math.pi * 0.1], window.lo, window.hi,
-                               a_lo, a_hi)
+        ends = action_and_derivative(coupled, np.array([window.lo, window.hi]))
+        spectrum._solve_levels(coupled, [4.5 * math.pi * 0.1], window.lo, window.hi, ends)
     assert str(info.value) == str(alone.value)
 
 

@@ -59,6 +59,7 @@ REFINE_ABS_TOL = 5e-12
 @lru_cache(maxsize=32)
 def _gl_rule(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every quadrature
     return nodes, weights
 
 

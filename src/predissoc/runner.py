@@ -27,6 +27,7 @@ import logging
 import math
 import sys as _sys
 from dataclasses import astuple, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,11 @@ _SCHEME_ALIASES = {
 }
 
 
+@lru_cache(maxsize=8)
+def _parsed_system(v1: str, v2: str, r0: str, r1: str) -> PotentialSystem:
+    return PotentialSystem.from_strings(v1, v2, r0, r1)
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration with defaults filled in."""
@@ -85,7 +91,8 @@ class RunConfig:
     command: str | None = None
 
     def system(self) -> PotentialSystem:
-        return PotentialSystem.from_strings(self.v1, self.v2, self.r0, self.r1)
+        """The parsed system, memoised on the four expression strings."""
+        return _parsed_system(self.v1, self.v2, self.r0, self.r1)
 
     def window(self) -> EnergyWindow:
         return EnergyWindow(self.e_ref, self.half_width, self.c0_im)

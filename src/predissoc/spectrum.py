@@ -29,6 +29,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +62,11 @@ logger = logging.getLogger("predissoc.spectrum")
 WARM_STEP = 1e-7
 #: a level ends on a cold evaluation whose Newton step is within this
 LEVEL_XTOL = 1e-14
+#: evenly spaced energies of a window's action table, its two ends included
+TABLE_POINTS = 33
+
+#: crossing_data, computed once per system
+_system_crossing = lru_cache(maxsize=32)(crossing_data)
 
 
 def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
@@ -81,34 +87,67 @@ def _well_energy_range(sys: PotentialSystem) -> tuple[float, float]:
     return lo, hi
 
 
-def _solve_levels(sys, targets, lo, hi, ends):
-    """Invert the (strictly increasing) action: A(e_i) = targets[i] on [lo, hi].
+@lru_cache(maxsize=32)
+def _action_table(sys: PotentialSystem, lo: float, hi: float):
+    """The action table of the clamped window [lo, hi], read-only: arrays
+    (E, A, A') at TABLE_POINTS evenly spaced energies from lo to hi, both
+    exactly, from one ``action_and_derivative`` call.  Nothing in it
+    depends on h.  When that call raises a PredissocError, the table is the
+    two ends alone, whose own search raises where an end fails."""
+    try:
+        energies = np.linspace(lo, hi, TABLE_POINTS)
+        table = (energies, *action_and_derivative(sys, energies))
+    except PredissocError:
+        energies = np.array([lo, hi])
+        table = (energies, *action_and_derivative(sys, energies))
+    for column in table:
+        column.flags.writeable = False
+    return table
 
-    ``ends`` is ``action_and_derivative`` at [lo, hi].  All rows run the one
-    root kernel (``turning_points._bracketed_newton``) with A' as the exact
-    derivative, started at the inverse cubic Hermite interpolant of E(A)
-    through A and dE/dA = 1/A' at the ends; each sweep takes A and A' of
-    every row it evaluates from one quadrature pass.
+
+def _window_table(sys: PotentialSystem, lo: float, hi: float):
+    """(table, built): ``_action_table(sys, lo, hi)`` and whether this call
+    built it rather than reading the cache."""
+    misses = _action_table.cache_info().misses
+    table = _action_table(sys, lo, hi)
+    return table, _action_table.cache_info().misses > misses
+
+
+def _solve_levels(sys, targets, table, built=False):
+    """Invert the (strictly increasing) action: A(e_i) = targets[i] on the
+    window of the action ``table`` (see ``_action_table``).
+
+    All rows run the one root kernel (``turning_points._bracketed_newton``)
+    on the whole window with A' as the exact derivative, each started at
+    the inverse cubic Hermite interpolant of E(A) through A and
+    dE/dA = 1/A' at the ends of the table interval that brackets its
+    target; each sweep takes A and A' of every row it evaluates from one
+    quadrature pass.
 
     A row searches its turning points cold (``find_well_endpoints``) on its
-    first sweep and on a sweep after a warm one that moved it by at most
+    first sweep and on any sweep after one that moved it by at most
     WARM_STEP, which should be its last; every other sweep starts them from
     the row's previous ones (``turning_points._warm_well_endpoints``).  A row
     that the kernel stops on a warm sweep, or whose last Newton step
     exceeds LEVEL_XTOL, is evaluated cold once more at its Newton update,
     within the next sweep's search or after the kernel.  Returns arrays
     (e, A'): each row's last evaluated iterate and A' there, bit for bit
-    that of ``action_and_derivative``.
+    that of ``action_and_derivative``.  Logs one DEBUG line with the level,
+    sweep and search counts and whether the table was ``built`` for this
+    solve.
     """
     targets = np.asarray(targets, dtype=float)
-    (a_lo, a_hi), (d_lo, d_hi) = ends
+    lo, hi = table[0][0], table[0][-1]
+    j = np.clip(np.searchsorted(table[1], targets, side="right") - 1, 0, table[0].size - 2)
+    (e_lo, e_hi), (a_lo, a_hi), (d_lo, d_hi) = ((q[j], q[j + 1]) for q in table)
     span = a_hi - a_lo
     t = (targets - a_lo) / span
-    e = ((1 - t) ** 2 * ((1 + 2 * t) * lo + t * span / d_lo)
-         + t * t * ((3 - 2 * t) * hi - (1 - t) * span / d_hi))
+    e = ((1 - t) ** 2 * ((1 + 2 * t) * e_lo + t * span / d_lo)
+         + t * t * ((3 - 2 * t) * e_hi - (1 - t) * span / d_hi))
     e = np.minimum(np.maximum(e, lo), hi)
     last, a, b, a_prime, ahead = (np.full(e.shape, np.nan) for _ in range(5))
     warm_last, settled = np.zeros(e.shape, bool), np.zeros(e.shape, bool)
+    counts = dict.fromkeys(("sweeps", "cold", "warm"), 0)
 
     def stopped_to_redo(running):
         """Settle the rows the kernel has stopped, all but ``running``;
@@ -125,7 +164,7 @@ def _solve_levels(sys, targets, lo, hi, ends):
     def fdf(x, rows):
         redo = stopped_to_redo(rows)
         step = np.abs(x - last[rows])  # NaN on a row's first sweep
-        warm = ~(np.isnan(step) | (warm_last[rows] & (step <= WARM_STEP)))
+        warm = ~(np.isnan(step) | (step <= WARM_STEP))
         at, energies = np.concatenate([rows, redo]), np.concatenate([x, last[redo]])
         cold = np.concatenate([~warm, np.ones(redo.size, bool)])
         if warm.any():
@@ -136,6 +175,9 @@ def _solve_levels(sys, targets, lo, hi, ends):
         last[rows] = x
         a_val, a_prime[at] = _well_integrals(sys, energies, a[at], b[at])
         warm_last[at] = ~cold
+        counts["sweeps"] += 1
+        counts["cold"] += int(cold.sum())
+        counts["warm"] += int(warm.sum())
         fx = a_val[:x.size] - targets[rows]
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = fx / a_prime[rows]
@@ -147,6 +189,11 @@ def _solve_levels(sys, targets, lo, hi, ends):
     redo = stopped_to_redo(np.arange(0))
     if redo.size:
         a_prime[redo] = action_and_derivative(sys, last[redo])[1]
+        counts["sweeps"] += 1
+        counts["cold"] += redo.size
+    logger.debug("level solve: %d level(s), %d sweep(s), %d cold and %d warm "
+                 "turning-point search(es), action table %s", e.size, counts["sweeps"],
+                 counts["cold"], counts["warm"], "built" if built else "reused")
     return last, a_prime
 
 
@@ -170,8 +217,8 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
         logger.warning("no level: the window [%.10g, %.10g] misses the well's energy "
                        "range [%.10g, %.10g]", window.lo, window.hi, range_lo, range_hi)
         return []
-    ends = action_and_derivative(sys, np.array([lo, hi]))
-    a_lo, a_hi = ends[0].tolist()
+    table, built = _window_table(sys, lo, hi)
+    a_lo, a_hi = float(table[1][0]), float(table[1][-1])
     k_min = math.ceil(a_lo / (math.pi * h) - 0.5 - 1e-12)
     k_max = math.floor(a_hi / (math.pi * h) - 0.5 + 1e-12)
     ks = np.arange(max(k_min, 0), k_max + 1)
@@ -181,9 +228,9 @@ def bohr_sommerfeld_levels(sys: PotentialSystem, h: float, window: EnergyWindow,
         return []
     targets = (ks + 0.5) * math.pi * h
     try:
-        e_k, a_prime = _solve_levels(sys, targets, lo, hi, ends)
+        e_k, a_prime = _solve_levels(sys, targets, table, built)
     except PredissocError:
-        e_k, a_prime = np.concatenate([_solve_levels(sys, targets[i:i + 1], lo, hi, ends)
+        e_k, a_prime = np.concatenate([_solve_levels(sys, targets[i:i + 1], table)
                                        for i in range(ks.size)], axis=1)
     rows = zip(ks.tolist(), e_k.tolist(), a_prime.tolist())
     return [row if _with_slope else row[:2] for row in rows]
@@ -220,7 +267,7 @@ def width_from_parts(h: float, a_prime: float, s_agmon: float, v1_minus_e: float
 
 
 def _crossing_factors(sys: PotentialSystem, E: float, cd=None):
-    cd = crossing_data(sys) if cd is None else cd
+    cd = _system_crossing(sys) if cd is None else cd
     v1me = cd.v1_at_0 - E
     if v1me <= ENERGY_MARGIN:
         raise DegenerateEnergy(
@@ -239,8 +286,8 @@ def width_leading(sys: PotentialSystem, h: float, e_k: float,
     """Leading-order width (Im E_k) at the level e_k; returns (width, parts).
 
     ``a_prime`` = A'(e_k), ``s_agmon`` = S(e_k) and ``crossing`` =
-    ``crossing_data(sys)`` are computed here unless the caller passes the
-    values it already has.
+    ``crossing_data(sys)`` are computed here (the crossing data once per
+    system) unless the caller passes the values it already has.
     """
     cd, v1me = _crossing_factors(sys, e_k, crossing)
     if a_prime is None:
@@ -286,15 +333,15 @@ def resonance_estimates(sys: PotentialSystem, h: float, window: EnergyWindow):
     a :class:`PredissocError` are reported in ``skipped`` as
     (k, e_k, reason) instead of aborting the whole window.  Any other
     exception is a fault and propagates.  A'(e_k) comes from the level
-    solve, and S(e_k) of all levels from one Agmon pass, which serves each
-    width and ``s_at_ek``.
+    solve, S(e_k) of all levels from one Agmon pass, which serves each
+    width and ``s_at_ek``, and the crossing data from a per-system cache.
     """
     estimates = []
     skipped = []
     levels = bohr_sommerfeld_levels(sys, h, window, _with_slope=True)
     if not levels:
         return estimates, skipped
-    cd = crossing_data(sys)
+    cd = _system_crossing(sys)
     s_all = _agmon_per_level(sys, [e_k for _, e_k, _ in levels])
     for (k, e_k, a_prime), s_agmon in zip(levels, s_all):
         try:
@@ -423,14 +470,14 @@ def solve_quantization(sys: PotentialSystem, h: float, k: int) -> RefinedResonan
     vanishing coupling F = 0 and the solution is the level itself, exactly.
     """
     lo, hi = _well_energy_range(sys)
-    ends = action_and_derivative(sys, np.array([lo, hi]))
-    a_lo, a_hi = ends[0].tolist()
+    table, built = _window_table(sys, lo, hi)
+    a_lo, a_hi = float(table[1][0]), float(table[1][-1])
     target = (k + 0.5) * math.pi * h
     if not a_lo <= target <= a_hi:
         raise NewtonDivergence(
             f"level k={k} has no Bohr-Sommerfeld solution in ({lo!r}, {hi!r})"
         )
-    e_k, a_prime = (float(q[0]) for q in _solve_levels(sys, [target], lo, hi, ends))
+    e_k, a_prime = (float(q[0]) for q in _solve_levels(sys, [target], table, built))
     hf = -width_leading(sys, h, e_k, a_prime)[0] * a_prime / h
     if not hf < 1.0:
         raise NewtonDivergence(f"level k={k}: hF = {hf!r} >= 1, the "

@@ -2,7 +2,7 @@
 
 import pytest
 
-from predissoc import EnergyWindow, PotentialSystem
+from predissoc import EnergyWindow, PotentialSystem, spectrum
 
 # Gaussian well against a falling tanh tail; the v2 constant equals
 # v1(0) = 2 - 2 e^{-4} so the curves cross at x = 0 to machine precision.
@@ -45,3 +45,12 @@ def harmonic():
 def window():
     """Unit-energy window paired with the reference instance."""
     return EnergyWindow(1.0, 0.2, 5.0)
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty action-table cache, emptied again afterwards: a test that
+    changes how tables are built leaves none of its tables behind."""
+    spectrum._action_table.cache_clear()
+    yield
+    spectrum._action_table.cache_clear()

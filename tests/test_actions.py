@@ -16,6 +16,7 @@ from predissoc import (
     integrate_endpoint_singular,
     phase_integrals,
 )
+from predissoc import actions
 from predissoc.errors import BarrierViolation, NoExit, NoWell
 from predissoc.spectrum import _well_energy_range
 from predissoc.turning_points import RESIDUAL_TOL
@@ -227,3 +228,46 @@ def test_quadrature_refines_only_the_rows_that_need_it():
     for i, p in enumerate((0.0, -5.0)):
         assert integrate_endpoint_singular(f, 0.0, 1.0, args=(p,)) == got[i]
     assert got[1] == pytest.approx((6.0 ** 1.5 - 5.0 ** 1.5) / 1.5, rel=1e-14, abs=0.0)
+
+
+def _arrays(value):
+    """The numpy arrays in a cached value: itself, the items of a tuple,
+    the data of a sparse matrix."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [arr for item in value for arr in _arrays(item)]
+    data = getattr(value, "data", None)
+    return [data] if isinstance(data, np.ndarray) else []
+
+
+def test_every_cached_array_is_read_only():
+    """Every lru_cache of the package hands out read-only arrays, since all
+    its callers share them: the Gauss-Legendre rule, the scan grids, the
+    grid matrices, the band pattern and the window's action table.  The
+    list below covers every cache in the package."""
+    import inspect
+
+    from predissoc import runner, solver, spectrum, turning_points
+
+    sys_ = INSTANCES["reference"]
+    cached = {
+        actions._gl_rule: [(80,), (160,)],
+        turning_points._scan_grid: [(sys_.v1,), (sys_.v1, "left"), (sys_.v2, "right")],
+        solver._derivative_matrices: [("chebyshev_collocation", 64, -8.0, 12.0),
+                                      ("finite_difference_4", 64, -8.0, 12.0)],
+        solver._band_pattern: [(tuple(range(10)), 5, 40)],
+        spectrum._action_table: [(sys_, *_well_energy_range(sys_)), (sys_, 0.8, 1.6)],
+        spectrum._system_crossing: [(sys_,)],
+        runner._parsed_system: [(V1_WELL, V2_TAIL, "1", "0")],
+    }
+    found = {obj for module in (actions, runner, solver, spectrum, turning_points)
+             for _, obj in inspect.getmembers(module, lambda obj: hasattr(obj, "cache_info"))}
+    assert found == set(cached)
+    checked = 0
+    for function, calls in cached.items():
+        for args in calls:
+            for arr in _arrays(function(*args)):
+                assert not arr.flags.writeable, function
+                checked += 1
+    assert checked == 2 * 2 + 3 * 2 + 2 * 4 + 4 + 2 * 3

@@ -26,7 +26,8 @@ from predissoc import (
     width_leading,
 )
 from predissoc import actions, spectrum, turning_points
-from predissoc.errors import DegenerateEnergy, EmptyInterval, NewtonDivergence, PredissocError
+from predissoc.errors import (BracketFailure, DegenerateEnergy, EmptyInterval, NewtonDivergence,
+                             PredissocError)
 
 from conftest import V1_SHALLOW, V1_WELL, V2_SHALLOW, V2_TAIL
 
@@ -149,18 +150,18 @@ def test_estimates_match_pinned_values(name, fixture, request):
         assert s_at_ek == pytest.approx(want[4], rel=1e-10, abs=0), (h, k)
 
 
-def test_estimates_make_one_semiclassical_pass_per_level(coupled, monkeypatch):
+def test_estimates_make_one_semiclassical_pass_per_level(coupled, monkeypatch, fresh_tables):
     """Per window, not per level: each Newton sweep of the level solve
-    takes A and A' of all its levels from one quadrature pass, the cold
-    turning-point searches are the first and the last sweep plus the one at
-    the window ends, and one Agmon pass serves every width and s_at_ek.  The
-    sweep count stays that of one level's solve as the level count grows
-    sevenfold.  On this window, the formula-width benchmark's, a call scans
-    the turning-point grid at most 5 times (the window ends, the level
-    solve's first and last sweeps, the Agmon pass's b and c) and runs at
-    most 22 root-kernel sweeps, the level solve's included: secant starts
-    for the grid brackets, a Hermite start for the levels and warm turning
-    points in between."""
+    takes A and A' of all its levels from one quadrature pass, and one
+    Agmon pass serves every width and s_at_ek.  On this window, the
+    formula-width benchmark's, every level starts from the window's action
+    table within WARM_STEP of its root, so the solve is two sweeps, both
+    with a cold turning-point search and none warm, at every h of the
+    benchmark's grid (3 to 21 levels).  With the table cached, a call scans
+    the turning-point grid at most 4 times (the level solve's two sweeps,
+    the Agmon pass's b and c) and runs at most 14 root-kernel sweeps, the
+    level solve's included; the call that builds the table adds its one
+    search of the 33 table energies: one scan and at most 3 kernel sweeps."""
     counts = {}
 
     def counting(module, name, key=None):
@@ -181,23 +182,29 @@ def test_estimates_make_one_semiclassical_pass_per_level(coupled, monkeypatch):
     for module in (turning_points, spectrum):
         monkeypatch.setattr(module, "_bracketed_newton", counted_kernel)
     counting(turning_points, "_scan_brackets", "scans")
-    counting(actions, "find_well_endpoints")
-    counting(spectrum, "find_well_endpoints")
+    counting(actions, "find_well_endpoints", "table_searches")
+    counting(spectrum, "find_well_endpoints", "cold_searches")
+    counting(spectrum, "_warm_well_endpoints", "warm_searches")
     counting(spectrum, "_well_integrals", "sweeps")  # one call per Newton sweep
     counting(spectrum, "agmon_distance")
     counting(spectrum, "width_leading")
-    for h, levels in ((0.14, 3), (0.02, 21)):
-        counts.update(dict.fromkeys(
-            ("scans", "kernel_sweeps", "find_well_endpoints", "sweeps", "agmon_distance",
-             "width_leading"), 0))
-        estimates, skipped = resonance_estimates(coupled, h, EnergyWindow(1.2, 0.4))
-        assert skipped == [] and len(estimates) == levels
-        assert counts["sweeps"] <= 3
-        assert counts["find_well_endpoints"] <= counts["sweeps"]
-        assert counts["scans"] <= 5
-        assert counts["kernel_sweeps"] <= 22
-        assert counts["agmon_distance"] == 1
-        assert counts["width_leading"] == levels
+    levels = {0.02: 21, 0.04: 10, 0.06: 7, 0.08: 5, 0.10: 4, 0.12: 3, 0.14: 3}
+    for h in levels:
+        spectrum._action_table.cache_clear()
+        for table_cached in (False, True):
+            counts.update(dict.fromkeys(
+                ("scans", "kernel_sweeps", "table_searches", "cold_searches", "warm_searches",
+                 "sweeps", "agmon_distance", "width_leading"), 0))
+            estimates, skipped = resonance_estimates(coupled, h, EnergyWindow(1.2, 0.4))
+            assert skipped == [] and len(estimates) == levels[h]
+            assert counts["sweeps"] == counts["cold_searches"] == 2, (h, table_cached)
+            assert counts["warm_searches"] == 0
+            extra = 0 if table_cached else 1
+            assert counts["table_searches"] == extra
+            assert counts["scans"] <= 4 + extra, (h, table_cached)
+            assert counts["kernel_sweeps"] <= 14 + 3 * extra, (h, table_cached)
+            assert counts["agmon_distance"] == 1
+            assert counts["width_leading"] == levels[h]
 
 
 @pytest.mark.parametrize("name, window", [("reference", (1.2, 0.4)), ("shallow", (1.3, 0.2))])
@@ -245,20 +252,20 @@ INSTANCES = {
 
 def _one_level_at_a_time(sys_, h, window):
     """The window's estimates from one-row calls: each level solved on its
-    own, then its own S and width.  Returns ({k: (e_k, A', S, width)},
-    {k: (e_k, reason)})."""
+    own from the window's action table, then its own S and width.  Returns
+    ({k: (e_k, A', S, width)}, {k: (e_k, reason)})."""
     range_lo, range_hi = spectrum._well_energy_range(sys_)
     lo, hi = max(window.lo, range_lo), min(window.hi, range_hi)
     if hi <= lo:
         return {}, {}
-    ends = action_and_derivative(sys_, np.array([lo, hi]))
-    a_lo, a_hi = ends[0].tolist()
+    table, _ = spectrum._window_table(sys_, lo, hi)
+    a_lo, a_hi = table[1][0], table[1][-1]
     k_min = math.ceil(a_lo / (math.pi * h) - 0.5 - 1e-12)
     k_max = math.floor(a_hi / (math.pi * h) - 0.5 + 1e-12)
     found, failed = {}, {}
     for k in range(max(k_min, 0), k_max + 1):
         e, a_prime = (float(q[0]) for q in spectrum._solve_levels(
-            sys_, [(k + 0.5) * math.pi * h], lo, hi, ends))
+            sys_, [(k + 0.5) * math.pi * h], table))
         try:
             s_agmon = agmon_distance(sys_, e)
             width, _ = width_leading(sys_, h, e, a_prime, s_agmon)
@@ -335,10 +342,101 @@ def test_failed_level_solve_redone_one_level_at_a_time(coupled, window, monkeypa
     first_single = calls.index(1)
     assert all(n == 2 for n in calls[:first_single])
     assert all(n == 1 for n in calls[first_single:])
+    table, _ = spectrum._window_table(coupled, window.lo, window.hi)
     with pytest.raises(EmptyInterval) as alone:
-        ends = action_and_derivative(coupled, np.array([window.lo, window.hi]))
-        spectrum._solve_levels(coupled, [4.5 * math.pi * 0.1], window.lo, window.hi, ends)
+        spectrum._solve_levels(coupled, [4.5 * math.pi * 0.1], table)
     assert str(info.value) == str(alone.value)
+
+
+def _clear_caches():
+    """Empty every cache the semiclassical pass reads."""
+    for cached in (spectrum._action_table, spectrum._system_crossing,
+                   turning_points._scan_grid, actions._gl_rule):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("name, window, skips", [("reference", (1.2, 0.4), False),
+                                                 ("reference", (0.85, 0.4), True),
+                                                 ("shallow", (1.3, 0.2), False)])
+def test_results_do_not_depend_on_cache_state(name, window, skips):
+    """Levels, estimates and skip reasons are bit for bit the same with
+    every cache empty, with the window's action table cached, and with the
+    table built by a call at another h: nothing cached depends on h.  On
+    the second window the lowest levels are skipped (NoExit)."""
+    sys_, window = INSTANCES[name], EnergyWindow(*window)
+
+    def results(h):
+        return bohr_sommerfeld_levels(sys_, h, window), resonance_estimates(sys_, h, window)
+    for h, other_h in ((0.14, 0.02), (0.05, 0.1)):
+        _clear_caches()
+        cold = results(h)
+        assert results(h) == cold
+        _clear_caches()
+        results(other_h)
+        assert results(h) == cold
+        assert bool(cold[1][1]) == skips
+
+
+def test_failed_table_build_falls_back_to_the_window_ends(coupled, monkeypatch, fresh_tables):
+    """A table whose batched build raises a PredissocError at an energy
+    where no level lies is the two window ends alone, so the levels, the
+    estimates, the skip reasons and a failing solve's error are those of a
+    solve started from the window ends."""
+    def outcome(call):
+        try:
+            return call()
+        except PredissocError as exc:
+            return type(exc), str(exc)
+
+    calls = [lambda: bohr_sommerfeld_levels(coupled, 0.02, EnergyWindow(1.2, 0.4)),
+             lambda: resonance_estimates(coupled, 0.14, EnergyWindow(0.85, 0.4)),
+             lambda: solve_quantization(coupled, 0.1, 4)]
+    original_integrals = spectrum._well_integrals
+
+    def failing_above(sys_, energies, a, b):  # the level sweeps' quadrature
+        if np.any(energies > 1.05):
+            raise EmptyInterval("fails above 1.05")
+        return original_integrals(sys_, energies, a, b)
+
+    def run_all():
+        spectrum._action_table.cache_clear()
+        got = [outcome(call) for call in calls]
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_well_integrals", failing_above)
+            got.append(outcome(lambda: bohr_sommerfeld_levels(coupled, 0.1, EnergyWindow(1.0, 0.2))))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "TABLE_POINTS", 2)
+        from_ends = run_all()
+    assert from_ends[-1] == (EmptyInterval, "fails above 1.05")
+    original = spectrum.action_and_derivative
+
+    def failing_table(sys_, E):  # an interior table energy holds no level
+        if np.size(E) == spectrum.TABLE_POINTS:
+            raise BracketFailure("no table at this energy")
+        return original(sys_, E)
+    monkeypatch.setattr(spectrum, "action_and_derivative", failing_table)
+    assert run_all() == from_ends
+    window = EnergyWindow(1.2, 0.4)
+    table, built = spectrum._window_table(coupled, window.lo, window.hi)
+    assert not built and table[0].tolist() == [window.lo, window.hi]
+
+
+def test_level_solve_logs_one_debug_line(coupled, caplog, fresh_tables):
+    """Each level solve logs one DEBUG line on predissoc.spectrum with its
+    level, sweep and search counts and whether it built the window's action
+    table or read it from the cache."""
+    window = EnergyWindow(1.2, 0.4)
+    with caplog.at_level("DEBUG", logger="predissoc.spectrum"):
+        resonance_estimates(coupled, 0.14, window)
+        resonance_estimates(coupled, 0.02, window)
+    assert [r.levelname for r in caplog.records] == ["DEBUG", "DEBUG"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "level solve: 3 level(s), 2 sweep(s), 6 cold and 0 warm turning-point search(es), "
+        "action table built",
+        "level solve: 21 level(s), 2 sweep(s), 42 cold and 0 warm turning-point search(es), "
+        "action table reused"]
 
 
 def test_estimates_skip_package_errors_only(coupled, window, monkeypatch):

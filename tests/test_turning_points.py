@@ -14,7 +14,7 @@ from predissoc.errors import (
     NoExit,
     NoWell,
 )
-from predissoc import EnergyWindow, bohr_sommerfeld_levels, turning_points
+from predissoc import EnergyWindow, bohr_sommerfeld_levels, spectrum, turning_points
 from predissoc.errors import NewtonDivergence
 from predissoc.turning_points import (
     RESIDUAL_TOL,
@@ -215,7 +215,7 @@ def test_root_kernel_on_every_bracket(model, energies):
     assert checked == 3 * len(energies)  # two well roots and one exit root each
 
 
-def test_root_kernel_runs_only_while_rows_run(coupled, monkeypatch):
+def test_root_kernel_runs_only_while_rows_run(coupled, monkeypatch, fresh_tables):
     """No rows cost no evaluation, and a row still running after MAX_SWEEPS
     raises NewtonDivergence, so a level the solve misses gets a typed error."""
     calls = []
@@ -231,8 +231,12 @@ def test_root_kernel_runs_only_while_rows_run(coupled, monkeypatch):
     monkeypatch.setattr(turning_points, "MAX_SWEEPS", 3)
     with pytest.raises(NewtonDivergence, match="after 3 sweeps"):
         _bracketed_newton(bisect_only, 0.5 * one, 0 * one, one, one < 0)
-    # every turning-point search of this window ends within 3 sweeps, and
-    # the level solve, Hermite-started over the wide window, takes 4
+    # every turning-point search of this window ends within 3 sweeps, and so
+    # does the level solve from the window's action table; started from the
+    # two window ends alone, as a table whose build fails is, it takes 4
+    assert [k for k, _ in bohr_sommerfeld_levels(coupled, 0.1, EnergyWindow(1.0, 0.8))] == list(range(1, 9))
+    monkeypatch.setattr(spectrum, "TABLE_POINTS", 2)
+    spectrum._action_table.cache_clear()
     with pytest.raises(NewtonDivergence, match="after 3 sweeps") as info:
         bohr_sommerfeld_levels(coupled, 0.1, EnergyWindow(1.0, 0.8))
     assert info.traceback[-2].name == "_solve_levels"
